@@ -39,7 +39,7 @@ OUT_DIR = ROOT / ".bench_out"
 
 # Set-up (import, input generation, warm-up) is repeated and its median
 # reported, so that one slow first import does not decide the figure.
-SETUP_ROUNDS = 3
+SETUP_ROUNDS = 5
 
 # Loop times are in reference seconds: wall seconds scaled by the speed
 # probe (probe.py), so that the load of other tenants does not move them.
@@ -147,7 +147,8 @@ def closed_loop(qt, jobs, seconds, probe, max_jobs=None, tracer=None):
     Before each job the client runs the speed probe.  The loop stops at the
     first round boundary after ``seconds`` reference seconds, so every run
     completes whole rounds, sees the workload's exact mix of kinds, and does
-    about the same amount of work however loaded the machine is.  Returns
+    about the same amount of work however loaded the machine is; on a very
+    slow machine it stops after twice ``seconds`` wall seconds.  Returns
     the outcomes and the loop's wall time without the probes, up to the
     return of the last submitted job.  A job that raises is recorded with
     its message and the time it took; it never stops the loop.
@@ -156,9 +157,10 @@ def closed_loop(qt, jobs, seconds, probe, max_jobs=None, tracer=None):
     probing = 0.0
     start = time.perf_counter()
     for job in jobs[:max_jobs]:
+        elapsed = time.perf_counter() - start - probing
         if (outcomes and job.round_id != outcomes[-1].job.round_id
-                and probe.factor * (time.perf_counter() - start - probing)
-                >= seconds):
+                and (probe.factor * elapsed >= seconds
+                     or elapsed >= 2 * seconds)):
             break
         probing += probe.before_job(outcomes[-1].seconds if outcomes
                                     else 0.0)

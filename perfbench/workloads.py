@@ -133,13 +133,14 @@ class _Generator:
     # -- semi-series ---------------------------------------------------
 
     def semi_round(self):
-        # Fifteen jobs: the three Laurent and three T(a) + E jobs are cheaper
-        # than k = 2, so the median job is a k = 2 band, in the middle of its
-        # kind; the widest band comes twice, so that the tail job (the
-        # eleventh slowest) is one of them in any run of six rounds or more.
+        # Seventeen jobs: seven (three Laurent, three T(a) + E, k = 1) are
+        # cheaper than the three k = 2 bands and seven are dearer, so the
+        # median job is a k = 2 band in the middle of its kind; the widest
+        # band comes twice, so that the tail job (the eleventh slowest) is
+        # one of them in any run of six rounds or more.
         bands = list(self.sizes["hessenberg_k"])
-        makers = [lambda k=k: self._hessenberg_exp(k)
-                  for k in bands + bands[-1:]]
+        bands += bands[1:2] * 2 + bands[-1:]
+        makers = [lambda k=k: self._hessenberg_exp(k) for k in bands]
         makers += [lambda i=i: self._toeplitz_exp(i, 3) for i in range(3)]
         makers += [self._laurent] * 3
         for i in self.rng.permutation(len(makers)):
@@ -203,9 +204,10 @@ class _Generator:
 
     # -- finite-series -------------------------------------------------
 
-    def finite_round(self, per_round=6):
+    def finite_round(self):
         # Two thirds are the paper's H^10, so the median job is one of them
         # and not the boundary between H^10 and the cheaper polynomials.
+        per_round = 6
         lo, hi = self.sizes["finite_m"]
         sizes = [self._stratified_size(lo, hi, i, per_round)
                  for i in range(per_round)]
@@ -217,21 +219,16 @@ class _Generator:
                       poly=poly)
 
     def _stratified_size(self, lo, hi, stratum, strata):
-        width = (hi - lo) / strata
-        return self._fresh_sizes(
-            lambda u: [int(lo + width * (stratum + u))])[0]
-
-    def _fresh_sizes(self, draw):
-        """Sizes ``draw(u)`` for uniform u, none of them used before.
+        """A size in the stratum's share of [lo, hi), never used before.
 
         H^10 inputs of equal size would repeat, so sizes never recur.
         """
+        width = (hi - lo) / strata
         for _ in range(1000):
-            sizes = draw(self.rng.uniform())
-            if len(set(sizes)) == len(sizes) \
-                    and self.used_sizes.isdisjoint(sizes):
-                self.used_sizes.update(sizes)
-                return sizes
+            m = int(lo + width * (stratum + self.rng.uniform()))
+            if m not in self.used_sizes:
+                self.used_sizes.add(m)
+                return m
         raise ValueError("size range exhausted; generate fewer rounds")
 
     def _random_poly(self):
