@@ -89,7 +89,7 @@ class Outcome:
 
     @property
     def allowed(self):
-        """Largest error within the stated accuracy, relative to max(1, scale)."""
+        """Largest error within the stated accuracy (tol * max(1, scale))."""
         return self.job.tol * max(1.0, self.scale)
 
     @property
@@ -369,9 +369,10 @@ def main(argv=None):
           f"seconds {args.seconds:g}  trace {args.trace}")
     print("environment: " + ", ".join(f"{k}={v}"
                                       for k, v in environment().items()))
+    exhausted = " exhausted" if attempted == len(pool) else ""
     print(f"loop: closed, 1 client; {attempted} jobs in {wall:.3f} s; pool "
-          f"of {len(pool)} jobs{' exhausted' if attempted == len(pool) else ''}"
-          f"; {repeats}/{attempted} jobs repeat an earlier input")
+          f"of {len(pool)} jobs{exhausted}; {repeats}/{attempted} jobs "
+          f"repeat an earlier input")
     print(f"speed probe: {len(probe.times)} samples, mean "
           f"{statistics.fmean(probe.times) * 1e3:.4f} ms; "
           f"{probe.factor:.4f} reference s per wall s")

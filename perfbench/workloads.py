@@ -250,15 +250,17 @@ class _Generator:
         """
         qt = self.qt
         deg = len(poly) - 1
-        h = np.array([1.0, 2.0, 1.0]) / (2.0 + 2.0 * math.cos(math.pi / (m + 1)))
+        scale = 2.0 + 2.0 * math.cos(math.pi / (m + 1))
+        h = np.array([1.0, 2.0, 1.0]) / scale
         band = np.zeros(2 * deg + 1)
         power = np.ones(1)
         for j, c in enumerate(poly):
             band[deg - j:deg + j + 1] += c * power
             power = np.convolve(power, h)
         n = 2 * deg + 2
-        dense_h = np.diag(np.full(n, h[1])) + np.diag(np.full(n - 1, h[0]), 1) \
-            + np.diag(np.full(n - 1, h[2]), -1)
+        dense_h = (np.diag(np.full(n, h[1]))
+                   + np.diag(np.full(n - 1, h[0]), 1)
+                   + np.diag(np.full(n - 1, h[2]), -1))
         dense_p = np.zeros((n, n))
         for c in reversed(poly):
             dense_p = dense_p @ dense_h + c * np.eye(n)
