@@ -31,9 +31,9 @@ _ROUNDS_PER_SECOND = {"semi-series": 5.0, "finite-series": 2.5,
 # Sizes per workload: "full" for measurement, "tiny" for warm-up and tests.
 _SIZES = {
     "full": {"hessenberg_k": range(1, 9), "finite_m": (512, 4096),
-             "contour_m": ((120, 140), (180, 200))},
+             "contour_m": ((110, 140), (180, 200))},
     "tiny": {"hessenberg_k": range(1, 3), "finite_m": (48, 96),
-             "contour_m": ((24, 30), (34, 40))},
+             "contour_m": ((24, 32), (34, 40))},
 }
 
 
@@ -281,15 +281,18 @@ class _Generator:
     # -- contour-resolvent ---------------------------------------------
 
     def contour_round(self):
-        # Two finite I + H^10, one small and one large, and one semi-infinite
-        # matrix, each for sqrt and log.  Finite jobs take five to twenty
-        # times as long as semi-infinite ones and their time grows with m;
-        # the narrow size bands keep each kind's time steady from seed to
-        # seed.  A 15 s run completes three rounds, so both the median and
-        # the tail job (the eleventh slowest of 18) are small finite jobs.
+        # Three finite I + H^10, two small and one large, and one
+        # semi-infinite matrix, each for sqrt and log.  Finite jobs take five
+        # to twenty times as long as semi-infinite ones and their time grows
+        # with m; the narrow size bands keep each kind's time steady from
+        # seed to seed.  Half the jobs are small finite ones, with a quarter
+        # cheaper and a quarter dearer, so in any run of two rounds or more
+        # both the median and the tail job (the eleventh slowest) are small
+        # finite jobs.
+        small, large = self.sizes["contour_m"]
         inputs = [("finite", self._finite_input(
                        self._stratified_size(lo, hi, 0, 1), _H10, 1.0), _H10)
-                  for lo, hi in self.sizes["contour_m"]]
+                  for lo, hi in (small, small, large)]
         inputs.append(("semi", self._contour_semi_input(), None))
         for i in self.rng.permutation(len(inputs)):
             where, text, poly = inputs[i]
