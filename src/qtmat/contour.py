@@ -2,9 +2,9 @@
 
 The integral (1/2*pi*i) of f(z) (zI - A)^{-1} along a contour enclosing the
 spectrum indicator is approximated with the trapezoidal rule on a node
-family whose count doubles per level; nodes of one level reappear at the odd
-indices of the next, and their resolvents are reused from a cache keyed by
-the reduced dyadic index, so reuse is exact.
+family whose count doubles per level.  The nodes of one level are the even
+nodes of the next, so each level halves the previous sum and adds only its
+new odd nodes: every resolvent is computed once, used once and dropped.
 """
 
 import cmath
@@ -29,6 +29,11 @@ from .symbol import eval_at_unit_roots
 log = logging.getLogger(__name__)
 
 _TWO_PI_I = 2j * math.pi
+
+# Mirror nodes share one resolvent when f there matches conj f within this
+# many ulps (the mirror node itself is off the exact conjugate by a few).
+_CONJ_ULPS = 16
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,7 @@ def nodes_weights(contour, n):
 
     The two endpoint weights are (b - a) / 2^(n+1); interior weights are
     (b - a) / 2^n.  Nodes are computed as a + (k * (b - a)) / 2^n so level-n
-    nodes coincide bitwise with the odd-index nodes of level n + 1.
+    nodes coincide bitwise with the even-index nodes of level n + 1.
     """
     if n < 1:
         raise ValueError("level must be at least 1")
@@ -141,23 +146,31 @@ def _check_enclosure(symbol, contour, cfg):
             "sampled symbol curve leaves the integration contour")
 
 
-def _reduce_dyadic(k, n):
-    if k == 0:
-        return 0, 0
-    while k % 2 == 0:
-        k //= 2
-        n -= 1
-    return k, n
-
-
 def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
     """f(A) through trapezoidal quadrature of the resolvent integral.
 
-    Doubles the node count per level, reusing the resolvents computed at
-    coarser levels, until the algebra norm of the difference of consecutive
-    iterates drops below the stopping tolerance.  A resolvent failure on a
-    circular contour triggers one automatic retry with the radius inflated
-    by 10 percent.
+    Doubles the node count per level, T_n = T_{n-1} / 2 + h_n * (sum over
+    the new odd nodes), until the algebra norm of T_n - T_{n-1} drops below
+    the stopping tolerance.  A resolvent failure on a circular contour
+    triggers one automatic retry with the radius inflated by 10 percent.
+
+    Conjugate nodes share one resolvent.  Node k and its mirror 2^n - k are
+    summed as 2 Re(c_k R(z_k)), and a node that is its own mirror (k = 0 or
+    2^(n-1)) as Re(c_k R(z_k)), when all of these hold:
+
+    - the contour is a circle whose centre has zero imaginary part;
+    - the matrix is real (``matrix.is_real``);
+    - f at the mirror node equals conj(f(z_k)) to within a few ulps; f is
+      evaluated at every node, so a mirror is never assumed.
+
+    Then R(conj z) = conj R(z), and the real part is formed exactly before
+    the one compressed add of the node.  Any node that fails a test gets its
+    own resolvent.
+
+    With ``with_info`` the result comes with a dict: ``levels``, ``nodes``
+    (2^levels), ``resolvents`` (the resolvents computed by the run that
+    produced the result; 2^(levels-1) + 1 when every pair shares one, and
+    2^levels when none does) and ``level_diffs``.
 
     Parameters
     ----------
@@ -187,37 +200,52 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
 def _iterate_levels(matrix, f, contour, cfg, with_info):
     a, b = contour.interval
     length = b - a
-    cache = {}
-
-    def node_data(k, n):
-        key = _reduce_dyadic(k, n)
-        if key not in cache:
-            kk, nn = key
-            x = a + (kk * length) / (1 << nn)
-            z = contour.gamma(x)
-            cache[key] = (x, z, resolvent(matrix, z, cfg))
-        return cache[key]
-
+    # R(conj z) = conj R(z) for a real matrix, and a circle with a real
+    # centre maps node k to the conjugate of node 2^n - k.
+    mirrored = (contour.kind == "circle" and contour.center.imag == 0
+                and matrix.is_real)
+    resolvents = 0
     prev = None
     diffs = []
     for n in range(1, cfg.max_levels + 1):
-        h = length / (1 << n)
-        acc = matrix.zero_like()
+        count = 1 << n
+        h = length / count
         # Merged-endpoint trapezoidal sum: gamma(a) == gamma(b), so the
-        # closed-curve sum uses 2^n nodes of equal weight.
-        for k in range(1 << n):
-            x, z, res = node_data(k, n)
-            coef = h * contour.dgamma(x) * f(z) / _TWO_PI_I
-            acc = acc.add(res.scale(coef), cfg)
+        # closed-curve sum uses 2^n nodes of equal weight.  The even nodes
+        # are those of level n - 1, already summed in prev with twice the
+        # weight, so only the odd nodes are new.
+        ks = range(2) if n == 1 else range(1, count, 2)
+        xs = {k: a + (k * length) / count for k in ks}
+        zs = {k: contour.gamma(x) for k, x in xs.items()}
+        fs = {k: f(z) for k, z in zs.items()}
+        acc = matrix.zero_like() if prev is None else prev.scale(0.5)
+        for k in ks:
+            j = (count - k) % count
+            paired = mirrored and _conjugate(fs[j], fs[k])
+            if paired and j < k:
+                continue  # summed with its mirror j
+            coef = h * contour.dgamma(xs[k]) * fs[k] / _TWO_PI_I
+            if paired and j != k:
+                coef *= 2.0
+            term = resolvent(matrix, zs[k], cfg).scale(coef)
+            resolvents += 1
+            acc = acc.add(term.real_part() if paired else term, cfg)
         if prev is not None:
             delta = acc.add(prev.scale(-1.0), cfg).norm_cqt()
             diffs.append(delta)
             if delta <= cfg.tol_stop:
                 if with_info:
-                    return acc, {"levels": n, "nodes": 1 << n,
+                    return acc, {"levels": n, "nodes": count,
+                                 "resolvents": resolvents,
                                  "level_diffs": diffs}
                 return acc
         prev = acc
     raise NoConvergenceError(
         f"contour quadrature did not converge within {cfg.max_levels} "
         f"levels; last differences {diffs[-3:]}")
+
+
+def _conjugate(fj, fk):
+    """Whether fj equals conj(fk) to within a few ulps of their size."""
+    scale = max(abs(fj), abs(fk))
+    return abs(fj - np.conj(fk)) <= _CONJ_ULPS * _EPS * scale

@@ -113,6 +113,22 @@ class Correction:
             out[:rp, :cq] = self.u[:rp] @ self.v[:cq].T
         return out
 
+    @property
+    def is_real(self):
+        """Whether both factors are stored with zero imaginary parts."""
+        return not (np.any(self.u.imag) or np.any(self.v.imag))
+
+    def real_part(self):
+        """Exact real part, Re(u v^T) = [Re u, -Im u] [Re v, Im v]^T.
+
+        The rank doubles only when both factors are complex, since
+        otherwise Im u Im v^T vanishes; the result is not compressed.
+        """
+        if not (np.any(self.u.imag) and np.any(self.v.imag)):
+            return Correction(self.u.real, self.v.real)
+        return Correction(np.hstack([self.u.real, -self.u.imag]),
+                          np.hstack([self.v.real, self.v.imag]))
+
     def scaled(self, alpha):
         if self.is_zero or alpha == 0:
             return Correction.zero()
@@ -136,7 +152,9 @@ def _kept_rank(s, p, q, budget):
     """Singular values kept so the certified entrywise-sum error fits."""
     if s.size == 0:
         return 0
-    tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tail[k] = ||s[k:]||_2
+    # tail[k] = ||s[k:]||_2, summed on s / s[0] so squares cannot overflow.
+    rel = s[::-1] / s[0]
+    tail = s[0] * np.sqrt(np.cumsum(rel * rel))[::-1]
     scale = np.sqrt(p * q)
     k = s.size
     while k > 0 and scale * tail[k - 1] <= budget:

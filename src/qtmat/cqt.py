@@ -84,6 +84,14 @@ class CqtMatrix:
         return CqtMatrix(sym_scale(self.symbol, alpha),
                          self.corr.scaled(alpha))
 
+    @property
+    def is_real(self):
+        return self.symbol.is_real and self.corr.is_real
+
+    def real_part(self):
+        """Entrywise real part, exact and uncompressed."""
+        return CqtMatrix(self.symbol.real_part(), self.corr.real_part())
+
     def norm_cqt(self):
         return cqt_norm(self)
 

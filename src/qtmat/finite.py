@@ -107,6 +107,17 @@ class FiniteQtMatrix:
     def scale(self, alpha):
         return fqt_scale(self, alpha)
 
+    @property
+    def is_real(self):
+        return (self.symbol.is_real and self.corr_tl.is_real
+                and self.corr_br.is_real)
+
+    def real_part(self):
+        """Entrywise real part, exact and uncompressed."""
+        return FiniteQtMatrix(self.m, self.symbol.real_part(),
+                              self.corr_tl.real_part(),
+                              self.corr_br.real_part())
+
     def norm_cqt(self):
         nw, nw1 = wiener_norms(self.symbol)
         return nw + nw1 + abs_sum_norm(self.corr_tl) \
@@ -392,8 +403,7 @@ def _fqt_inv_dense(a, cfg, with_info):
         raise SingularMatrixError("matrix is numerically singular") from exc
     result = fqt_from_dense(dense_inv, None, cfg)
     cols = _sample_columns(a.m)
-    out = fqt_to_dense(result)
-    resid = dense @ out[:, cols]
+    resid = dense @ np.column_stack([result.column(j) for j in cols])
     resid[cols, np.arange(len(cols))] -= 1.0
     worst = float(np.abs(resid).max())
     if worst > cfg.tol_stop:

@@ -21,7 +21,7 @@ from qtmat import (
     nodes_weights,
     resolvent,
 )
-from qtmat.contour import _reduce_dyadic
+import qtmat.contour
 from qtmat.oracles import laplacian_symbol_coeffs
 
 from tests.support import dense_cqt_oracle, dense_fqt_oracle
@@ -137,21 +137,65 @@ def test_funm_contour_cauchy_decay():
     assert diffs[2] <= 0.75 * diffs[1]
 
 
-def test_node_reuse_is_exact():
-    # The dyadic reduction maps a node to the same key at every level, so
-    # the cached resolvent is reused rather than recomputed.
-    assert _reduce_dyadic(4, 3) == (1, 1)
-    assert _reduce_dyadic(6, 3) == (3, 2)
-    assert _reduce_dyadic(0, 5) == (0, 0)
-    c = ContourSpec.circle(0.0, 1.0)
-    for n in (2, 3, 4):
-        coarse = nodes_weights(c, n)
-        fine = nodes_weights(c, n + 1)
-        for k in range(2 ** n + 1):
-            kk, nn = _reduce_dyadic(2 * k, n + 1)
-            a, b = c.interval
-            x = a + (kk * (b - a)) / (1 << nn)
-            assert x == fine.nodes[2 * k] == coarse.nodes[k]
+def _finite_i_plus_h2(m, symbol=None):
+    h = FiniteQtMatrix(m, LaurentSymbol(laplacian_symbol_coeffs(m), -1))
+    a = fqt_mul(h, h).add(FiniteQtMatrix.identity(m))
+    if symbol is not None:
+        a = a.add(FiniteQtMatrix(m, symbol))
+    return a
+
+
+def _dense_funm(a, f):
+    w, v = np.linalg.eig(dense_fqt_oracle(a))
+    return (v * f(w)) @ np.linalg.inv(v)
+
+
+def test_real_input_pairs_conjugate_nodes_exactly():
+    a = _finite_i_plus_h2(40)
+    assert a.is_real
+    cfg = DEFAULT_CONFIG.updated(tol_stop=1e-9)
+    got, info = funm_contour(a, np.sqrt, ContourSpec.circle(1.5, 1.0), cfg,
+                             with_info=True)
+    assert info["resolvents"] == 2 ** (info["levels"] - 1) + 1
+    stored = [got.symbol.coeffs, got.corr_tl.u, got.corr_tl.v,
+              got.corr_br.u, got.corr_br.v]
+    assert all(np.all(x.imag == 0) for x in stored)
+    assert np.abs(fqt_to_dense(got) - _dense_funm(a, np.sqrt)).max() < 1e-8
+
+
+@pytest.mark.parametrize("case", ["complex-symbol", "non-symmetric-f"])
+def test_unpaired_inputs_fall_back_to_one_resolvent_per_node(case):
+    if case == "complex-symbol":
+        a = _finite_i_plus_h2(40, LaurentSymbol([0.1j, 0.05, -0.1j], -1))
+        f = np.sqrt
+    else:
+        a = _finite_i_plus_h2(40)
+        f = lambda z: 1j * z  # noqa: E731
+    cfg = DEFAULT_CONFIG.updated(tol_stop=1e-9)
+    got, info = funm_contour(a, f, ContourSpec.circle(1.5, 1.0), cfg,
+                             with_info=True)
+    assert info["resolvents"] == 2 ** info["levels"]
+    assert np.abs(fqt_to_dense(got) - _dense_funm(a, f)).max() < 1e-8
+
+
+def test_no_node_resolvent_is_computed_twice(monkeypatch):
+    points = []
+
+    def recording(matrix, z, cfg=DEFAULT_CONFIG):
+        points.append(z)
+        return resolvent(matrix, z, cfg)
+
+    monkeypatch.setattr(qtmat.contour, "resolvent", recording)
+    cfg = DEFAULT_CONFIG.updated(tol_stop=1e-9)
+    for symbol in (None, LaurentSymbol([0.1j], 0)):
+        points.clear()
+        a = _finite_i_plus_h2(30, symbol)
+        _, info = funm_contour(a, np.log, ContourSpec.circle(1.5, 1.0), cfg,
+                               with_info=True)
+        assert len(points) == info["resolvents"]
+        assert len(set(points)) == len(points)
+        if symbol is None:  # paired: no mirror node is inverted either
+            assert not any(p.imag < 0 for p in points)
 
 
 def test_enclosure_error_when_curve_outside():

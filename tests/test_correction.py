@@ -1,5 +1,7 @@
 """Factored corrections against dense materialization oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,27 @@ def test_corr_compress_budget_and_idempotence():
         assert err <= tol * max(1.0, abs_sum_norm(e)) * 1.01
         again = corr_compress(c, tol)
         assert again.rank == c.rank
+
+
+def test_corr_compress_huge_scale_keeps_rank_without_warning():
+    rng = np.random.default_rng(13)
+    e = random_correction(rng, 10, 8, 3).scaled(1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        c = corr_compress(e, 1e-12)
+    assert c.rank == 3
+
+
+def test_real_part_is_exact_and_uncompressed():
+    rng = np.random.default_rng(14)
+    e = random_correction(rng, 7, 5, 2)
+    re = e.real_part()
+    assert re.is_real and not e.is_real
+    assert re.rank == 2 * e.rank
+    want = dense_correction_oracle(e, 7, 5).real
+    assert np.abs(dense_correction_oracle(re, 7, 5) - want).max() < 1e-14
+    half = Correction(e.u.real, e.v)  # Im u Im v^T vanishes: rank kept
+    assert half.real_part().rank == e.rank
 
 
 def test_abs_sum_norm_simple():
