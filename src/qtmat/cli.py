@@ -1,4 +1,4 @@
-"""Command line interface: matrix functions and the benchmark harness.
+"""Command line interface: matrix functions of a stored matrix.
 
 Exit codes: 0 success, 2 precondition violation, 3 no convergence,
 64 usage or input-format error.
@@ -24,10 +24,8 @@ from .errors import (
     PreconditionError,
 )
 from .fileio import read_file, write_file
-from .finite import FiniteQtMatrix, fqt_mul, fqt_to_dense
-from .oracles import laplacian_symbol_coeffs, sine_transform_oracle
+from .finite import fqt_to_dense
 from .series import SeriesSpec, funm_laurent, funm_taylor
-from .symbol import LaurentSymbol
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -224,96 +222,6 @@ def cmd_funm(args):
     return EXIT_OK
 
 
-def _hessenberg_symbol(k):
-    # Hessenberg band: one subdiagonal, k superdiagonals, all ones.
-    return LaurentSymbol(np.ones(k + 2), -1)
-
-
-def _laplacian_power(m, power=10, cfg=DEFAULT_CONFIG):
-    h = FiniteQtMatrix(m, LaurentSymbol(laplacian_symbol_coeffs(m), -1))
-    result = h.identity_like()
-    base = h
-    exponent = power
-    while exponent:
-        if exponent & 1:
-            result = fqt_mul(result, base, cfg)
-        exponent >>= 1
-        if exponent:
-            base = fqt_mul(base, base, cfg)
-    return result
-
-
-def _parse_sizes(text):
-    try:
-        sizes = [int(s) for s in text.split(",") if s.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad sizes list {text!r}") from exc
-    if not sizes or any(s < 1 for s in sizes):
-        raise UsageError("sizes list must contain positive integers")
-    return sizes
-
-
-def _bench_case(rows, case, fn):
-    try:
-        rows.append(fn())
-    except Exception as exc:  # keep sweeping; mark the failed case
-        print(f"{case}: FAILED ({exc})", file=sys.stderr)
-        rows.append(BenchRow(case=case, time_s=0.0, band=0, rows=0, cols=0,
-                             rank=0, error=None))
-
-
-def cmd_bench(args):
-    cfg = _build_config(args)
-    rows = []
-    if args.bench_case == "hessenberg-exp":
-        if args.kmax < 1:
-            raise UsageError("--kmax must be at least 1")
-        for k in range(1, args.kmax + 1):
-            def run(k=k):
-                matrix = CqtMatrix(_hessenberg_symbol(k))
-                start = time.perf_counter()
-                result = funm_taylor(matrix, SeriesSpec.exp(), cfg)
-                elapsed = time.perf_counter() - start
-                err = _dense_oracle(matrix, "exp", result)
-                return _result_row(f"hessenberg-exp k={k}", result, elapsed,
-                                   err)
-            _bench_case(rows, f"hessenberg-exp k={k}", run)
-    elif args.bench_case == "finite-exp":
-        for m in _parse_sizes(args.sizes):
-            def run(m=m):
-                matrix = _laplacian_power(m, cfg=cfg)
-                start = time.perf_counter()
-                result = funm_taylor(matrix, SeriesSpec.exp(), cfg)
-                elapsed = time.perf_counter() - start
-                oracle = sine_transform_oracle(
-                    m, lambda lam: np.exp(lam ** 10), 1)
-                err = float(np.linalg.norm(result.column(0) - oracle))
-                return _result_row(f"finite-exp m={m}", result, elapsed, err)
-            _bench_case(rows, f"finite-exp m={m}", run)
-    else:  # contour
-        if args.func not in ("sqrt", "log"):
-            raise UsageError("--func must be sqrt or log")
-        scalar = np.sqrt if args.func == "sqrt" else np.log
-        for m in _parse_sizes(args.sizes):
-            def run(m=m):
-                matrix = _laplacian_power(m, cfg=cfg).add(
-                    FiniteQtMatrix.identity(m), cfg)
-                contour = ContourSpec.circle(1.5, 1.0)
-                start = time.perf_counter()
-                result = funm_contour(matrix, scalar, contour, cfg)
-                elapsed = time.perf_counter() - start
-                oracle = sine_transform_oracle(
-                    m, lambda lam: scalar(1.0 + lam ** 10), 1)
-                err = float(np.linalg.norm(result.column(0) - oracle))
-                return _result_row(f"contour-{args.func} m={m}", result,
-                                   elapsed, err)
-            _bench_case(rows, f"contour-{args.func} m={m}", run)
-    print(format_report(rows))
-    if args.csv:
-        write_csv(args.csv, rows)
-    return EXIT_OK
-
-
 def build_parser():
     parser = _Parser(prog="qtmat",
                      description="Quasi-Toeplitz matrix functions")
@@ -333,21 +241,6 @@ def build_parser():
     funm.add_argument("--max-levels", type=int, default=None)
     funm.add_argument("--oracle", choices=("none", "dense"), default="none")
     funm.add_argument("--csv", default=None)
-
-    bench = sub.add_parser("bench", help="run the benchmark harness")
-    bench_sub = bench.add_subparsers(dest="bench_case", required=True)
-    hess = bench_sub.add_parser("hessenberg-exp")
-    hess.add_argument("--kmax", type=int, required=True)
-    fin = bench_sub.add_parser("finite-exp")
-    fin.add_argument("--sizes", required=True)
-    cont = bench_sub.add_parser("contour")
-    cont.add_argument("--func", required=True)
-    cont.add_argument("--sizes", required=True)
-    for sp in (hess, fin, cont):
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--max-terms", type=int, default=None)
-        sp.add_argument("--max-levels", type=int, default=None)
-        sp.add_argument("--csv", default=None)
     return parser
 
 
@@ -355,9 +248,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "funm":
-            return cmd_funm(args)
-        return cmd_bench(args)
+        return cmd_funm(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,12 +4,16 @@ The integral (1/2*pi*i) of f(z) (zI - A)^{-1} along a contour enclosing the
 spectrum indicator is approximated with the trapezoidal rule on a node
 family whose count doubles per level.  The nodes of one level are the even
 nodes of the next, so each level halves the previous sum and adds only its
-new odd nodes: every resolvent is computed once, used once and dropped.
+new odd nodes, and no run inverts a node twice.  The node resolvents depend
+only on the matrix, the node and the tolerances, so one module slot keeps
+those of the last matrix, up to a byte cap, for the next run on an equal
+matrix with the same tolerances, whatever its f.
 """
 
 import cmath
 import logging
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -34,6 +38,9 @@ _TWO_PI_I = 2j * math.pi
 # many ulps (the mirror node itself is off the exact conjugate by a few).
 _CONJ_ULPS = 16
 _EPS = np.finfo(np.float64).eps
+
+# Bytes of node resolvents the slot keeps; past it they are used and dropped.
+_SLOT_BYTES = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -129,6 +136,46 @@ def resolvent(matrix, z, cfg=DEFAULT_CONFIG):
         raise OnSpectrumError(z, f"resolvent failed at z={z}: {exc}") from exc
 
 
+def _stored_arrays(matrix):
+    """The arrays a CqtMatrix or FiniteQtMatrix is stored in."""
+    corrs = [getattr(matrix, name) for name in ("corr", "corr_tl", "corr_br")
+             if hasattr(matrix, name)]
+    return [matrix.symbol.coeffs] + [x for c in corrs for x in (c.u, c.v)]
+
+
+def _slot_key(matrix, cfg):
+    """The matrix content and tolerances that fix every node resolvent.
+
+    Built from values, not identity, so an equal matrix parsed afresh hits.
+    """
+    return (type(matrix), getattr(matrix, "m", None), matrix.symbol.min_deg,
+            cfg) + tuple((x.shape, x.tobytes())
+                         for x in _stored_arrays(matrix))
+
+
+class _NodeResolvents:
+    """R(z) for one slot key by exact node z, at most _SLOT_BYTES of them."""
+
+    def __init__(self, key=None):
+        self.key = key
+        self.by_node = {}
+        self.nbytes = 0
+        self._lock = threading.Lock()
+
+    def store(self, z, r):
+        size = sum(x.nbytes for x in _stored_arrays(r))
+        with self._lock:
+            if z not in self.by_node and self.nbytes + size <= _SLOT_BYTES:
+                self.by_node[z] = r
+                self.nbytes += size
+
+
+# The node resolvents of the last (matrix, cfg) pair.  A run binds the store
+# it finds, or puts a new one in its place, once on entry, so runs on
+# different matrices never read or write each other's resolvents.
+_slot = _NodeResolvents()
+
+
 def _check_enclosure(symbol, contour, cfg):
     """Certify (indirectly) that the symbol curve lies inside the contour.
 
@@ -167,10 +214,29 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
     the one compressed add of the node.  Any node that fails a test gets its
     own resolvent.
 
+    Calls on one matrix share their node resolvents.  A module slot keeps
+    those of the last run's matrix, and a later call takes R(z) from it, for
+    any f, when all of these hold:
+
+    - the matrix is of the same class and size, with a symbol and
+      correction factors equal bit for bit (an equal matrix parsed afresh
+      qualifies; identity does not matter);
+    - ``cfg`` is equal in every field;
+    - the node z is equal bit for bit, as on the same contour; the retry on
+      an inflated circle only misses.
+
+    A stored resolvent is the object the same code would recompute, so the
+    result does not depend on what the slot holds.  The slot keeps at most
+    32 MiB of resolvents; past that they are used and dropped.  A call on
+    another matrix replaces the whole slot, and a run keeps the store it
+    bound on entry, so concurrent calls on different matrices are safe and
+    at worst miss.
+
     With ``with_info`` the result comes with a dict: ``levels``, ``nodes``
-    (2^levels), ``resolvents`` (the resolvents computed by the run that
-    produced the result; 2^(levels-1) + 1 when every pair shares one, and
-    2^levels when none does) and ``level_diffs``.
+    (2^levels), ``resolvents`` (the distinct node resolvents the run that
+    produced the result used; 2^(levels-1) + 1 when every pair shares one,
+    and 2^levels when none does), ``reused`` (how many of those came from
+    the slot rather than from a new inversion) and ``level_diffs``.
 
     Parameters
     ----------
@@ -198,13 +264,18 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
 
 
 def _iterate_levels(matrix, f, contour, cfg, with_info):
+    global _slot
+    key = _slot_key(matrix, cfg)
+    store = _slot
+    if store.key != key:
+        store = _slot = _NodeResolvents(key)
     a, b = contour.interval
     length = b - a
     # R(conj z) = conj R(z) for a real matrix, and a circle with a real
     # centre maps node k to the conjugate of node 2^n - k.
     mirrored = (contour.kind == "circle" and contour.center.imag == 0
                 and matrix.is_real)
-    resolvents = 0
+    resolvents = reused = 0
     prev = None
     diffs = []
     for n in range(1, cfg.max_levels + 1):
@@ -227,8 +298,14 @@ def _iterate_levels(matrix, f, contour, cfg, with_info):
             coef = h * contour.dgamma(xs[k]) * fs[k] / _TWO_PI_I
             if paired and j != k:
                 coef *= 2.0
-            term = resolvent(matrix, zs[k], cfg).scale(coef)
+            r = store.by_node.get(zs[k])
+            if r is None:
+                r = resolvent(matrix, zs[k], cfg)
+                store.store(zs[k], r)
+            else:
+                reused += 1
             resolvents += 1
+            term = r.scale(coef)
             acc = acc.add(term.real_part() if paired else term, cfg)
         if prev is not None:
             delta = acc.add(prev.scale(-1.0), cfg).norm_cqt()
@@ -237,7 +314,7 @@ def _iterate_levels(matrix, f, contour, cfg, with_info):
                 if with_info:
                     return acc, {"levels": n, "nodes": count,
                                  "resolvents": resolvents,
-                                 "level_diffs": diffs}
+                                 "reused": reused, "level_diffs": diffs}
                 return acc
         prev = acc
     raise NoConvergenceError(

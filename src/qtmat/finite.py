@@ -330,17 +330,20 @@ def fqt_from_dense(dense, band_hint=None, cfg=DEFAULT_CONFIG):
         return FiniteQtMatrix.zero(m)
     cap = m - 1 if band_hint is None else min(band_hint, m - 1)
     coeff_floor = 0.5 * cfg.tol_corr * max(1.0, scale)
+    # The middle entry of diagonal d, of length m - |d|, in one gather.
+    d = np.arange(-cap, cap + 1)
+    mid = (m - np.abs(d) - 1) // 2
+    vals = dense[mid + np.maximum(-d, 0), mid + np.maximum(d, 0)]
     coeffs = np.zeros(2 * m - 1, dtype=np.complex128)
-    for d in range(-cap, cap + 1):
-        diag = np.diagonal(dense, offset=d)
-        val = diag[(diag.size - 1) // 2]
-        if abs(val) > coeff_floor:
-            coeffs[d + m - 1] = val
+    coeffs[d + m - 1] = np.where(np.abs(vals) > coeff_floor, vals, 0.0)
     sym = LaurentSymbol(coeffs, -(m - 1))
     resid = dense - toeplitz_section(sym, m)
-    anti = np.add.outer(np.arange(m), np.arange(m))
-    tl_block = np.where(anti <= m - 1, resid, 0.0)
-    br_block = np.where(anti > m - 1, resid, 0.0)[::-1, ::-1]
+    # Entries with i + j <= m - 1 go to the top-left corner.  np.where keeps
+    # both blocks C-contiguous before the flip, which fixes the order in
+    # which Correction.from_dense sums their magnitudes.
+    top_left = np.tri(m, dtype=bool)[::-1]
+    tl_block = np.where(top_left, resid, 0.0)
+    br_block = np.where(top_left, 0.0, resid)[::-1, ::-1]
     # Budget the corners against the mass of the whole matrix, so band
     # coefficients dropped by the floor do not linger as corner dust.
     mass = float(np.abs(dense).sum())

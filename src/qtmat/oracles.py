@@ -1,6 +1,14 @@
-"""Independent validation oracles for the benchmark harness and tests."""
+"""Independent validation oracles for the benchmark harness and tests.
+
+``_laplacian_power`` builds the paper's test matrix H^10 with the finite
+algebra; it is an input, not an oracle.
+"""
 
 import numpy as np
+
+from .config import DEFAULT_CONFIG
+from .finite import FiniteQtMatrix, fqt_mul
+from .symbol import LaurentSymbol
 
 
 def sine_transform_oracle(m, scalar_f, column):
@@ -32,3 +40,18 @@ def laplacian_symbol_coeffs(m):
     """Band coefficients of the rescaled discrete Laplacian H (see above)."""
     scale = 2.0 + 2.0 * np.cos(np.pi / (m + 1))
     return np.array([1.0, 2.0, 1.0]) / scale
+
+
+def _laplacian_power(m, power=10, cfg=DEFAULT_CONFIG):
+    """H^power for the rescaled discrete Laplacian H, by repeated squaring."""
+    h = FiniteQtMatrix(m, LaurentSymbol(laplacian_symbol_coeffs(m), -1))
+    result = h.identity_like()
+    base = h
+    exponent = power
+    while exponent:
+        if exponent & 1:
+            result = fqt_mul(result, base, cfg)
+        exponent >>= 1
+        if exponent:
+            base = fqt_mul(base, base, cfg)
+    return result

@@ -37,7 +37,7 @@ from qtmat import (
     wiener_norms,
 )
 from qtmat import ContourSpec
-from qtmat.cli import _laplacian_power
+from qtmat.oracles import _laplacian_power
 from qtmat.symbol import sym_mul
 
 from tests.support import (

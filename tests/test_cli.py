@@ -93,8 +93,6 @@ def test_funm_no_convergence_exit_code(tmp_path, capsys):
 def test_usage_errors_exit_64(tmp_path, capsys):
     code, _, err = run_cli(capsys, "funm", "--func", "exp")
     assert code == 64
-    code, _, err = run_cli(capsys, "bench", "finite-exp", "--sizes", "")
-    assert code == 64
     src = tmp_path / "bad.cqt"
     src.write_text("not a matrix\n")
     code, _, err = run_cli(capsys, "funm", "--func", "exp", "--method",
@@ -125,33 +123,6 @@ def test_coeff_file_laurent(tmp_path, capsys):
     assert code == 0
     got = read_file(dst)
     assert got.symbol.coeff(0) == pytest.approx(2.5, abs=1e-12)
-
-
-def test_bench_hessenberg(capsys, tmp_path):
-    csv_path = tmp_path / "r.csv"
-    code, out, _ = run_cli(capsys, "bench", "hessenberg-exp", "--kmax", "2",
-                           "--csv", str(csv_path))
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 3  # header + 2 cases
-    for line in lines[1:]:
-        assert float(line.split()[-1]) < 1e-8
-    assert csv_path.read_text().startswith("case,")
-
-
-def test_bench_finite_exp(capsys):
-    code, out, _ = run_cli(capsys, "bench", "finite-exp", "--sizes", "60")
-    assert code == 0
-    err = float(out.strip().splitlines()[1].split()[-1])
-    assert err < 1e-10
-
-
-def test_bench_contour_small(capsys):
-    code, out, _ = run_cli(capsys, "bench", "contour", "--func", "sqrt",
-                           "--sizes", "40", "--tol", "1e-8")
-    assert code == 0
-    err = float(out.strip().splitlines()[1].split()[-1])
-    assert err < 1e-6
 
 
 def test_cli_reproducible_output(tmp_path, capsys):
@@ -218,9 +189,3 @@ def test_env_section_cap_actually_applies(tmp_path, capsys, monkeypatch):
                            "--output", str(tmp_path / "o.cqt"))
     assert code == 3
     assert "no convergence" in err
-
-
-def test_bench_contour_bad_func(capsys):
-    code, _, _ = run_cli(capsys, "bench", "contour", "--func", "exp",
-                         "--sizes", "10")
-    assert code == 64

@@ -1,12 +1,15 @@
 """Contour engine: quadrature family, resolvents, doubling convergence."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from qtmat import (
     ContourSpec,
+    Correction,
     CqtMatrix,
     DEFAULT_CONFIG,
     EnclosureError,
@@ -19,7 +22,9 @@ from qtmat import (
     funm_contour,
     funm_taylor,
     nodes_weights,
+    parse,
     resolvent,
+    serialize,
 )
 import qtmat.contour
 from qtmat.oracles import laplacian_symbol_coeffs
@@ -178,7 +183,7 @@ def test_unpaired_inputs_fall_back_to_one_resolvent_per_node(case):
     assert np.abs(fqt_to_dense(got) - _dense_funm(a, f)).max() < 1e-8
 
 
-def test_no_node_resolvent_is_computed_twice(monkeypatch):
+def _recording(monkeypatch):
     points = []
 
     def recording(matrix, z, cfg=DEFAULT_CONFIG):
@@ -186,16 +191,144 @@ def test_no_node_resolvent_is_computed_twice(monkeypatch):
         return resolvent(matrix, z, cfg)
 
     monkeypatch.setattr(qtmat.contour, "resolvent", recording)
+    return points
+
+
+def test_no_node_resolvent_is_computed_twice(monkeypatch):
+    points = _recording(monkeypatch)
     cfg = DEFAULT_CONFIG.updated(tol_stop=1e-9)
     for symbol in (None, LaurentSymbol([0.1j], 0)):
         points.clear()
         a = _finite_i_plus_h2(30, symbol)
         _, info = funm_contour(a, np.log, ContourSpec.circle(1.5, 1.0), cfg,
                                with_info=True)
-        assert len(points) == info["resolvents"]
+        assert len(points) == info["resolvents"] - info["reused"]
         assert len(set(points)) == len(points)
         if symbol is None:  # paired: no mirror node is inverted either
             assert not any(p.imag < 0 for p in points)
+
+
+def _semi_i_plus_t():
+    """Real I + T(a) + E whose symbol curve lies inside circle(1.5, 1.0)."""
+    corr = Correction([[0.1, 0.02], [0.05, -0.03], [0.01, 0.02]],
+                      [[0.05, 0.01], [0.02, 0.04], [0.0, 0.01]])
+    return CqtMatrix(LaurentSymbol([0.1, 0.2, 1.5, 0.2, 0.1], -2), corr)
+
+
+def _stored(a):
+    corrs = [a.corr] if isinstance(a, CqtMatrix) else [a.corr_tl, a.corr_br]
+    return [a.symbol.coeffs] + [x for c in corrs for x in (c.u, c.v)]
+
+
+def _bit_equal(a, b):
+    return (type(a) is type(b) and a.symbol.min_deg == b.symbol.min_deg
+            and all(x.shape == y.shape and np.array_equal(x, y)
+                    for x, y in zip(_stored(a), _stored(b))))
+
+
+def _empty_slot():
+    qtmat.contour._slot = qtmat.contour._NodeResolvents()
+
+
+_CIRCLE = ContourSpec.circle(1.5, 1.0)
+_CFG = DEFAULT_CONFIG.updated(tol_stop=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["finite", "semi"])
+def test_log_reuses_the_node_resolvents_of_sqrt(kind, monkeypatch):
+    text = serialize(_finite_i_plus_h2(40) if kind == "finite"
+                     else _semi_i_plus_t())
+    points = _recording(monkeypatch)
+    funm_contour(parse(text), np.sqrt, _CIRCLE, _CFG)
+    sqrt_points = set(points)
+    points.clear()
+    got, info = funm_contour(parse(text), np.log, _CIRCLE, _CFG,
+                             with_info=True)
+    log_missed = set(points)
+
+    _empty_slot()
+    points.clear()
+    want, want_info = funm_contour(parse(text), np.log, _CIRCLE, _CFG,
+                                   with_info=True)
+    log_points = set(points)
+    assert want_info["reused"] == 0
+    assert info["resolvents"] == want_info["resolvents"] == len(log_points)
+    assert info["reused"] == len(log_points & sqrt_points) > 0
+    assert log_missed == log_points - sqrt_points
+    assert _bit_equal(got, want)
+
+
+def test_other_tolerances_or_an_ulp_off_matrix_reuse_nothing():
+    a = _finite_i_plus_h2(30)
+    funm_contour(a, np.sqrt, _CIRCLE, _CFG)
+    _, info = funm_contour(a, np.log, _CIRCLE, _CFG.updated(tol_corr=2e-14),
+                           with_info=True)
+    assert info["reused"] == 0
+
+    funm_contour(a, np.sqrt, _CIRCLE, _CFG)
+    u = np.array(a.corr_tl.u)
+    u[0, 0] = np.nextafter(u[0, 0].real, np.inf) + 1j * u[0, 0].imag
+    nudged = FiniteQtMatrix(a.m, a.symbol, Correction(u, a.corr_tl.v),
+                            a.corr_br)
+    _, info = funm_contour(nudged, np.log, _CIRCLE, _CFG, with_info=True)
+    assert info["reused"] == 0
+    _, info = funm_contour(nudged, np.sqrt, _CIRCLE, _CFG, with_info=True)
+    assert info["reused"] == info["resolvents"]
+
+
+def test_byte_cap_bounds_the_slot_and_leaves_results_unchanged(monkeypatch):
+    a = _finite_i_plus_h2(40)
+    want = [funm_contour(a, f, _CIRCLE, _CFG) for f in (np.sqrt, np.log)]
+    _empty_slot()
+    cap = 8 << 10
+    monkeypatch.setattr(qtmat.contour, "_SLOT_BYTES", cap)
+    got = []
+    for f in (np.sqrt, np.log):
+        r, info = funm_contour(a, f, _CIRCLE, _CFG, with_info=True)
+        got.append(r)
+    slot = qtmat.contour._slot
+    stored = sum(x.nbytes for r in slot.by_node.values() for x in _stored(r))
+    assert stored == slot.nbytes <= cap
+    assert 0 < info["reused"] == len(slot.by_node) < info["resolvents"]
+    assert all(_bit_equal(g, w) for g, w in zip(got, want))
+
+
+def test_threads_alternating_matrices_get_the_serial_results():
+    cfg = DEFAULT_CONFIG.updated(tol_stop=1e-6)
+    mats = [parse(serialize(_finite_i_plus_h2(24))), _semi_i_plus_t()]
+    fs = [np.sqrt, np.log]
+    serial = {}
+    for mi, a in enumerate(mats):
+        for fi, f in enumerate(fs):
+            _empty_slot()
+            serial[mi, fi] = funm_contour(a, f, _CIRCLE, cfg)
+
+    results, errors = [], []
+
+    def worker(t):
+        try:
+            for i in range(10):
+                mi, fi = (i + t) % 2, (i // 2) % 2
+                got = funm_contour(mats[mi], fs[fi], _CIRCLE, cfg)
+                results.append(((mi, fi), got))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,))
+                   for t in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert len(results) == 20
+    assert all(_bit_equal(got, serial[key]) for key, got in results)
 
 
 def test_enclosure_error_when_curve_outside():
