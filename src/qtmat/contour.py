@@ -286,8 +286,8 @@ def _iterate_levels(matrix, f, contour, cfg, with_info):
         # are those of level n - 1, already summed in prev with twice the
         # weight, so only the odd nodes are new.
         ks = range(2) if n == 1 else range(1, count, 2)
-        xs = {k: a + (k * length) / count for k in ks}
-        zs = {k: contour.gamma(x) for k, x in xs.items()}
+        nodes = nodes_weights(contour, n).nodes
+        zs = {k: contour.gamma(nodes[k]) for k in ks}
         fs = {k: f(z) for k, z in zs.items()}
         acc = matrix.zero_like() if prev is None else prev.scale(0.5)
         for k in ks:
@@ -295,7 +295,7 @@ def _iterate_levels(matrix, f, contour, cfg, with_info):
             paired = mirrored and _conjugate(fs[j], fs[k])
             if paired and j < k:
                 continue  # summed with its mirror j
-            coef = h * contour.dgamma(xs[k]) * fs[k] / _TWO_PI_I
+            coef = h * contour.dgamma(nodes[k]) * fs[k] / _TWO_PI_I
             if paired and j != k:
                 coef *= 2.0
             r = store.by_node.get(zs[k])

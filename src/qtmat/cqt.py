@@ -20,11 +20,7 @@ from .correction import (
     hankel_product,
     toeplitz_times_corr,
 )
-from .errors import (
-    NoConvergenceError,
-    NonzeroWindingError,
-    SingularSectionError,
-)
+from .errors import NoConvergenceError, SingularSectionError
 from .symbol import (
     LaurentSymbol,
     sym_add,
@@ -34,7 +30,6 @@ from .symbol import (
     sym_split,
     sym_truncate,
     wiener_norms,
-    winding_number,
 )
 
 
@@ -205,10 +200,10 @@ def cqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
     """Inverse in the algebra, certified through finite sections.
 
     The symbol of the inverse is the reciprocal symbol; the correction is
-    extracted from densely inverted leading sections of growing size until
-    the candidate has decayed before the window boundary, and the result is
-    accepted only when the residual of the algebra product against the
-    identity passes the stopping tolerance on a covering section.
+    the first candidate of ``decayed_windows``, the one windowed-inverse
+    loop, whose algebra product with ``a`` passes the stopping tolerance
+    against the identity on a covering section.  Windows double up to
+    ``cfg.max_finite_section``.
 
     Raises
     ------
@@ -224,18 +219,39 @@ def cqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
         inv = CqtMatrix(LaurentSymbol.constant(1.0 / a.symbol.coeffs[0]))
         return (inv, {"section": 0, "certified_n": 1, "residual": 0.0}) \
             if with_info else inv
-    w = winding_number(a.symbol)
-    if w != 0:
-        raise NonzeroWindingError(f"winding number is {w}, expected 0")
     recip = sym_reciprocal(a.symbol, cfg.tol_symbol)
     band = a.symbol.support_len + recip.support_len
     n = max(64, 2 * max(a.corr.p, a.corr.q, 1), 4 * a.symbol.support_len)
     n = 1 << (n - 1).bit_length()
+    for n, corr in decayed_windows(a, recip, n, cfg.max_finite_section, cfg):
+        result = CqtMatrix(recip, corr)
+        residual = inverse_residual(a, result, cfg)
+        if residual <= cfg.tol_stop:
+            info = {"section": n,
+                    "certified_n": _certificate_section(a, result),
+                    "residual": residual}
+            return (result, info) if with_info else result
+    raise NoConvergenceError(
+        "inverse correction did not decay within the section cap; "
+        f"band estimate {band}")
+
+
+def decayed_windows(a, recip, n, n_max, cfg):
+    """Candidate inverse corrections from doubling leading windows.
+
+    For n, 2n, ... up to ``n_max``, inverts ``a.finite_section(n)`` and
+    yields ``(n, Correction)`` of its top-left half minus T(recip) whenever
+    that has decayed to ``cfg.tol_stop`` on its last tenth of rows and
+    columns.  ``a`` may be a CqtMatrix or a FiniteQtMatrix.
+
+    Raises
+    ------
+    SingularSectionError  if a dense window is singular
+    """
     compress_tol = max(cfg.tol_corr, cfg.tol_stop / 10)
-    while n <= cfg.max_finite_section:
-        section = finite_section(a, n)
+    while n <= n_max:
         try:
-            dense_inv = np.linalg.inv(section)
+            dense_inv = np.linalg.inv(a.finite_section(n))
         except np.linalg.LinAlgError as exc:
             raise SingularSectionError(
                 f"dense {n} x {n} section is singular") from exc
@@ -245,18 +261,8 @@ def cqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
         frame_mass = max(np.abs(cand[half - frame:, :]).max(initial=0.0),
                          np.abs(cand[:, half - frame:]).max(initial=0.0))
         if frame_mass <= cfg.tol_stop:
-            corr = Correction.from_dense(cand, compress_tol)
-            result = CqtMatrix(recip, corr)
-            residual = inverse_residual(a, result, cfg)
-            n_cert = _certificate_section(a, result)
-            if residual <= cfg.tol_stop:
-                info = {"section": n, "certified_n": n_cert,
-                        "residual": residual}
-                return (result, info) if with_info else result
+            yield n, Correction.from_dense(cand, compress_tol)
         n *= 2
-    raise NoConvergenceError(
-        "inverse correction did not decay within the section cap; "
-        f"band estimate {band}")
 
 
 def _certificate_section(a, b):

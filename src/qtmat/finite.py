@@ -20,7 +20,7 @@ from .correction import (
     hankel_product,
     toeplitz_times_corr,
 )
-from .cqt import _gather, toeplitz_section
+from .cqt import _gather, decayed_windows, toeplitz_section
 from .errors import (
     NoConvergenceError,
     SingularMatrixError,
@@ -38,10 +38,6 @@ from .symbol import (
     sym_truncate,
     wiener_norms,
 )
-
-# Dense inversion is used up to this size even when the section cap allows
-# more, to keep memory bounded.
-_DENSE_INV_CAP = 4096
 
 
 class FiniteQtMatrix:
@@ -136,6 +132,9 @@ class FiniteQtMatrix:
     def with_symbol(self, symbol):
         return FiniteQtMatrix(self.m, sym_clip(symbol, self.m - 1),
                               self.corr_tl, self.corr_br)
+
+    def finite_section(self, n):
+        return fqt_leading_section(self, n)
 
     def flipped(self):
         """J A J: reversed symbol, corners swapped."""
@@ -373,15 +372,17 @@ def _sample_columns(m):
 def fqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
     """Inverse of a finite quasi-Toeplitz matrix.
 
-    Sizes up to the section cap are inverted densely and re-split into band
-    plus corners; larger sizes use windowed extraction (the inverse of a
-    leading window supplies the top-left corner, the flipped matrix supplies
-    the other one, and the band is the reciprocal symbol).  Either way the
-    result is certified columnwise against the identity.
+    Sizes up to ``cfg.max_finite_section``, the one dense cap, are inverted
+    densely and re-split into band plus corners.  Larger sizes take the band
+    from the reciprocal symbol and each corner, of the matrix and of its
+    flip, from the first window of ``cqt.decayed_windows`` (the windowed-
+    inverse loop of ``cqt_inv``) within m // 2.  Either way the result is
+    certified columnwise against the identity.
 
     Raises
     ------
     SingularMatrixError   numerically singular input or failed certificate
+                          (SingularSectionError for a singular window)
     NoConvergenceError    windowed extraction could not separate the corners
     """
     m = a.m
@@ -393,7 +394,7 @@ def fqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
             m, LaurentSymbol.constant(1.0 / a.symbol.coeffs[0]))
         return (inv, {"path": "scalar", "residual": 0.0}) \
             if with_info else inv
-    if m <= min(cfg.max_finite_section, _DENSE_INV_CAP):
+    if m <= cfg.max_finite_section:
         return _fqt_inv_dense(a, cfg, with_info)
     return _fqt_inv_windowed(a, cfg, with_info)
 
@@ -419,27 +420,11 @@ def _fqt_inv_dense(a, cfg, with_info):
 
 def _extract_corner(a, recip, cfg):
     """Top-left correction of the inverse from a growing leading window."""
-    m = a.m
     base = max(a.corr_tl.p, a.corr_tl.q, a.symbol.support_len,
                recip.support_len, 16)
-    w = 1 << (2 * base - 1).bit_length()
-    w = max(w, 64)
-    compress_tol = max(cfg.tol_corr, cfg.tol_stop / 10)
-    while w <= m // 2:
-        section = fqt_leading_section(a, w)
-        try:
-            dense_inv = np.linalg.inv(section)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(
-                f"leading {w} x {w} window is singular") from exc
-        half = w // 2
-        cand = dense_inv[:half, :half] - toeplitz_section(recip, half)
-        frame = max(1, half // 10)
-        frame_mass = max(np.abs(cand[half - frame:, :]).max(initial=0.0),
-                         np.abs(cand[:, half - frame:]).max(initial=0.0))
-        if frame_mass <= cfg.tol_stop:
-            return Correction.from_dense(cand, compress_tol)
-        w *= 2
+    w = max(1 << (2 * base - 1).bit_length(), 64)
+    for _, corr in decayed_windows(a, recip, w, a.m // 2, cfg):
+        return corr
     raise NoConvergenceError(
         "inverse corner did not decay within half the matrix size")
 

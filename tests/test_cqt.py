@@ -1,9 +1,13 @@
 """Semi-infinite algebra against dense finite-section oracles."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import qtmat.symbol
 from qtmat import (
+    DEFAULT_CONFIG,
     Correction,
     CqtMatrix,
     LaurentSymbol,
@@ -16,8 +20,10 @@ from qtmat import (
     cqt_norm,
     finite_section,
     qt_norm,
+    sym_reciprocal,
+    toeplitz_section,
 )
-from qtmat.cqt import inverse_residual
+from qtmat.cqt import _certificate_section, inverse_residual
 
 from tests.support import (
     dense_cqt_oracle,
@@ -193,6 +199,87 @@ def test_inv_singular_operator_detected():
     a = CqtMatrix(LaurentSymbol.one(), Correction.rank_one([-1.0], [1.0]))
     with pytest.raises(SingularSectionError):
         cqt_inv(a)
+
+
+def test_inv_computes_the_winding_number_once(monkeypatch):
+    orig = qtmat.symbol.winding_number
+    calls = []
+
+    def counted(sym):
+        calls.append(sym)
+        return orig(sym)
+
+    # Every binding of the function in the package, so a call through a
+    # ``from .symbol import winding_number`` name is counted as well.
+    for name, mod in list(sys.modules.items()):
+        if name == "qtmat" or name.startswith("qtmat."):
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    a = CqtMatrix(LaurentSymbol([1.0, 4.0, 1.0], -1),
+                  Correction.rank_one([0.5, 0.2], [0.3]))
+    cqt_inv(a)
+    assert len(calls) == 1
+
+
+def _cqt_inv_inline(a, cfg=DEFAULT_CONFIG):
+    """Reference inverse: the window-doubling loop written out in one place.
+
+    Doubles dense leading sections, waits for the candidate correction to
+    decay on its last tenth and certifies it, exactly as ``cqt_inv`` must.
+    """
+    recip = sym_reciprocal(a.symbol, cfg.tol_symbol)
+    n = max(64, 2 * max(a.corr.p, a.corr.q, 1), 4 * a.symbol.support_len)
+    n = 1 << (n - 1).bit_length()
+    compress_tol = max(cfg.tol_corr, cfg.tol_stop / 10)
+    while n <= cfg.max_finite_section:
+        dense_inv = np.linalg.inv(finite_section(a, n))
+        half = n // 2
+        cand = dense_inv[:half, :half] - toeplitz_section(recip, half)
+        frame = max(1, half // 10)
+        frame_mass = max(np.abs(cand[half - frame:, :]).max(initial=0.0),
+                         np.abs(cand[:, half - frame:]).max(initial=0.0))
+        if frame_mass <= cfg.tol_stop:
+            result = CqtMatrix(recip, Correction.from_dense(cand, compress_tol))
+            residual = inverse_residual(a, result, cfg)
+            if residual <= cfg.tol_stop:
+                return result, {"section": n,
+                                "certified_n": _certificate_section(a, result),
+                                "residual": residual}
+        n *= 2
+    raise AssertionError("reference loop reached the section cap")
+
+
+def test_inv_is_bitwise_the_inline_window_loop():
+    rng = np.random.default_rng(11)
+    inputs = []
+    for _ in range(6):
+        sym = random_invertible_symbol(rng)
+        corr = random_correction(rng, int(rng.integers(1, 9)),
+                                 int(rng.integers(1, 9)), 2, scale=0.2)
+        inputs.append(CqtMatrix(sym, corr))
+    for _ in range(6):
+        # zI - A with z outside the disc that holds the symbol curve of A.
+        sym = random_invertible_symbol(rng)
+        corr = random_correction(rng, 5, 3, 2, scale=0.1)
+        center = sym.coeff(0)
+        radius = np.abs(sym.coeffs).sum() - abs(center)
+        z = center + 1.1 * (radius + 0.3) * np.exp(1j * rng.uniform(0, 6.3))
+        a = CqtMatrix(sym, corr)
+        inputs.append(a.identity_like().scale(z).add(a.scale(-1.0)))
+    sections = set()
+    for a in inputs:
+        got, got_info = cqt_inv(a, with_info=True)
+        want, want_info = _cqt_inv_inline(a)
+        assert got_info == want_info
+        sections.add(got_info["section"])
+        assert got.symbol.min_deg == want.symbol.min_deg
+        for x, y in ((got.symbol.coeffs, want.symbol.coeffs),
+                     (got.corr.u, want.corr.u), (got.corr.v, want.corr.v)):
+            assert x.shape == y.shape
+            assert np.array_equal(x, y)
+        assert not got.corr.is_zero
+    assert len(sections) > 1
 
 
 def test_finite_section_consistency_ops():

@@ -8,7 +8,9 @@ from qtmat import (
     Correction,
     FiniteQtMatrix,
     LaurentSymbol,
+    NoConvergenceError,
     SingularMatrixError,
+    SingularSectionError,
     SizeMismatchError,
     ToleranceConfig,
     cross_corner_count,
@@ -18,8 +20,12 @@ from qtmat import (
     fqt_mul,
     fqt_scale,
     fqt_to_dense,
+    sym_reciprocal,
     toeplitz_section,
 )
+from qtmat.finite import fqt_leading_section
+from qtmat.oracles import _laplacian_power
+from qtmat.symbol import sym_clip, sym_reverse
 
 from tests.support import dense_fqt_oracle, random_fqt
 
@@ -196,6 +202,73 @@ def test_inv_windowed_path():
     dense_inv = np.linalg.inv(dense_fqt_oracle(a))
     got = fqt_to_dense(b)
     assert np.abs(got - dense_inv).max() < 1e-9
+
+
+def _extract_corner_inline(a, recip, cfg):
+    """Reference corner: the window-doubling loop written out in one place.
+
+    Doubles dense leading windows up to m // 2 and returns the first
+    candidate correction that has decayed on its last tenth.
+    """
+    base = max(a.corr_tl.p, a.corr_tl.q, a.symbol.support_len,
+               recip.support_len, 16)
+    w = max(1 << (2 * base - 1).bit_length(), 64)
+    compress_tol = max(cfg.tol_corr, cfg.tol_stop / 10)
+    while w <= a.m // 2:
+        dense_inv = np.linalg.inv(fqt_leading_section(a, w))
+        half = w // 2
+        cand = dense_inv[:half, :half] - toeplitz_section(recip, half)
+        frame = max(1, half // 10)
+        frame_mass = max(np.abs(cand[half - frame:, :]).max(initial=0.0),
+                         np.abs(cand[:, half - frame:]).max(initial=0.0))
+        if frame_mass <= cfg.tol_stop:
+            return Correction.from_dense(cand, compress_tol)
+        w *= 2
+    raise AssertionError("reference loop reached m // 2")
+
+
+# At m = 700 the first window of either corner has not decayed yet.
+@pytest.mark.parametrize("m, diag", [(300, 4.0 + 0.5j), (400, 4.0 + 0.5j),
+                                     (700, 2.5 + 0.3j)])
+def test_inv_windowed_is_bitwise_the_inline_corner_loop(m, diag):
+    rng = np.random.default_rng(m)
+    cfg = ToleranceConfig(max_finite_section=64, tol_stop=1e-10)
+    tl = Correction(rng.standard_normal((6, 2)) + 1j,
+                    0.3 * rng.standard_normal((4, 2)))
+    br = Correction(0.5 * rng.standard_normal((3, 1)),
+                    rng.standard_normal((9, 1)) - 0.5j)
+    a = FiniteQtMatrix(m, LaurentSymbol([1.0, diag, 0.5], -1), tl, br)
+    got, info = fqt_inv(a, cfg, with_info=True)
+    assert info["path"] == "windowed"
+    recip = sym_clip(sym_reciprocal(a.symbol, cfg.tol_symbol), m - 1)
+    want_tl = _extract_corner_inline(a, recip, cfg)
+    want_br = _extract_corner_inline(a.flipped(), sym_reverse(recip), cfg)
+    assert got.symbol.min_deg == recip.min_deg
+    for x, y in ((got.symbol.coeffs, recip.coeffs),
+                 (got.corr_tl.u, want_tl.u), (got.corr_tl.v, want_tl.v),
+                 (got.corr_br.u, want_br.u), (got.corr_br.v, want_br.v)):
+        assert x.shape == y.shape
+        assert np.array_equal(x, y)
+    # The corners differ, so taking one for the other would fail above.
+    assert got.corr_tl.u.shape != got.corr_br.u.shape \
+        or not np.array_equal(got.corr_tl.u, got.corr_br.u)
+
+
+def test_inv_windowed_corner_that_does_not_decay():
+    # The inverse corner of (1.5 + 1i) I - H^10 decays too slowly to be
+    # read from a window within m // 2 at m = 150.
+    h10 = _laplacian_power(150)
+    a = h10.identity_like().scale(1.5 + 1j).add(h10.scale(-1.0))
+    with pytest.raises(NoConvergenceError):
+        fqt_inv(a, ToleranceConfig(max_finite_section=64))
+
+
+def test_inv_windowed_singular_window():
+    # I - e1 e1^T: every leading window is singular.
+    a = FiniteQtMatrix(300, LaurentSymbol.one(),
+                       Correction.rank_one([-1.0], [1.0]))
+    with pytest.raises(SingularSectionError):
+        fqt_inv(a, ToleranceConfig(max_finite_section=64))
 
 
 def test_from_dense_round_trips():
