@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 precondition violation, 3 no convergence,
 
 import argparse
 import csv
+import json
 import os
 import sys
 import time
@@ -200,17 +201,22 @@ def cmd_funm(args):
     contour = ContourSpec.circle(center, args.contour_radius)
     start = time.perf_counter()
     if args.method == "series":
-        result = funm_taylor(matrix, _series_spec(args.func), cfg)
+        out = funm_taylor(matrix, _series_spec(args.func), cfg, args.info)
     elif args.method == "laurent":
         spec = _series_spec(args.func)
         if spec.annulus is None:
             raise UsageError(
                 "method laurent requires a Laurent coefficient file")
-        result = funm_laurent(matrix, spec, cfg)
+        out = funm_laurent(matrix, spec, cfg, args.info)
     else:
-        result = funm_contour(matrix, _scalar_callback(args.func), contour,
-                              cfg)
+        out = funm_contour(matrix, _scalar_callback(args.func), contour,
+                           cfg, args.info)
     elapsed = time.perf_counter() - start
+    if args.info:
+        result, info = out
+        print(json.dumps(info), file=sys.stderr)
+    else:
+        result = out
     write_file(args.output, result)
     error = None
     if args.oracle == "dense":
@@ -241,6 +247,9 @@ def build_parser():
     funm.add_argument("--max-levels", type=int, default=None)
     funm.add_argument("--oracle", choices=("none", "dense"), default="none")
     funm.add_argument("--csv", default=None)
+    funm.add_argument("--info", action="store_true",
+                      help="write the engine's run record as one JSON line "
+                           "on stderr")
     return parser
 
 

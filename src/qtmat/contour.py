@@ -11,6 +11,7 @@ matrix with the same tolerances, whatever its f.
 """
 
 import cmath
+import contextvars
 import logging
 import math
 import threading
@@ -28,7 +29,7 @@ from .errors import (
     SingularMatrixError,
     ZeroOnCircleError,
 )
-from .symbol import eval_at_unit_roots
+from .symbol import LaurentSymbol, eval_at_unit_roots, sym_add, sym_truncate
 
 log = logging.getLogger(__name__)
 
@@ -125,15 +126,42 @@ def nodes_weights(contour, n):
 def resolvent(matrix, z, cfg=DEFAULT_CONFIG):
     """(zI - A)^{-1} in the algebra.
 
-    Inversion failures (vanishing or winding symbol, singular sections) are
-    reported as OnSpectrumError carrying the offending point.
+    zI - A is -A with z added to its symbol, so the corrections of A are
+    negated, not recompressed.  The inverse's record goes to the list a
+    ``funm_contour`` run collects, if any.  Inversion failures (vanishing
+    or winding symbol, singular sections) are reported as OnSpectrumError
+    carrying the offending point.
     """
-    shifted = matrix.identity_like().scale(z).add(matrix.scale(-1.0), cfg)
+    negated = matrix.scale(-1.0)
+    shifted = negated.with_symbol(sym_truncate(
+        sym_add(LaurentSymbol.constant(z), negated.symbol), cfg.tol_symbol))
     try:
-        return shifted.inv(cfg)
+        inv, info = shifted.inv(cfg, with_info=True)
     except (ZeroOnCircleError, NonzeroWindingError, SingularMatrixError,
             NoConvergenceError) as exc:
         raise OnSpectrumError(z, f"resolvent failed at z={z}: {exc}") from exc
+    records = _inverse_records.get()
+    if records is not None:
+        records.append(info)
+    return inv
+
+
+# Inverse records of the nodes the current funm_contour run inverts.
+_inverse_records = contextvars.ContextVar("inverse_records", default=None)
+
+
+def _inverse_summary(records):
+    """Count per inverse path and worst residual of the inverted nodes.
+
+    A semi-infinite record carries no path: it is windowed, or scalar when
+    no section was needed.
+    """
+    paths = {}
+    for rec in records:
+        path = rec.get("path") or ("windowed" if rec["section"] else "scalar")
+        paths[path] = paths.get(path, 0) + 1
+    worst = max((rec["residual"] for rec in records), default=None)
+    return {"inverse_paths": paths, "inverse_residual_max": worst}
 
 
 def _stored_arrays(matrix):
@@ -211,8 +239,10 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
       evaluated at every node, so a mirror is never assumed.
 
     Then R(conj z) = conj R(z), and the real part is formed exactly before
-    the one compressed add of the node.  Any node that fails a test gets its
-    own resolvent.
+    the one compressed add of the node.  Its correction factors are real
+    (float64), so when every node pairs, the whole accumulation (the adds,
+    the halving of the previous level and the level difference) runs in
+    real arithmetic.  Any node that fails a test gets its own resolvent.
 
     Calls on one matrix share their node resolvents.  A module slot keeps
     those of the last run's matrix, and a later call takes R(z) from it, for
@@ -236,7 +266,10 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
     (2^levels), ``resolvents`` (the distinct node resolvents the run that
     produced the result used; 2^(levels-1) + 1 when every pair shares one,
     and 2^levels when none does), ``reused`` (how many of those came from
-    the slot rather than from a new inversion) and ``level_diffs``.
+    the slot rather than from a new inversion), ``level_diffs``, and, from
+    the records of the inverses that run made, ``inverse_paths`` (a count
+    per path: "dense", "windowed" or "scalar") and ``inverse_residual_max``
+    (None when every node came from the slot).
 
     Parameters
     ----------
@@ -264,6 +297,19 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
 
 
 def _iterate_levels(matrix, f, contour, cfg, with_info):
+    records = [] if with_info else None
+    token = _inverse_records.set(records)
+    try:
+        result, info = _sum_levels(matrix, f, contour, cfg)
+    finally:
+        _inverse_records.reset(token)
+    if with_info:
+        info.update(_inverse_summary(records))
+        return result, info
+    return result
+
+
+def _sum_levels(matrix, f, contour, cfg):
     global _slot
     key = _slot_key(matrix, cfg)
     store = _slot
@@ -311,11 +357,9 @@ def _iterate_levels(matrix, f, contour, cfg, with_info):
             delta = acc.add(prev.scale(-1.0), cfg).norm_cqt()
             diffs.append(delta)
             if delta <= cfg.tol_stop:
-                if with_info:
-                    return acc, {"levels": n, "nodes": count,
-                                 "resolvents": resolvents,
-                                 "reused": reused, "level_diffs": diffs}
-                return acc
+                return acc, {"levels": n, "nodes": count,
+                             "resolvents": resolvents, "reused": reused,
+                             "level_diffs": diffs}
         prev = acc
     raise NoConvergenceError(
         f"contour quadrature did not converge within {cfg.max_levels} "

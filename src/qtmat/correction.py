@@ -4,6 +4,13 @@ A correction represents the semi-infinite matrix whose leading p x q block
 equals ``u @ v.T`` (plain transpose, also for complex data) and which is zero
 elsewhere.  The factored form is kept small by a compression step based on
 thin QR factorizations and an SVD of the small core.
+
+Dtype rule: both factors share one dtype, float64 when every input is real
+and complex128 otherwise.  Real factors stay real through compression,
+scaling by a real number and sums with other real corrections, so real
+data runs real QR and SVD; a complex operand or scale makes the result
+complex.  The rule goes by dtype, not by value: complex factors whose
+imaginary parts are zero stay complex.
 """
 
 import numpy as np
@@ -15,20 +22,24 @@ _DENSE_BLOCK_ENTRIES = 1 << 21
 
 
 class Correction:
-    """Factored correction ``u @ v.T`` with u of shape (p, r), v (q, r)."""
+    """Factored correction ``u @ v.T`` with u of shape (p, r), v (q, r).
+
+    Both factors are float64 when the inputs are real and complex128
+    otherwise (see the module docstring).
+    """
 
     def __init__(self, u, v):
-        u = np.atleast_2d(np.asarray(u, dtype=np.complex128))
-        v = np.atleast_2d(np.asarray(v, dtype=np.complex128))
+        u = np.atleast_2d(np.asarray(u))
+        v = np.atleast_2d(np.asarray(v))
         if u.shape[1] != v.shape[1]:
             raise ValueError("factor rank mismatch")
+        dtype = np.result_type(u, v, np.float64)
         if u.shape[0] == 0 or v.shape[0] == 0 or u.shape[1] == 0:
-            u = np.zeros((0, 0), dtype=np.complex128)
-            v = np.zeros((0, 0), dtype=np.complex128)
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+            u = v = np.zeros((0, 0), dtype=dtype)
+        if not (np.isfinite(u).all() and np.isfinite(v).all()):
             raise ValueError("correction factors must be finite")
-        u = u.copy()
-        v = v.copy()
+        u = u.astype(dtype)
+        v = v.astype(dtype)
         u.setflags(write=False)
         v.setflags(write=False)
         self.u = u
@@ -40,21 +51,19 @@ class Correction:
 
     @classmethod
     def rank_one(cls, u, v):
-        u = np.asarray(u, dtype=np.complex128).reshape(-1, 1)
-        v = np.asarray(v, dtype=np.complex128).reshape(-1, 1)
-        return cls(u, v)
+        return cls(np.reshape(u, (-1, 1)), np.reshape(v, (-1, 1)))
 
     @classmethod
     def unit(cls, i, j):
         """Correction with a single 1 at (row i, col j), zero-based."""
-        u = np.zeros((i + 1, 1), dtype=np.complex128)
-        v = np.zeros((j + 1, 1), dtype=np.complex128)
+        u = np.zeros((i + 1, 1))
+        v = np.zeros((j + 1, 1))
         u[i, 0] = 1.0
         v[j, 0] = 1.0
         return cls(u, v)
 
     @classmethod
-    def from_dense(cls, block, tol, scale=None):
+    def from_dense(cls, block, tol, scale=None, keep=None, mags=None):
         """Factor a dense block into a compressed correction.
 
         Trailing rows/columns whose certified entrywise mass fits in half of
@@ -62,11 +71,18 @@ class Correction:
         factored through an SVD with the remaining budget.  ``scale``
         overrides the reference magnitude of the budget (useful when the
         block is one piece of a larger matrix whose norm sets the scale).
+        ``keep``, a boolean array of the block's shape, factors only the
+        entries where it is True, as if the others were zero; only the
+        trimmed block is then cut out and masked.  ``mags`` passes |block|
+        when the caller has it already.
         """
-        block = np.atleast_2d(np.asarray(block, dtype=np.complex128))
+        block = np.atleast_2d(np.asarray(block))
         if block.size == 0:
             return cls.zero()
-        mags = np.abs(block)
+        if mags is None:
+            mags = np.abs(block)
+        if keep is not None:
+            mags = np.where(keep, mags, 0.0)
         total = float(mags.sum())
         if total == 0.0:
             return cls.zero()
@@ -80,6 +96,8 @@ class Correction:
         if p == 0 or q == 0:
             return cls.zero()
         kept = block[:p, :q]
+        if keep is not None:
+            kept = np.where(keep[:p, :q], kept, 0.0)
         w, s, xh = np.linalg.svd(kept, full_matrices=False)
         k = _kept_rank(s, p, q, budget / 2)
         if k == 0:
@@ -122,7 +140,8 @@ class Correction:
         """Exact real part, Re(u v^T) = [Re u, -Im u] [Re v, Im v]^T.
 
         The rank doubles only when both factors are complex, since
-        otherwise Im u Im v^T vanishes; the result is not compressed.
+        otherwise Im u Im v^T vanishes; the result is not compressed and
+        its factors are float64.
         """
         if not (np.any(self.u.imag) and np.any(self.v.imag)):
             return Correction(self.u.real, self.v.real)
@@ -140,12 +159,10 @@ class Correction:
 
 def _kept_length(masses, budget):
     """Smallest prefix length whose dropped tail mass is within budget."""
-    n = masses.size
-    spent = 0.0
-    while n > 0 and spent + masses[n - 1] <= budget:
-        spent += masses[n - 1]
-        n -= 1
-    return n
+    # The tail masses summed from the end, in the order a loop would; they
+    # never decrease, so the droppable entries are the ones within budget.
+    spent = np.cumsum(masses[::-1])
+    return masses.size - int(np.searchsorted(spent, budget, side="right"))
 
 
 def _kept_rank(s, p, q, budget):
@@ -155,11 +172,8 @@ def _kept_rank(s, p, q, budget):
     # tail[k] = ||s[k:]||_2, summed on s / s[0] so squares cannot overflow.
     rel = s[::-1] / s[0]
     tail = s[0] * np.sqrt(np.cumsum(rel * rel))[::-1]
-    scale = np.sqrt(p * q)
-    k = s.size
-    while k > 0 and scale * tail[k - 1] <= budget:
-        k -= 1
-    return k
+    # tail never increases, so the dropped values are the ones within budget.
+    return int(np.count_nonzero(np.sqrt(p * q) * tail > budget))
 
 
 def abs_sum_norm(e):
@@ -180,7 +194,8 @@ def corr_add(e1, e2, scale2=1.0):
     """Correction representing e1 + scale2 * e2 (uncompressed).
 
     Factors are zero-padded to the common leading block and concatenated, so
-    the returned rank is the sum of the input ranks.
+    the returned rank is the sum of the input ranks.  The result is real
+    only when both operands and ``scale2`` are.
     """
     if e2.is_zero or scale2 == 0:
         return e1
@@ -188,8 +203,9 @@ def corr_add(e1, e2, scale2=1.0):
         return e2.scaled(scale2)
     p = max(e1.p, e2.p)
     q = max(e1.q, e2.q)
-    u = np.zeros((p, e1.rank + e2.rank), dtype=np.complex128)
-    v = np.zeros((q, e1.rank + e2.rank), dtype=np.complex128)
+    dtype = np.result_type(e1.u, e2.u, scale2)
+    u = np.zeros((p, e1.rank + e2.rank), dtype=dtype)
+    v = np.zeros((q, e1.rank + e2.rank), dtype=dtype)
     u[:e1.p, :e1.rank] = e1.u
     u[:e2.p, e1.rank:] = e2.u * scale2
     v[:e1.q, :e1.rank] = e1.v

@@ -72,8 +72,8 @@ class CqtMatrix:
     def mul(self, other, cfg=DEFAULT_CONFIG):
         return cqt_mul(self, other, cfg)
 
-    def inv(self, cfg=DEFAULT_CONFIG):
-        return cqt_inv(self, cfg)
+    def inv(self, cfg=DEFAULT_CONFIG, with_info=False):
+        return cqt_inv(self, cfg, with_info)
 
     def scale(self, alpha):
         return CqtMatrix(sym_scale(self.symbol, alpha),

@@ -7,6 +7,8 @@ so both corners share the same factored representation and compression; the
 flip is applied only when materializing.
 """
 
+import functools
+
 import numpy as np
 
 from .config import DEFAULT_CONFIG
@@ -97,8 +99,8 @@ class FiniteQtMatrix:
     def mul(self, other, cfg=DEFAULT_CONFIG):
         return fqt_mul(self, other, cfg)
 
-    def inv(self, cfg=DEFAULT_CONFIG):
-        return fqt_inv(self, cfg)
+    def inv(self, cfg=DEFAULT_CONFIG, with_info=False):
+        return fqt_inv(self, cfg, with_info)
 
     def scale(self, alpha):
         return fqt_scale(self, alpha)
@@ -141,18 +143,24 @@ class FiniteQtMatrix:
         return FiniteQtMatrix(self.m, sym_reverse(self.symbol),
                               self.corr_br, self.corr_tl)
 
+    def columns(self, js):
+        """Dense columns js (zero-based), m x len(js), without materializing.
+
+        Each entry is computed the same way however many columns are asked
+        for, so column j of the result equals ``column(j)`` bit for bit.
+        """
+        m = self.m
+        js = np.asarray(js, dtype=int).reshape(-1)
+        if js.size and not (0 <= js.min() and js.max() < m):
+            raise IndexError("column index out of range")
+        cols = _gather(self.symbol, js - np.arange(m)[:, None])
+        _add_corner_columns(cols, self.corr_tl, js)
+        _add_corner_columns(cols[::-1], self.corr_br, m - 1 - js)
+        return cols
+
     def column(self, j):
         """Dense column j (zero-based) without materializing the matrix."""
-        m = self.m
-        if not 0 <= j < m:
-            raise IndexError("column index out of range")
-        col = _gather(self.symbol, np.full(m, j) - np.arange(m))
-        if not self.corr_tl.is_zero and j < self.corr_tl.q:
-            col[:self.corr_tl.p] += self.corr_tl.u @ self.corr_tl.v[j]
-        if not self.corr_br.is_zero and (m - 1 - j) < self.corr_br.q:
-            part = self.corr_br.u @ self.corr_br.v[m - 1 - j]
-            col[m - self.corr_br.p:] += part[::-1]
-        return col
+        return self.columns([j])[:, 0]
 
     def __add__(self, other):
         return fqt_add(self, other, DEFAULT_CONFIG)
@@ -163,6 +171,37 @@ class FiniteQtMatrix:
     def __repr__(self):
         return (f"FiniteQtMatrix(m={self.m}, symbol={self.symbol!r}, "
                 f"tl={self.corr_tl!r}, br={self.corr_br!r})")
+
+
+def _add_corner_columns(out, corr, js):
+    """Add columns js of the corner u @ v.T to the leading rows of ``out``.
+
+    Each entry sums its terms in order of t from real products (complex
+    factors go through Re and Im as in ``Correction.real_part``), which
+    round the same in every loop; so a column comes out the same bits
+    however many columns are asked with it, which a complex multiply or a
+    BLAS product does not promise.
+    """
+    sel = np.flatnonzero(js < corr.q)
+    if sel.size == 0:
+        return
+    u, v = corr.u, corr.v[js[sel]]
+    if np.iscomplexobj(u):
+        block = (_summed_in_order(np.hstack([u.real, -u.imag]),
+                                  np.hstack([v.real, v.imag]))
+                 + 1j * _summed_in_order(np.hstack([u.real, u.imag]),
+                                         np.hstack([v.imag, v.real])))
+    else:
+        block = _summed_in_order(u, v)
+    out[:corr.p, sel] += block
+
+
+def _summed_in_order(u, v):
+    """Real u @ v.T with entry (i, j) summed as ((x_0 + x_1) + x_2) + ..."""
+    total = np.zeros((u.shape[0], v.shape[0]))
+    for ut, vt in zip(u.T, v.T):
+        total += np.multiply.outer(ut, vt)
+    return total
 
 
 def _check_sizes(a, b):
@@ -324,7 +363,8 @@ def fqt_from_dense(dense, band_hint=None, cfg=DEFAULT_CONFIG):
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise ValueError("expected a square matrix")
     m = dense.shape[0]
-    scale = float(np.abs(dense).max(initial=0.0))
+    mags = np.abs(dense)
+    scale = float(mags.max(initial=0.0))
     if scale == 0.0:
         return FiniteQtMatrix.zero(m)
     cap = m - 1 if band_hint is None else min(band_hint, m - 1)
@@ -337,29 +377,37 @@ def fqt_from_dense(dense, band_hint=None, cfg=DEFAULT_CONFIG):
     coeffs[d + m - 1] = np.where(np.abs(vals) > coeff_floor, vals, 0.0)
     sym = LaurentSymbol(coeffs, -(m - 1))
     resid = dense - toeplitz_section(sym, m)
-    # Entries with i + j <= m - 1 go to the top-left corner.  np.where keeps
-    # both blocks C-contiguous before the flip, which fixes the order in
-    # which Correction.from_dense sums their magnitudes.
-    top_left = np.tri(m, dtype=bool)[::-1]
-    tl_block = np.where(top_left, resid, 0.0)
-    br_block = np.where(top_left, 0.0, resid)[::-1, ::-1]
+    # Entries with i + j <= m - 1 go to the top-left corner, the others to
+    # the bottom-right one, read in flipped coordinates from reversed views
+    # of the residual and of its one magnitude pass; only each corner's
+    # trimmed block is cut out and masked.
+    tl_keep, br_keep = _corner_masks(m)
+    resid_mags = np.abs(resid)
     # Budget the corners against the mass of the whole matrix, so band
     # coefficients dropped by the floor do not linger as corner dust.
-    mass = float(np.abs(dense).sum())
-    tl = Correction.from_dense(tl_block, cfg.tol_corr, scale=mass)
-    br = Correction.from_dense(br_block, cfg.tol_corr, scale=mass)
+    mass = float(mags.sum())
+    tl = Correction.from_dense(resid, cfg.tol_corr, scale=mass, keep=tl_keep,
+                               mags=resid_mags)
+    br = Correction.from_dense(resid[::-1, ::-1], cfg.tol_corr, scale=mass,
+                               keep=br_keep, mags=resid_mags[::-1, ::-1])
     return FiniteQtMatrix(m, sym, tl, br)
 
 
-def _certify_columns(a, b, cfg, rng_cols):
+@functools.lru_cache(maxsize=1)
+def _corner_masks(m):
+    """Top-left entries (i + j <= m - 1) and flipped bottom-right ones."""
+    tl_keep = np.ascontiguousarray(np.tri(m, dtype=bool)[::-1])
+    br_keep = np.ascontiguousarray(~tl_keep[::-1, ::-1])
+    tl_keep.setflags(write=False)
+    br_keep.setflags(write=False)
+    return tl_keep, br_keep
+
+
+def _certify_columns(a, b, cfg, cols):
     """Max residual of a @ b against the identity on sampled columns."""
-    worst = 0.0
-    prod = fqt_mul(a, b, cfg)
-    for j in rng_cols:
-        col = prod.column(j)
-        col[j] -= 1.0
-        worst = max(worst, float(np.abs(col).max()))
-    return worst
+    resid = fqt_mul(a, b, cfg).columns(cols)
+    resid[cols, np.arange(len(cols))] -= 1.0
+    return float(np.abs(resid).max())
 
 
 def _sample_columns(m):
@@ -407,7 +455,7 @@ def _fqt_inv_dense(a, cfg, with_info):
         raise SingularMatrixError("matrix is numerically singular") from exc
     result = fqt_from_dense(dense_inv, None, cfg)
     cols = _sample_columns(a.m)
-    resid = dense @ np.column_stack([result.column(j) for j in cols])
+    resid = dense @ result.columns(cols)
     resid[cols, np.arange(len(cols))] -= 1.0
     worst = float(np.abs(resid).max())
     if worst > cfg.tol_stop:
@@ -419,11 +467,18 @@ def _fqt_inv_dense(a, cfg, with_info):
 
 
 def _extract_corner(a, recip, cfg):
-    """Top-left correction of the inverse from a growing leading window."""
+    """Top-left correction of the inverse from a growing leading window.
+
+    The first window is a power of two covering twice the corner, band and
+    reciprocal-band sizes, capped at the largest power of two within
+    m // 2 (but at least 64), so a window is always tried when m >= 128.
+    """
     base = max(a.corr_tl.p, a.corr_tl.q, a.symbol.support_len,
                recip.support_len, 16)
-    w = max(1 << (2 * base - 1).bit_length(), 64)
-    for _, corr in decayed_windows(a, recip, w, a.m // 2, cfg):
+    half = a.m // 2
+    w = max(min(1 << (2 * base - 1).bit_length(),
+                1 << (half.bit_length() - 1)), 64)
+    for _, corr in decayed_windows(a, recip, w, half, cfg):
         return corr
     raise NoConvergenceError(
         "inverse corner did not decay within half the matrix size")

@@ -1,5 +1,7 @@
 """CLI contract: exit codes, report schema, oracles, reproducibility."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -189,3 +191,30 @@ def test_env_section_cap_actually_applies(tmp_path, capsys, monkeypatch):
                            "--output", str(tmp_path / "o.cqt"))
     assert code == 3
     assert "no convergence" in err
+
+
+def _without_time(report):
+    return [line.split()[:1] + line.split()[2:] for line in report.splitlines()]
+
+
+@pytest.mark.parametrize("method", ["series", "contour"])
+def test_funm_info_writes_one_json_line_on_stderr(tmp_path, capsys, method):
+    src = tmp_path / "in.cqt"
+    write_file(src, CqtMatrix(LaurentSymbol([0.1, 1.4, 0.1], -1)))
+    argv = ["funm", "--func", "sqrt1p" if method == "contour" else "exp",
+            "--method", method, "--input", str(src), "--tol", "1e-9"]
+    code, out, err = run_cli(capsys, *argv, "--info", "--output",
+                             str(tmp_path / "info.cqt"))
+    assert code == 0
+    code, plain_out, plain_err = run_cli(
+        capsys, *argv, "--output", str(tmp_path / "info.cqt"))
+    assert code == 0 and plain_err == ""
+    assert _without_time(out) == _without_time(plain_out)
+    assert err.endswith("\n") and err.count("\n") == 1
+    info = json.loads(err)
+    if method == "contour":
+        assert info["inverse_paths"] == {
+            "windowed": info["resolvents"] - info["reused"]}
+        assert info["inverse_residual_max"] <= 1e-9
+    else:
+        assert info["terms"] >= 1

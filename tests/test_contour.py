@@ -390,3 +390,64 @@ def test_resolvent_on_spectrum_raises():
     with pytest.raises(OnSpectrumError) as info:
         resolvent(a, 1.0)
     assert info.value.z == 1.0
+
+
+@pytest.mark.parametrize("kind", ["finite", "semi"])
+def test_resolvent_shifts_without_compressing(kind, monkeypatch):
+    a = _finite_i_plus_h2(40) if kind == "finite" else _semi_i_plus_t()
+    compress = qtmat.correction.corr_compress
+    compressed = []
+
+    def counting(e, tol):
+        compressed.append(e)
+        return compress(e, tol)
+
+    for mod in (qtmat.correction, qtmat.cqt, qtmat.finite):
+        monkeypatch.setattr(mod, "corr_compress", counting)
+    inv = type(a).inv
+    before_inv = []
+
+    def inverting(self, *args, **kwargs):
+        before_inv.append(len(compressed))
+        return inv(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(a), "inv", inverting)
+    z = 1.5 + 0.8j
+    r = resolvent(a, z)
+    assert before_inv == [0]
+    if kind == "finite":
+        want = np.linalg.inv(z * np.eye(40) - dense_fqt_oracle(a))
+        got = fqt_to_dense(r)
+    else:
+        big = 300
+        want = np.linalg.inv(z * np.eye(big)
+                             - dense_cqt_oracle(a, big))[:40, :40]
+        got = finite_section(r, 40)
+    assert np.abs(got - want).max() < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["finite", "semi"])
+def test_info_reports_the_inverse_of_every_node_inverted(kind, monkeypatch):
+    a = _finite_i_plus_h2(40) if kind == "finite" else _semi_i_plus_t()
+    records = []
+    inv = type(a).inv
+
+    def recording(self, cfg=DEFAULT_CONFIG, with_info=False):
+        out = inv(self, cfg, with_info)
+        records.append(out[1])
+        return out
+
+    monkeypatch.setattr(type(a), "inv", recording)
+    _, info = funm_contour(a, np.sqrt, _CIRCLE, _CFG, with_info=True)
+    path = "dense" if kind == "finite" else "windowed"
+    inverted = info["resolvents"] - info["reused"]
+    assert info["inverse_paths"] == {path: inverted} == {path: len(records)}
+    worst = info["inverse_residual_max"]
+    assert worst == max(rec["residual"] for rec in records)
+    assert 0.0 < worst <= _CFG.tol_stop
+    # A second run on the same matrix takes every node from the slot.
+    records.clear()
+    _, again = funm_contour(a, np.sqrt, _CIRCLE, _CFG, with_info=True)
+    assert again["reused"] == again["resolvents"] and not records
+    assert again["inverse_paths"] == {}
+    assert again["inverse_residual_max"] is None

@@ -14,6 +14,8 @@ from qtmat import (
     hankel_product,
 )
 from qtmat.correction import (
+    _kept_length,
+    _kept_rank,
     corr_times_corr,
     corr_times_toeplitz,
     toeplitz_times_corr,
@@ -246,3 +248,86 @@ def test_compress_rank_never_exceeds_dimensions():
         assert c.rank <= min(c.p, c.q)
         assert np.abs(dense_correction_oracle(c, 20, 20)
                       - dense_correction_oracle(wide, 20, 20)).max() < 1e-11
+
+
+def test_dtype_follows_the_inputs():
+    rng = np.random.default_rng(22)
+    real = Correction(rng.standard_normal((5, 2)), rng.standard_normal((4, 2)))
+    assert real.u.dtype == real.v.dtype == np.float64
+    cplx = random_correction(rng, 5, 4, 2)
+    assert cplx.u.dtype == cplx.v.dtype == np.complex128
+    # A complex factor with zero imaginary parts stays complex.
+    stored = Correction(real.u.astype(complex), real.v)
+    assert stored.u.dtype == stored.v.dtype == np.complex128
+    assert Correction.rank_one([1.0, 2.0], [3.0]).u.dtype == np.float64
+    assert Correction.unit(2, 1).v.dtype == np.float64
+    twice = corr_add(real, real.scaled(0.5), -2.0)
+    assert twice.u.dtype == np.float64
+    assert corr_compress(twice, 1e-14).u.dtype == np.float64
+
+
+def test_real_plus_complex_scaled_is_complex_without_warning():
+    rng = np.random.default_rng(23)
+    real = Correction(rng.standard_normal((5, 2)), rng.standard_normal((4, 2)))
+    other = Correction(rng.standard_normal((3, 1)), rng.standard_normal((6, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        got = corr_add(real, other, 0.5 - 2j)
+        also = corr_add(real, random_correction(rng, 2, 2, 1))
+    assert got.u.dtype == got.v.dtype == np.complex128
+    assert also.u.dtype == np.complex128
+    want = (dense_correction_oracle(real, 6, 6)
+            + (0.5 - 2j) * dense_correction_oracle(other, 6, 6))
+    assert np.abs(dense_correction_oracle(got, 6, 6) - want).max() < 1e-14
+
+
+def test_real_part_has_real_factors():
+    rng = np.random.default_rng(24)
+    both = random_correction(rng, 5, 4, 2)
+    one = Correction(both.u, rng.standard_normal((4, 2)))
+    for e in (both, one, Correction(both.u.real, both.v.real)):
+        got = e.real_part()
+        assert got.u.dtype == got.v.dtype == np.float64
+        want = dense_correction_oracle(e, 5, 4).real
+        assert np.abs(dense_correction_oracle(got, 5, 4) - want).max() < 1e-14
+
+
+def _kept_length_loop(masses, budget):
+    n, spent = masses.size, 0.0
+    while n > 0 and spent + masses[n - 1] <= budget:
+        spent += masses[n - 1]
+        n -= 1
+    return n
+
+
+def _kept_rank_loop(s, p, q, budget):
+    rel = s[::-1] / s[0]
+    tail = s[0] * np.sqrt(np.cumsum(rel * rel))[::-1]
+    k = s.size
+    while k > 0 and np.sqrt(p * q) * tail[k - 1] <= budget:
+        k -= 1
+    return k
+
+
+def test_trim_and_rank_cuts_equal_the_loops_they_replace():
+    rng = np.random.default_rng(25)
+    for trial in range(3000):
+        n = int(rng.integers(1, 40))
+        masses = 10.0 ** rng.uniform(-18, 0, n)
+        masses[rng.uniform(size=n) < 0.2] = 0.0
+        budget = 10.0 ** rng.uniform(-17, 0)
+        if trial % 4 == 0:  # a budget exactly at a partial tail sum
+            budget = float(np.cumsum(masses[::-1])[n // 2])
+        assert _kept_length(masses, budget) == _kept_length_loop(masses,
+                                                                  budget)
+        s = np.sort(10.0 ** rng.uniform(-18, 2, n))[::-1]
+        if trial % 3 == 0:
+            s[max(1, n // 2):] = 0.0
+        p, q = (int(x) for x in rng.integers(1, 200, 2))
+        budget = 10.0 ** rng.uniform(-16, 0) * s[0]
+        if trial % 4 == 1:  # a budget exactly at a scaled tail norm
+            rel = s[::-1] / s[0]
+            tail = s[0] * np.sqrt(np.cumsum(rel * rel))[::-1]
+            budget = float(np.sqrt(p * q) * tail[n // 2])
+        assert _kept_rank(s, p, q, budget) == _kept_rank_loop(s, p, q,
+                                                              budget)

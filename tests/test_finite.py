@@ -204,6 +204,22 @@ def test_inv_windowed_path():
     assert np.abs(got - dense_inv).max() < 1e-9
 
 
+@pytest.mark.parametrize("m", [300, 400])
+def test_inv_windowed_start_window_fits_in_half_the_matrix(m):
+    # The reciprocal band is long (support 70), so twice it rounds up to a
+    # 256 window, past m // 2; the start is capped at 128, which decays.
+    cfg = ToleranceConfig(max_finite_section=64, tol_stop=1e-10)
+    a = FiniteQtMatrix(m, LaurentSymbol([1.0, 2.5 + 0.3j, 0.6], -1),
+                       Correction([[0.5, 0.1], [0.2, -0.3], [0.1, 0.05]],
+                                  [[0.4, 0.2], [0.1, 0.3]]),
+                       Correction.rank_one([0.3, 0.1], [0.4]))
+    b, info = fqt_inv(a, cfg, with_info=True)
+    assert info["path"] == "windowed"
+    assert info["residual"] <= 1e-10
+    dense_inv = np.linalg.inv(dense_fqt_oracle(a))
+    assert np.abs(fqt_to_dense(b) - dense_inv).max() < 1e-10
+
+
 def _extract_corner_inline(a, recip, cfg):
     """Reference corner: the window-doubling loop written out in one place.
 
@@ -342,6 +358,20 @@ def test_column_extraction():
     dense = dense_fqt_oracle(a)
     for j in (0, 1, 17, 33, 34):
         assert np.abs(a.column(j) - dense[:, j]).max() < 1e-13
+
+
+def test_columns_are_the_stacked_columns_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for m in (1, 7, 35, 64):
+        a = random_fqt(rng, m, corner=min(8, m), rank=3)
+        js = [m - 1, 0, m // 2, m - 1, min(1, m - 1)]
+        got = a.columns(js)
+        want = np.column_stack([a.column(j) for j in js])
+        assert got.shape == (m, len(js))
+        assert np.array_equal(got, want)
+        assert np.abs(got - dense_fqt_oracle(a)[:, js]).max() < 1e-13
+    with pytest.raises(IndexError):
+        a.columns([0, m])
 
 
 def test_band_validation():

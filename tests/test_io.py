@@ -125,3 +125,17 @@ def test_finite_blocks_order_tl_then_br():
     b = parse(serialize(a))
     assert b.corr_tl.u[0, 0] == 1.0
     assert b.corr_br.u[0, 0] == 3.0
+
+
+def test_real_and_complex_storage_serialize_alike():
+    rng = np.random.default_rng(31)
+    u = rng.standard_normal((4, 2))
+    v = rng.standard_normal((3, 2))
+    u[0, 0] = -0.0
+    real = Correction(u, v)
+    cplx = Correction(u.astype(complex), v.astype(complex))
+    assert real.u.dtype == np.float64 and cplx.u.dtype == np.complex128
+    sym = LaurentSymbol([0.5, 2.0, -0.25], -1)
+    assert serialize(CqtMatrix(sym, real)) == serialize(CqtMatrix(sym, cplx))
+    assert serialize(FiniteQtMatrix(9, sym, real, real)) \
+        == serialize(FiniteQtMatrix(9, sym, cplx, cplx))

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from qtmat import (
+    Correction,
     CqtMatrix,
     DEFAULT_CONFIG,
     FiniteQtMatrix,
@@ -20,7 +21,9 @@ from qtmat import (
     finite_section,
     funm_laurent,
     funm_taylor,
+    parse,
     power_corrections,
+    serialize,
     wiener_norms,
 )
 from qtmat.symbol import eval_at_unit_roots
@@ -337,3 +340,13 @@ def test_funm_laurent_positive_polynomial_skips_inverse():
     n = 20
     assert np.abs(finite_section(got, n) - finite_section(want, n)).max() \
         < 1e-12
+
+
+def test_parsed_input_keeps_complex_factors_through_taylor():
+    a = CqtMatrix(LaurentSymbol([0.2, 0.5, 0.1], -1),
+                  Correction([[0.1], [0.3]], [[0.2], [0.05], [0.1]]))
+    assert a.corr.u.dtype == np.float64
+    parsed = parse(serialize(a))
+    assert parsed.corr.u.dtype == parsed.corr.v.dtype == np.complex128
+    got = funm_taylor(parsed, SeriesSpec.exp())
+    assert got.corr.u.dtype == got.corr.v.dtype == np.complex128
