@@ -28,6 +28,7 @@ from .cqt import (
     toeplitz_section,
 )
 from .errors import (
+    CertificateError,
     EnclosureError,
     MalformedFileError,
     NoConvergenceError,
@@ -123,6 +124,7 @@ __all__ = [
     "read_file",
     "write_file",
     "QtError",
+    "CertificateError",
     "PreconditionError",
     "ZeroOnCircleError",
     "NonzeroWindingError",

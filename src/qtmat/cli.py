@@ -1,7 +1,8 @@
 """Command line interface: matrix functions of a stored matrix.
 
-Exit codes: 0 success, 2 precondition violation, 3 no convergence,
-64 usage or input-format error.
+Exit codes: 0 success, 2 precondition violation, 3 no convergence
+(also an inverse that misses the tolerance), 64 usage or input-format
+error.
 """
 
 import argparse
@@ -95,6 +96,8 @@ def _build_config(args):
         updates["max_terms"] = args.max_terms
     if getattr(args, "max_levels", None) is not None:
         updates["max_levels"] = args.max_levels
+    # CQT_MAX_SECTION sets max_finite_section, the largest window of the
+    # semi-infinite inverse; finite inverses do not read it.
     env_cap = os.environ.get("CQT_MAX_SECTION")
     if env_cap:
         try:

@@ -11,9 +11,9 @@ class ToleranceConfig:
     tol_corr          relative error allowed when compressing corrections
     tol_stop          stopping tolerance of iterative engines and certificates
     max_terms         cap on the number of series terms
-    max_finite_section the one dense cap: largest window of the windowed-
-                      inverse loop (cqt.decayed_windows) in cqt_inv, and
-                      largest m that fqt_inv inverts densely
+    max_finite_section largest window of the windowed-inverse loop
+                      (cqt.decayed_windows) of the semi-infinite cqt_inv;
+                      the finite fqt_inv has no window and ignores it
     max_levels        cap on node-doubling levels of the contour engine
     annulus_samples   unit-circle sample count for symbol range checks
     """

@@ -22,6 +22,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG
 from .errors import (
+    CertificateError,
     EnclosureError,
     NoConvergenceError,
     NonzeroWindingError,
@@ -137,6 +138,8 @@ def resolvent(matrix, z, cfg=DEFAULT_CONFIG):
         sym_add(LaurentSymbol.constant(z), negated.symbol), cfg.tol_symbol))
     try:
         inv, info = shifted.inv(cfg, with_info=True)
+    except CertificateError:
+        raise
     except (ZeroOnCircleError, NonzeroWindingError, SingularMatrixError,
             NoConvergenceError) as exc:
         raise OnSpectrumError(z, f"resolvent failed at z={z}: {exc}") from exc
@@ -268,7 +271,8 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
     and 2^levels when none does), ``reused`` (how many of those came from
     the slot rather than from a new inversion), ``level_diffs``, and, from
     the records of the inverses that run made, ``inverse_paths`` (a count
-    per path: "dense", "windowed" or "scalar") and ``inverse_residual_max``
+    per path: "banded" for a finite matrix, "windowed" for a semi-infinite
+    one, or "scalar") and ``inverse_residual_max``
     (None when every node came from the slot).
 
     Parameters
@@ -280,6 +284,7 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
     ------
     EnclosureError     sampled symbol curve not inside the contour
     OnSpectrumError    resolvent failure (after the inflation retry)
+    CertificateError   a node inverse misses ``cfg.tol_stop``; no retry
     NoConvergenceError level cap reached
     """
     try:

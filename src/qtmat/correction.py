@@ -13,12 +13,19 @@ complex.  The rule goes by dtype, not by value: complex factors whose
 imaginary parts are zero stay complex.
 """
 
+import functools
+
 import numpy as np
 
 from .symbol import sym_reverse
 
 # Dense materialization above this many entries falls back to row blocks.
 _DENSE_BLOCK_ENTRIES = 1 << 21
+
+# Columns of the first Gaussian sketch in Correction.from_dense, and the
+# seed that fixes its entries.
+_SKETCH_WIDTH = 16
+_SKETCH_SEED = 20110601
 
 
 class Correction:
@@ -29,25 +36,35 @@ class Correction:
     """
 
     def __init__(self, u, v):
-        u = np.atleast_2d(np.asarray(u))
-        v = np.atleast_2d(np.asarray(v))
+        self._store(np.atleast_2d(np.asarray(u)), np.atleast_2d(np.asarray(v)),
+                    copy=True)
+
+    @classmethod
+    def _owned(cls, u, v):
+        """Correction over factors this module has just made.
+
+        They must be 2-D arrays, and are frozen in place instead of copied
+        (a non-contiguous view or another dtype is still copied).  Arrays a
+        caller may hold go through ``Correction(u, v)``, which always copies.
+        """
+        out = cls.__new__(cls)
+        out._store(u, v, copy=False)
+        return out
+
+    def _store(self, u, v, copy):
         if u.shape[1] != v.shape[1]:
             raise ValueError("factor rank mismatch")
-        dtype = np.result_type(u, v, np.float64)
+        dtype = np.result_type(u.dtype, v.dtype, np.float64)
         if u.shape[0] == 0 or v.shape[0] == 0 or u.shape[1] == 0:
             u = v = np.zeros((0, 0), dtype=dtype)
         if not (np.isfinite(u).all() and np.isfinite(v).all()):
             raise ValueError("correction factors must be finite")
-        u = u.astype(dtype)
-        v = v.astype(dtype)
-        u.setflags(write=False)
-        v.setflags(write=False)
-        self.u = u
-        self.v = v
+        self.u = _frozen(u, dtype, copy)
+        self.v = _frozen(v, dtype, copy)
 
     @classmethod
     def zero(cls):
-        return cls(np.zeros((0, 0)), np.zeros((0, 0)))
+        return cls._owned(np.zeros((0, 0)), np.zeros((0, 0)))
 
     @classmethod
     def rank_one(cls, u, v):
@@ -60,21 +77,31 @@ class Correction:
         v = np.zeros((j + 1, 1))
         u[i, 0] = 1.0
         v[j, 0] = 1.0
-        return cls(u, v)
+        return cls._owned(u, v)
 
     @classmethod
     def from_dense(cls, block, tol, scale=None, keep=None, mags=None):
         """Factor a dense block into a compressed correction.
 
         Trailing rows/columns whose certified entrywise mass fits in half of
-        the tolerance budget are trimmed first, then the kept block is
-        factored through an SVD with the remaining budget.  ``scale``
-        overrides the reference magnitude of the budget (useful when the
-        block is one piece of a larger matrix whose norm sets the scale).
-        ``keep``, a boolean array of the block's shape, factors only the
-        entries where it is True, as if the others were zero; only the
-        trimmed block is then cut out and masked.  ``mags`` passes |block|
-        when the caller has it already.
+        the tolerance budget are trimmed first, then the kept p x q block K
+        is factored with the remaining half.  ``scale`` overrides the
+        reference magnitude of the budget (useful when the block is one
+        piece of a larger matrix whose norm sets the scale).  ``keep``, a
+        boolean array of the block's shape, factors only the entries where
+        it is True, as if the others were zero; only the trimmed block is
+        then cut out and masked.  ``mags`` passes |block| when the caller
+        has it already.
+
+        The factoring is a randomized range finder (Halko, Martinsson and
+        Tropp, SIAM Review 53(2), 2011): an orthonormal basis Q of K @ G for
+        a fixed Gaussian G of 16 columns, doubled until the exact entrywise
+        sum of K - Q Q^H K is within a quarter of the budget; then the SVD of
+        the small Q^H K, truncated within another quarter.  Once the sketch
+        would be wider than half of min(p, q), where it saves little and a
+        miss costs a full SVD on top, K itself goes through a full SVD
+        truncated within half the budget.  G depends only on its shape, so
+        equal blocks give equal factors bit for bit.
         """
         block = np.atleast_2d(np.asarray(block))
         if block.size == 0:
@@ -95,14 +122,22 @@ class Correction:
         q = _kept_length(col_mass, budget / 4)
         if p == 0 or q == 0:
             return cls.zero()
-        kept = block[:p, :q]
-        if keep is not None:
-            kept = np.where(keep[:p, :q], kept, 0.0)
+        if keep is None:
+            kept = np.ascontiguousarray(block[:p, :q])
+        else:
+            kept = np.where(keep[:p, :q], block[:p, :q], 0.0)
+        width = _SKETCH_WIDTH
+        while 2 * width <= min(p, q):
+            basis = np.linalg.qr(kept @ _gaussian(q, width))[0]
+            core = basis.conj().T @ kept
+            if np.abs(kept - basis @ core).sum() <= budget / 4:
+                w, s, xh = np.linalg.svd(core, full_matrices=False)
+                k = _kept_rank(s, p, q, budget / 4)
+                return cls._owned((basis @ w[:, :k]) * s[:k], xh[:k].T)
+            width *= 2
         w, s, xh = np.linalg.svd(kept, full_matrices=False)
         k = _kept_rank(s, p, q, budget / 2)
-        if k == 0:
-            return cls.zero()
-        return cls(w[:, :k] * s[:k], xh[:k].T)
+        return cls._owned(w[:, :k] * s[:k], xh[:k].T)
 
     @property
     def p(self):
@@ -144,17 +179,38 @@ class Correction:
         its factors are float64.
         """
         if not (np.any(self.u.imag) and np.any(self.v.imag)):
-            return Correction(self.u.real, self.v.real)
-        return Correction(np.hstack([self.u.real, -self.u.imag]),
-                          np.hstack([self.v.real, self.v.imag]))
+            return Correction._owned(self.u.real, self.v.real)
+        return Correction._owned(np.hstack([self.u.real, -self.u.imag]),
+                                 np.hstack([self.v.real, self.v.imag]))
 
     def scaled(self, alpha):
         if self.is_zero or alpha == 0:
             return Correction.zero()
-        return Correction(self.u * alpha, self.v)
+        return Correction._owned(self.u * alpha, self.v)
 
     def __repr__(self):
         return f"Correction(p={self.p}, q={self.q}, rank={self.rank})"
+
+
+@functools.lru_cache(maxsize=16)
+def _gaussian(n, width):
+    """Read-only n x width standard Gaussian matrix, fixed for its shape."""
+    g = np.random.default_rng(_SKETCH_SEED).standard_normal((n, width))
+    g.setflags(write=False)
+    return g
+
+
+def _frozen(x, dtype, copy):
+    """x as a read-only array of dtype, copied unless told it may be kept.
+
+    A kept array must already be of dtype and contiguous (C or F order), so
+    it has the layout a copy would have had.
+    """
+    if copy or x.dtype != dtype or not (x.flags.c_contiguous
+                                        or x.flags.f_contiguous):
+        x = x.astype(dtype)
+    x.setflags(write=False)
+    return x
 
 
 def _kept_length(masses, budget):
@@ -210,7 +266,7 @@ def corr_add(e1, e2, scale2=1.0):
     u[:e2.p, e1.rank:] = e2.u * scale2
     v[:e1.q, :e1.rank] = e1.v
     v[:e2.q, e1.rank:] = e2.v
-    return Correction(u, v)
+    return Correction._owned(u, v)
 
 
 def corr_compress(e, tol):
@@ -252,7 +308,7 @@ def _reduce_rank(e):
     k = int(np.count_nonzero(s))
     if k == 0:
         return Correction.zero()
-    return Correction(qu @ (w[:, :k] * s[:k]), qv @ xh[:k].T)
+    return Correction._owned(qu @ (w[:, :k] * s[:k]), qv @ xh[:k].T)
 
 
 def _trim_factors(u, v, budget):
@@ -270,7 +326,7 @@ def _trim_factors(u, v, budget):
     q = _kept_length(col_mass, budget / 2)
     if p == 0 or q == 0:
         return Correction.zero()
-    return Correction(u[:p], v[:q])
+    return Correction._owned(u[:p], v[:q])
 
 
 def hankel_product(a_minus, b_plus, clip=None):
@@ -301,7 +357,7 @@ def hankel_product(a_minus, b_plus, clip=None):
     jj = np.arange(cols)[:, None] + np.arange(cap)[None, :]
     u = np.where(ii < ka, cm[np.minimum(ii, ka - 1)], 0.0)
     v = np.where(jj < kb, cp[np.minimum(jj, kb - 1)], 0.0)
-    return Correction(u, v)
+    return Correction._owned(u, v)
 
 
 def toeplitz_times_factor(sym, factor, row_cap=None):
@@ -349,7 +405,7 @@ def corr_times_toeplitz(e, sym, col_cap=None):
     w = toeplitz_times_factor(sym_reverse(sym), e.v, row_cap=col_cap)
     if w.size == 0:
         return Correction.zero()
-    return Correction(e.u, w)
+    return Correction._owned(e.u, w)
 
 
 def toeplitz_times_corr(sym, e, row_cap=None):
@@ -359,7 +415,7 @@ def toeplitz_times_corr(sym, e, row_cap=None):
     w = toeplitz_times_factor(sym, e.u, row_cap=row_cap)
     if w.size == 0:
         return Correction.zero()
-    return Correction(w, e.v)
+    return Correction._owned(w, e.v)
 
 
 def corr_times_corr(e1, e2):
@@ -370,4 +426,4 @@ def corr_times_corr(e1, e2):
     if inner == 0:
         return Correction.zero()
     mid = e1.v[:inner].T @ e2.u[:inner]
-    return Correction(e1.u @ mid, e2.v)
+    return Correction._owned(e1.u @ mid, e2.v)

@@ -242,7 +242,7 @@ def decayed_windows(a, recip, n, n_max, cfg):
     For n, 2n, ... up to ``n_max``, inverts ``a.finite_section(n)`` and
     yields ``(n, Correction)`` of its top-left half minus T(recip) whenever
     that has decayed to ``cfg.tol_stop`` on its last tenth of rows and
-    columns.  ``a`` may be a CqtMatrix or a FiniteQtMatrix.
+    columns.
 
     Raises
     ------

@@ -49,5 +49,14 @@ class NoConvergenceError(QtError):
     """An iteration reached its cap before meeting the requested tolerance."""
 
 
+class CertificateError(NoConvergenceError):
+    """A computed inverse misses the stopping tolerance on the identity.
+
+    Raised when the arithmetic cannot certify the tolerance the caller asked
+    for; it says nothing about the spectrum, so the contour engine passes it
+    on instead of reporting the node as on the spectrum.
+    """
+
+
 class MalformedFileError(QtError):
     """A serialized matrix file failed to parse; message carries diagnostics."""

@@ -10,6 +10,7 @@ flip is applied only when materializing.
 import functools
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from .config import DEFAULT_CONFIG
 from .correction import (
@@ -22,23 +23,25 @@ from .correction import (
     hankel_product,
     toeplitz_times_corr,
 )
-from .cqt import _gather, decayed_windows, toeplitz_section
+from .cqt import _gather, toeplitz_section
 from .errors import (
-    NoConvergenceError,
+    CertificateError,
     SingularMatrixError,
     SizeMismatchError,
+    ZeroOnCircleError,
 )
 from .symbol import (
     LaurentSymbol,
+    eval_at_unit_roots,
     sym_add,
     sym_clip,
     sym_mul,
-    sym_reciprocal,
     sym_reverse,
     sym_scale,
     sym_split,
     sym_truncate,
     wiener_norms,
+    winding_number,
 )
 
 
@@ -134,14 +137,6 @@ class FiniteQtMatrix:
     def with_symbol(self, symbol):
         return FiniteQtMatrix(self.m, sym_clip(symbol, self.m - 1),
                               self.corr_tl, self.corr_br)
-
-    def finite_section(self, n):
-        return fqt_leading_section(self, n)
-
-    def flipped(self):
-        """J A J: reversed symbol, corners swapped."""
-        return FiniteQtMatrix(self.m, sym_reverse(self.symbol),
-                              self.corr_br, self.corr_tl)
 
     def columns(self, js):
         """Dense columns js (zero-based), m x len(js), without materializing.
@@ -330,27 +325,6 @@ def _flipped_times_tl(f_br, e_tl, m):
     return Correction(u_big @ mid, e_tl.v)
 
 
-def fqt_leading_section(a, n):
-    """Dense leading n x n block (includes any corner mass reaching it)."""
-    m = a.m
-    n = min(n, m)
-    out = toeplitz_section(a.symbol, n)
-    if not a.corr_tl.is_zero:
-        rp = min(a.corr_tl.p, n)
-        cq = min(a.corr_tl.q, n)
-        out[:rp, :cq] += a.corr_tl.u[:rp] @ a.corr_tl.v[:cq].T
-    if not a.corr_br.is_zero:
-        block = a.corr_br.materialize()
-        rows = np.arange(m - a.corr_br.p, m)
-        cols = np.arange(m - a.corr_br.q, m)
-        rsel = rows < n
-        csel = cols < n
-        if rsel.any() and csel.any():
-            out[np.ix_(rows[rsel], cols[csel])] += \
-                block[::-1, ::-1][np.ix_(rsel, csel)]
-    return out
-
-
 def fqt_from_dense(dense, band_hint=None, cfg=DEFAULT_CONFIG):
     """Recover band plus two corner corrections from a dense matrix.
 
@@ -403,13 +377,6 @@ def _corner_masks(m):
     return tl_keep, br_keep
 
 
-def _certify_columns(a, b, cfg, cols):
-    """Max residual of a @ b against the identity on sampled columns."""
-    resid = fqt_mul(a, b, cfg).columns(cols)
-    resid[cols, np.arange(len(cols))] -= 1.0
-    return float(np.abs(resid).max())
-
-
 def _sample_columns(m):
     cols = {0, 1, m // 2, m - 2, m - 1}
     step = max(1, m // 16)
@@ -418,20 +385,32 @@ def _sample_columns(m):
 
 
 def fqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
-    """Inverse of a finite quasi-Toeplitz matrix.
+    """Inverse of a finite quasi-Toeplitz matrix through one banded LU.
 
-    Sizes up to ``cfg.max_finite_section``, the one dense cap, are inverted
-    densely and re-split into band plus corners.  Larger sizes take the band
-    from the reciprocal symbol and each corner, of the matrix and of its
-    flip, from the first window of ``cqt.decayed_windows`` (the windowed-
-    inverse loop of ``cqt_inv``) within m // 2.  Either way the result is
-    certified columnwise against the identity.
+    The matrix is laid out in LAPACK band storage from its symbol and corner
+    factors, the band widened to enclose both corners, and factored once
+    (``?gbtrf``).  The first and last k columns of the inverse are then
+    solved (``?gbtrs``), k doubling from max(128, twice the band widths),
+    until the columns beyond each trimmed corner match T_m(r), r the
+    reciprocal symbol clipped to the matrix: inverses of band matrices
+    decay away from the diagonal (Demko, Moss and Smith, Math. Comp. 43,
+    1984).  The result is T_m(r) plus the two corners.  Once 2k >= m, which
+    is always so for m <= 256, or when the symbol has no reciprocal, every
+    column is solved and the full inverse is re-split by ``fqt_from_dense``.
+    The result is certified on sampled columns against the identity,
+    through a product with the band storage; a miss of the corner-column
+    branch doubles k, so only a singular or uncertifiable matrix fails.
+    ``cfg.max_finite_section`` is not used.
+
+    The info dict has ``path`` ("banded", or "scalar" for a multiple of the
+    identity), ``columns`` (inverse columns solved in the certified pass)
+    and ``residual``.
 
     Raises
     ------
-    SingularMatrixError   numerically singular input or failed certificate
-                          (SingularSectionError for a singular window)
-    NoConvergenceError    windowed extraction could not separate the corners
+    SingularMatrixError   exactly singular band factorization
+    CertificateError      the full inverse misses ``cfg.tol_stop`` on the
+                          identity; the message names both numbers
     """
     m = a.m
     if a.is_zero:
@@ -442,56 +421,125 @@ def fqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
             m, LaurentSymbol.constant(1.0 / a.symbol.coeffs[0]))
         return (inv, {"path": "scalar", "residual": 0.0}) \
             if with_info else inv
-    if m <= cfg.max_finite_section:
-        return _fqt_inv_dense(a, cfg, with_info)
-    return _fqt_inv_windowed(a, cfg, with_info)
-
-
-def _fqt_inv_dense(a, cfg, with_info):
-    dense = fqt_to_dense(a)
-    try:
-        dense_inv = np.linalg.inv(dense)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("matrix is numerically singular") from exc
-    result = fqt_from_dense(dense_inv, None, cfg)
-    cols = _sample_columns(a.m)
-    resid = dense @ result.columns(cols)
-    resid[cols, np.arange(len(cols))] -= 1.0
-    worst = float(np.abs(resid).max())
+    band = _BandMatrix(a)
+    cols = _sample_columns(m)
+    k = max(128, 1 << (2 * max(band.kl, band.ku) + 1).bit_length())
+    recip = _clipped_reciprocal(a.symbol, m, cfg) if 2 * k < m else None
+    while recip is not None and 2 * k < m:
+        result = _from_corner_columns(band, recip, k, cfg)
+        if result is not None:
+            worst = band.residual(result, cols)
+            if worst <= cfg.tol_stop:
+                info = {"path": "banded", "columns": 2 * k, "residual": worst}
+                return (result, info) if with_info else result
+        k *= 2
+    result = fqt_from_dense(band.solve(np.arange(m)), None, cfg)
+    worst = band.residual(result, cols)
     if worst > cfg.tol_stop:
-        raise SingularMatrixError(
+        raise CertificateError(
             f"inverse residual {worst:.2e} exceeds tolerance "
             f"{cfg.tol_stop:.2e}")
-    info = {"path": "dense", "residual": worst}
+    info = {"path": "banded", "columns": m, "residual": worst}
     return (result, info) if with_info else result
 
 
-def _extract_corner(a, recip, cfg):
-    """Top-left correction of the inverse from a growing leading window.
+class _BandMatrix:
+    """A finite quasi-Toeplitz matrix as a LAPACK band matrix, LU-factored.
 
-    The first window is a power of two covering twice the corner, band and
-    reciprocal-band sizes, capped at the largest power of two within
-    m // 2 (but at least 64), so a window is always tried when m >= 128.
+    Entry (i, j) sits at ``ab[kl + ku + i - j, j]``; the first kl rows of
+    ``ab`` hold the factorization's fill-in.  kl and ku cover the symbol and
+    both corners, so the band is the whole matrix.
     """
-    base = max(a.corr_tl.p, a.corr_tl.q, a.symbol.support_len,
-               recip.support_len, 16)
-    half = a.m // 2
-    w = max(min(1 << (2 * base - 1).bit_length(),
-                1 << (half.bit_length() - 1)), 64)
-    for _, corr in decayed_windows(a, recip, w, half, cfg):
-        return corr
-    raise NoConvergenceError(
-        "inverse corner did not decay within half the matrix size")
+
+    def __init__(self, a):
+        m, sym, tl, br = a.m, a.symbol, a.corr_tl, a.corr_br
+        kl = min(m - 1, max(sym.n_minus, tl.p - 1, br.q - 1))
+        ku = min(m - 1, max(sym.n_plus, tl.q - 1, br.p - 1))
+        top = kl + ku
+        ab = np.zeros((top + kl + 1, m), dtype=np.complex128)
+        for d, c in zip(range(sym.min_deg, sym.max_deg + 1), sym.coeffs):
+            ab[top - d, max(d, 0):m + min(d, 0)] = c
+        if not tl.is_zero:
+            i, j = np.indices((tl.p, tl.q))
+            ab[top + i - j, j] += tl.u @ tl.v.T
+        if not br.is_zero:
+            # Flipped entry (i, j) is (m - 1 - i, m - 1 - j).
+            i, j = np.indices((br.p, br.q))
+            ab[top + j - i, m - 1 - j] += br.u @ br.v.T
+        gbtrf, self._gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        self.lu, self.piv, info = gbtrf(ab, kl, ku)
+        if info > 0:
+            raise SingularMatrixError("matrix is numerically singular")
+        self.ab, self.kl, self.ku, self.m = ab, kl, ku, m
+
+    def solve(self, js):
+        """Columns js of the inverse, m x len(js)."""
+        rhs = np.zeros((self.m, len(js)), dtype=np.complex128, order="F")
+        rhs[js, np.arange(len(js))] = 1.0
+        x, _ = self._gbtrs(self.lu, self.kl, self.ku, rhs, self.piv,
+                           overwrite_b=1)
+        return x
+
+    def residual(self, b, cols):
+        """Max entry of (A @ b - I) on columns cols."""
+        x = b.columns(cols)
+        out = np.zeros_like(x)
+        m, top = self.m, self.kl + self.ku
+        for d in range(-self.kl, self.ku + 1):
+            lo, hi = max(d, 0), m + min(d, 0)
+            out[lo - d:hi - d] += self.ab[top - d, lo:hi, None] * x[lo:hi]
+        out[cols, np.arange(len(cols))] -= 1.0
+        return float(np.abs(out).max())
 
 
-def _fqt_inv_windowed(a, cfg, with_info):
-    recip = sym_clip(sym_reciprocal(a.symbol, cfg.tol_symbol), a.m - 1)
-    tl = _extract_corner(a, recip, cfg)
-    br = _extract_corner(a.flipped(), sym_reverse(recip), cfg)
-    result = FiniteQtMatrix(a.m, recip, tl, br)
-    worst = _certify_columns(a, result, cfg, _sample_columns(a.m))
-    if worst > cfg.tol_stop:
-        raise NoConvergenceError(
-            f"windowed inverse residual {worst:.2e} exceeds tolerance")
-    info = {"path": "windowed", "residual": worst}
-    return (result, info) if with_info else result
+def _clipped_reciprocal(sym, m, cfg):
+    """1 / sym with exponents below m in size, or None when it has none.
+
+    Sampled on a doubling grid of unit roots, as ``sym_reciprocal`` does,
+    until the outer half of the coefficients carries at most
+    ``cfg.tol_symbol`` of their mass or the grid covers 4m, then clipped
+    and truncated.  Unlike ``sym_reciprocal`` it certifies nothing: the
+    inverse it enters is certified, while that certificate's absolute
+    tolerance cannot be met once ||sym||_W ||1/sym||_W is large, and its
+    grid then grows to its cap before it gives up.  None when the symbol
+    vanishes on the unit circle or winds around 0, where T_m(1/sym) plus
+    corners does not describe the inverse.
+    """
+    try:
+        if winding_number(sym) != 0:
+            return None
+    except ZeroOnCircleError:
+        return None
+    n = 1 << (max(64, 4 * sym.support_len) - 1).bit_length()
+    while True:
+        coeffs = np.fft.fft(1.0 / eval_at_unit_roots(sym, n)) / n
+        # The coefficient of exponent d sits at index d mod n.
+        coeffs = np.concatenate([coeffs[n // 2:], coeffs[:n // 2]])
+        mags = np.abs(coeffs)
+        outer = mags[:n // 4].sum() + mags[3 * n // 4:].sum()
+        if outer <= cfg.tol_symbol * mags.sum() or n >= 4 * m:
+            break
+        n *= 2
+    recip = sym_clip(LaurentSymbol(coeffs, -(n // 2)), m - 1)
+    return sym_truncate(recip, 0.1 * cfg.tol_symbol)
+
+
+def _from_corner_columns(band, recip, k, cfg):
+    """T_m(recip) plus corners cut from the first and last k columns.
+
+    Returns None unless both trimmed corners end within k // 2 columns,
+    that is unless the solved columns beyond them match T_m(recip).  Each
+    corner is budgeted, as in ``fqt_from_dense``, against the entry mass of
+    the inverse columns it is cut from.
+    """
+    m = band.m
+    js = np.concatenate([np.arange(k), np.arange(m - k, m)])
+    cols = band.solve(js)
+    dev = cols - _gather(recip, js - np.arange(m)[:, None])
+    tl = Correction.from_dense(dev[:, :k], cfg.tol_corr,
+                               scale=float(np.abs(cols[:, :k]).sum()))
+    br = Correction.from_dense(dev[::-1, ::-1][:, :k], cfg.tol_corr,
+                               scale=float(np.abs(cols[:, k:]).sum()))
+    if max(tl.q, br.q) > k // 2:
+        return None
+    return FiniteQtMatrix(m, recip, tl, br)

@@ -197,10 +197,14 @@ def _without_time(report):
     return [line.split()[:1] + line.split()[2:] for line in report.splitlines()]
 
 
-@pytest.mark.parametrize("method", ["series", "contour"])
+@pytest.mark.parametrize("method", ["series", "contour", "contour-finite"])
 def test_funm_info_writes_one_json_line_on_stderr(tmp_path, capsys, method):
     src = tmp_path / "in.cqt"
-    write_file(src, CqtMatrix(LaurentSymbol([0.1, 1.4, 0.1], -1)))
+    symbol = LaurentSymbol([0.1, 1.4, 0.1], -1)
+    finite = method == "contour-finite"
+    write_file(src, FiniteQtMatrix(40, symbol) if finite
+               else CqtMatrix(symbol))
+    method = method.split("-")[0]
     argv = ["funm", "--func", "sqrt1p" if method == "contour" else "exp",
             "--method", method, "--input", str(src), "--tol", "1e-9"]
     code, out, err = run_cli(capsys, *argv, "--info", "--output",
@@ -213,8 +217,20 @@ def test_funm_info_writes_one_json_line_on_stderr(tmp_path, capsys, method):
     assert err.endswith("\n") and err.count("\n") == 1
     info = json.loads(err)
     if method == "contour":
+        path = "banded" if finite else "windowed"
         assert info["inverse_paths"] == {
-            "windowed": info["resolvents"] - info["reused"]}
+            path: info["resolvents"] - info["reused"]}
         assert info["inverse_residual_max"] <= 1e-9
     else:
         assert info["terms"] >= 1
+
+
+def test_uncertifiable_tolerance_exits_as_no_convergence(tmp_path, capsys):
+    src = tmp_path / "in.cqt"
+    write_file(src, FiniteQtMatrix(40, LaurentSymbol([0.1, 1.4, 0.1], -1)))
+    code, _, err = run_cli(capsys, "funm", "--func", "sqrt1p", "--method",
+                           "contour", "--input", str(src), "--output",
+                           str(tmp_path / "o.cqt"), "--tol", "1e-17")
+    assert code == 3
+    assert err.startswith("no convergence: inverse residual ")
+    assert err.rstrip().endswith("exceeds tolerance 1.00e-17")

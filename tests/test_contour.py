@@ -1,5 +1,6 @@
 """Contour engine: quadrature family, resolvents, doubling convergence."""
 
+import logging
 import math
 import sys
 import threading
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from qtmat import (
+    CertificateError,
     ContourSpec,
     Correction,
     CqtMatrix,
@@ -27,7 +29,7 @@ from qtmat import (
     serialize,
 )
 import qtmat.contour
-from qtmat.oracles import laplacian_symbol_coeffs
+from qtmat.oracles import _laplacian_power, laplacian_symbol_coeffs
 
 from tests.support import dense_cqt_oracle, dense_fqt_oracle
 
@@ -439,7 +441,7 @@ def test_info_reports_the_inverse_of_every_node_inverted(kind, monkeypatch):
 
     monkeypatch.setattr(type(a), "inv", recording)
     _, info = funm_contour(a, np.sqrt, _CIRCLE, _CFG, with_info=True)
-    path = "dense" if kind == "finite" else "windowed"
+    path = "banded" if kind == "finite" else "windowed"
     inverted = info["resolvents"] - info["reused"]
     assert info["inverse_paths"] == {path: inverted} == {path: len(records)}
     worst = info["inverse_residual_max"]
@@ -451,3 +453,36 @@ def test_info_reports_the_inverse_of_every_node_inverted(kind, monkeypatch):
     assert again["reused"] == again["resolvents"] and not records
     assert again["inverse_paths"] == {}
     assert again["inverse_residual_max"] is None
+
+
+def test_finite_inverses_need_no_dense_inverse(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.inv called")
+
+    z = 1.5 + 1j
+    want_small = np.linalg.inv(z * np.eye(40)
+                               - dense_fqt_oracle(_finite_i_plus_h2(40)))
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    for m in (40, 300):
+        a = _finite_i_plus_h2(m)
+        r, info = a.identity_like().scale(z).add(a.scale(-1.0)).inv(
+            with_info=True)
+        assert info["path"] == "banded"
+        if m == 40:
+            assert np.abs(fqt_to_dense(r) - want_small).max() < 1e-12
+    a = _finite_i_plus_h2(40)
+    _, info = funm_contour(a, np.sqrt, _CIRCLE, _CFG, with_info=True)
+    assert info["inverse_paths"] == {"banded": info["resolvents"]}
+
+
+def test_uncertifiable_tolerance_is_not_an_on_spectrum_error(caplog):
+    # At tol_stop=1e-16 the node inverses of I + H^10 certify only to about
+    # 3e-14, 0.5 away from the spectrum; the error says so, once.
+    a = _laplacian_power(100).add(FiniteQtMatrix.identity(100))
+    cfg = DEFAULT_CONFIG.updated(tol_stop=1e-16)
+    with caplog.at_level(logging.WARNING, logger="qtmat.contour"):
+        with pytest.raises(CertificateError,
+                           match=r"^inverse residual \d\.\d\de-1[45] exceeds "
+                                 r"tolerance 1\.00e-16$"):
+            funm_contour(a, np.sqrt, _CIRCLE, cfg)
+    assert not caplog.records

@@ -331,3 +331,67 @@ def test_trim_and_rank_cuts_equal_the_loops_they_replace():
             budget = float(np.sqrt(p * q) * tail[n // 2])
         assert _kept_rank(s, p, q, budget) == _kept_rank_loop(s, p, q,
                                                               budget)
+
+
+def _block_of_rank(rng, p, q, rank, rate, decay, complex_):
+    """p x q block of exact rank with singular values rate^i.
+
+    ``decay`` < 1 also damps row i and column j by decay^(i + j), as in an
+    inverse corner, so trailing rows and columns get trimmed.
+    """
+    def basis(n):
+        x = rng.standard_normal((n, rank))
+        if complex_:
+            x = x + 1j * rng.standard_normal((n, rank))
+        return np.linalg.qr(x)[0] if rank else x
+    block = (basis(p) * rate ** np.arange(rank)) @ basis(q).T
+    return block * np.outer(decay ** np.arange(p), decay ** np.arange(q))
+
+
+def test_from_dense_sketch_stays_within_half_the_budget(monkeypatch):
+    import qtmat.correction
+    widths = []
+    gaussian = qtmat.correction._gaussian
+
+    def recording(n, width):
+        widths.append(width)
+        return gaussian(n, width)
+
+    monkeypatch.setattr(qtmat.correction, "_gaussian", recording)
+    rng = np.random.default_rng(13)
+    # Above rounding: at tol 1e-14 the rounding of a dense 40 x 40 factoring
+    # alone is about the size of the bound, with or without the sketch.
+    for tol in (1e-12, 1e-9):
+        for p, q in ((40, 40), (80, 70), (25, 90)):
+            for rank in range(min(p, q) + 1):
+                for rate, decay in ((1.0, 1.0), (0.5, 1.0), (0.8, 0.9)):
+                    block = _block_of_rank(rng, p, q, rank, rate, decay,
+                                           complex_=rank % 2 == 1)
+                    c = Correction.from_dense(block, tol)
+                    budget = tol * max(1.0, np.abs(block).sum())
+                    err = block.astype(complex)
+                    err[:c.p, :c.q] -= c.materialize()
+                    # Trim plus factoring, and the factoring alone.
+                    assert np.abs(err).sum() <= budget
+                    assert np.abs(err[:c.p, :c.q]).sum() <= budget / 2
+                    assert c.rank <= rank
+    # The first sketch, a doubled one and the full-SVD fallback all ran.
+    assert {16, 32} <= set(widths)
+
+
+def test_construction_copies_caller_arrays_only():
+    u = np.ones((3, 1))
+    v = np.arange(2.0).reshape(2, 1)
+    for c in (Correction(u, v), Correction.rank_one(u[:, 0], v[:, 0])):
+        assert not np.shares_memory(c.u, u) and not np.shares_memory(c.v, v)
+        assert u.flags.writeable and v.flags.writeable
+    c = Correction(u, v)
+    # Results built from fresh arrays are frozen like any other, and still
+    # checked for finite entries.
+    for out in (c.scaled(2.0), c.scaled(1j), c.real_part(),
+                corr_add(c, c, 0.5), corr_compress(corr_add(c, c), 1e-14)):
+        assert not (out.u.flags.writeable or out.v.flags.writeable)
+    with pytest.raises(ValueError):
+        c.scaled(np.inf)
+    with pytest.raises(ValueError):
+        corr_add(c, c, np.nan)

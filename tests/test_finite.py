@@ -2,15 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qtmat import (
     DEFAULT_CONFIG,
+    CertificateError,
     Correction,
     FiniteQtMatrix,
     LaurentSymbol,
-    NoConvergenceError,
     SingularMatrixError,
-    SingularSectionError,
     SizeMismatchError,
     ToleranceConfig,
     cross_corner_count,
@@ -20,12 +20,10 @@ from qtmat import (
     fqt_mul,
     fqt_scale,
     fqt_to_dense,
-    sym_reciprocal,
     toeplitz_section,
 )
-from qtmat.finite import fqt_leading_section
+import qtmat.correction
 from qtmat.oracles import _laplacian_power
-from qtmat.symbol import sym_clip, sym_reverse
 
 from tests.support import dense_fqt_oracle, random_fqt
 
@@ -191,100 +189,143 @@ def test_inv_singular():
         fqt_inv(a)
 
 
-def test_inv_windowed_path():
-    cfg = ToleranceConfig(max_finite_section=64, tol_stop=1e-10)
-    m = 400
-    a = FiniteQtMatrix(m, LaurentSymbol([1.0, 4.0, 1.0], -1),
-                       Correction.rank_one([0.5, 0.25], [0.5, 0.1]),
-                       Correction.rank_one([0.3], [0.4]))
-    b, info = fqt_inv(a, cfg, with_info=True)
-    assert info["path"] == "windowed"
-    dense_inv = np.linalg.inv(dense_fqt_oracle(a))
-    got = fqt_to_dense(b)
-    assert np.abs(got - dense_inv).max() < 1e-9
+def _banded_input(rng, m):
+    """Non-symmetric complex band with corners wider than the band.
+
+    The top-left corner is taller than it is wide and the bottom-right one
+    wider than tall, so both the lower and the upper band are widened.
+    """
+    tl = Correction(rng.standard_normal((min(m, 6), 2)) + 1j,
+                    0.3 * rng.standard_normal((min(m, 4), 2)))
+    br = Correction(0.5 * rng.standard_normal((min(m, 3), 1)),
+                    rng.standard_normal((min(m, 9), 1)) - 0.5j)
+    sym = LaurentSymbol([1.0, 2.5 + 0.3j, 0.5], -1) if m > 1 \
+        else LaurentSymbol([2.5 + 0.3j])
+    return FiniteQtMatrix(m, sym, tl, br)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 40, 123, 190, 300, 700, 1024])
+def test_inv_matches_the_dense_inverse(m):
+    a = _banded_input(np.random.default_rng(m), m)
+    b, info = fqt_inv(a, with_info=True)
+    assert info["path"] == "banded"
+    # Up to 256 every column is solved; beyond, only 128 at each end.
+    assert info["columns"] == (m if m <= 256 else 256)
+    assert info["residual"] <= DEFAULT_CONFIG.tol_stop
+    want = np.linalg.inv(dense_fqt_oracle(a))
+    assert np.abs(fqt_to_dense(b) - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("m", [300, 400])
-def test_inv_windowed_start_window_fits_in_half_the_matrix(m):
-    # The reciprocal band is long (support 70), so twice it rounds up to a
-    # 256 window, past m // 2; the start is capped at 128, which decays.
-    cfg = ToleranceConfig(max_finite_section=64, tol_stop=1e-10)
+def test_inv_long_reciprocal_band(m):
+    # The reciprocal symbol has 70 coefficients, so the corner columns are
+    # read against a long band.
     a = FiniteQtMatrix(m, LaurentSymbol([1.0, 2.5 + 0.3j, 0.6], -1),
                        Correction([[0.5, 0.1], [0.2, -0.3], [0.1, 0.05]],
                                   [[0.4, 0.2], [0.1, 0.3]]),
                        Correction.rank_one([0.3, 0.1], [0.4]))
-    b, info = fqt_inv(a, cfg, with_info=True)
-    assert info["path"] == "windowed"
-    assert info["residual"] <= 1e-10
-    dense_inv = np.linalg.inv(dense_fqt_oracle(a))
-    assert np.abs(fqt_to_dense(b) - dense_inv).max() < 1e-10
+    b, info = fqt_inv(a, with_info=True)
+    assert info["columns"] == 256 and info["residual"] <= 1e-12
+    assert b.symbol.support_len >= 70
+    want = np.linalg.inv(dense_fqt_oracle(a))
+    assert np.abs(fqt_to_dense(b) - want).max() < 1e-12
 
 
-def _extract_corner_inline(a, recip, cfg):
-    """Reference corner: the window-doubling loop written out in one place.
-
-    Doubles dense leading windows up to m // 2 and returns the first
-    candidate correction that has decayed on its last tenth.
-    """
-    base = max(a.corr_tl.p, a.corr_tl.q, a.symbol.support_len,
-               recip.support_len, 16)
-    w = max(1 << (2 * base - 1).bit_length(), 64)
-    compress_tol = max(cfg.tol_corr, cfg.tol_stop / 10)
-    while w <= a.m // 2:
-        dense_inv = np.linalg.inv(fqt_leading_section(a, w))
-        half = w // 2
-        cand = dense_inv[:half, :half] - toeplitz_section(recip, half)
-        frame = max(1, half // 10)
-        frame_mass = max(np.abs(cand[half - frame:, :]).max(initial=0.0),
-                         np.abs(cand[:, half - frame:]).max(initial=0.0))
-        if frame_mass <= cfg.tol_stop:
-            return Correction.from_dense(cand, compress_tol)
-        w *= 2
-    raise AssertionError("reference loop reached m // 2")
+def test_inv_doubles_k_until_the_corners_decay():
+    # Near-zero symbol (1, 2.2 + 0.05i, 1): both corners of the inverse are
+    # about 72 columns wide, past half of the first 128, so k doubles once.
+    m = 700
+    a = _banded_input(np.random.default_rng(m), m)
+    a = FiniteQtMatrix(m, LaurentSymbol([1.0, 2.2 + 0.05j, 1.0], -1),
+                       a.corr_tl, a.corr_br)
+    b, info = fqt_inv(a, with_info=True)
+    assert info["columns"] == 512
+    want = np.linalg.inv(dense_fqt_oracle(a))
+    assert np.abs(fqt_to_dense(b) - want).max() < 1e-12
 
 
-# At m = 700 the first window of either corner has not decayed yet.
-@pytest.mark.parametrize("m, diag", [(300, 4.0 + 0.5j), (400, 4.0 + 0.5j),
-                                     (700, 2.5 + 0.3j)])
-def test_inv_windowed_is_bitwise_the_inline_corner_loop(m, diag):
-    rng = np.random.default_rng(m)
-    cfg = ToleranceConfig(max_finite_section=64, tol_stop=1e-10)
-    tl = Correction(rng.standard_normal((6, 2)) + 1j,
-                    0.3 * rng.standard_normal((4, 2)))
-    br = Correction(0.5 * rng.standard_normal((3, 1)),
-                    rng.standard_normal((9, 1)) - 0.5j)
-    a = FiniteQtMatrix(m, LaurentSymbol([1.0, diag, 0.5], -1), tl, br)
-    got, info = fqt_inv(a, cfg, with_info=True)
-    assert info["path"] == "windowed"
-    recip = sym_clip(sym_reciprocal(a.symbol, cfg.tol_symbol), m - 1)
-    want_tl = _extract_corner_inline(a, recip, cfg)
-    want_br = _extract_corner_inline(a.flipped(), sym_reverse(recip), cfg)
-    assert got.symbol.min_deg == recip.min_deg
-    for x, y in ((got.symbol.coeffs, recip.coeffs),
-                 (got.corr_tl.u, want_tl.u), (got.corr_tl.v, want_tl.v),
-                 (got.corr_br.u, want_br.u), (got.corr_br.v, want_br.v)):
-        assert x.shape == y.shape
-        assert np.array_equal(x, y)
-    # The corners differ, so taking one for the other would fail above.
-    assert got.corr_tl.u.shape != got.corr_br.u.shape \
-        or not np.array_equal(got.corr_tl.u, got.corr_br.u)
+def _shifted_h10(m, z):
+    """z I - H^10, a contour node resolvent's input; corners of rank 10."""
+    h10 = _laplacian_power(m)
+    return h10.identity_like().scale(z).add(h10.scale(-1.0))
 
 
-def test_inv_windowed_corner_that_does_not_decay():
-    # The inverse corner of (1.5 + 1i) I - H^10 decays too slowly to be
-    # read from a window within m // 2 at m = 150.
-    h10 = _laplacian_power(150)
-    a = h10.identity_like().scale(1.5 + 1j).add(h10.scale(-1.0))
-    with pytest.raises(NoConvergenceError):
-        fqt_inv(a, ToleranceConfig(max_finite_section=64))
+def test_inv_slowly_decaying_corner():
+    # The inverse corners of (1.5 + 1i) I - H^10 at m = 150 do not decay
+    # within m // 2, so no window of half the matrix holds them; every
+    # column is solved instead, and a small max_finite_section is ignored.
+    a = _shifted_h10(150, 1.5 + 1j)
+    b, info = fqt_inv(a, ToleranceConfig(max_finite_section=64),
+                      with_info=True)
+    assert info == {"path": "banded", "columns": 150,
+                    "residual": info["residual"]}
+    want = np.linalg.inv(dense_fqt_oracle(a))
+    assert np.abs(fqt_to_dense(b) - want).max() < 1e-12
 
 
-def test_inv_windowed_singular_window():
-    # I - e1 e1^T: every leading window is singular.
-    a = FiniteQtMatrix(300, LaurentSymbol.one(),
-                       Correction.rank_one([-1.0], [1.0]))
-    with pytest.raises(SingularSectionError):
-        fqt_inv(a, ToleranceConfig(max_finite_section=64))
+def _band_storage(a, lower, upper):
+    """solve_banded storage of a, from its symbol and corner blocks."""
+    m = a.m
+    ab = np.zeros((lower + upper + 1, m), dtype=complex)
+    for d in range(a.symbol.min_deg, a.symbol.max_deg + 1):
+        ab[upper - d, max(d, 0):m + min(d, 0)] = a.symbol.coeff(d)
+    tl = a.corr_tl.u @ a.corr_tl.v.T
+    for (i, j), x in np.ndenumerate(tl):
+        ab[upper + i - j, j] += x
+    br = a.corr_br.u @ a.corr_br.v.T
+    for (i, j), x in np.ndenumerate(br):
+        ab[upper + j - i, m - 1 - j] += x
+    return ab
+
+
+def test_inv_large_m_against_solve_banded():
+    m = 8192
+    a = _banded_input(np.random.default_rng(3), m)
+    b, info = fqt_inv(a, with_info=True)
+    assert info["columns"] == 256
+    cols = np.array([0, 1, 5, 40, 127, 128, 500, m // 2, m - 300, m - 129,
+                     m - 128, m - 9, m - 1])
+    rhs = np.zeros((m, cols.size))
+    rhs[cols, np.arange(cols.size)] = 1.0
+    want = scipy.linalg.solve_banded((8, 8), _band_storage(a, 8, 8), rhs)
+    assert np.abs(b.columns(cols) - want).max() < 1e-12
+
+
+def test_inv_singular_corner():
+    # I - e1 e1^T has a zero pivot, whatever the size.
+    for m in (40, 300):
+        a = FiniteQtMatrix(m, LaurentSymbol.one(),
+                           Correction.rank_one([-1.0], [1.0]))
+        with pytest.raises(SingularMatrixError):
+            fqt_inv(a)
+
+
+@pytest.mark.parametrize("case", ["band-190", "band-700", "h10-123"])
+def test_inv_twice_is_bit_equal(case):
+    # The H^10 corners are wide enough to go through the sketch.
+    kind, m = case.split("-")
+    m = int(m)
+    a = _banded_input(np.random.default_rng(m), m) if kind == "band" \
+        else _shifted_h10(m, 2.5)
+    first = fqt_inv(a)
+    # Equal however the cached sketch matrices were made.
+    qtmat.correction._gaussian.cache_clear()
+    second = fqt_inv(a)
+    assert first.symbol.min_deg == second.symbol.min_deg
+    for x, y in ((first.symbol.coeffs, second.symbol.coeffs),
+                 (first.corr_tl.u, second.corr_tl.u),
+                 (first.corr_tl.v, second.corr_tl.v),
+                 (first.corr_br.u, second.corr_br.u),
+                 (first.corr_br.v, second.corr_br.v)):
+        assert x.shape == y.shape and np.array_equal(x, y)
+
+
+def test_inv_certificate_miss_names_residual_and_tolerance():
+    a = _banded_input(np.random.default_rng(4), 60)
+    with pytest.raises(CertificateError,
+                       match=r"inverse residual .* exceeds tolerance "
+                             r"1\.00e-17"):
+        fqt_inv(a, ToleranceConfig(tol_stop=1e-17))
 
 
 def test_from_dense_round_trips():
