@@ -4,10 +4,21 @@ The integral (1/2*pi*i) of f(z) (zI - A)^{-1} along a contour enclosing the
 spectrum indicator is approximated with the trapezoidal rule on a node
 family whose count doubles per level.  The nodes of one level are the even
 nodes of the next, so each level halves the previous sum and adds only its
-new odd nodes, and no run inverts a node twice.  The node resolvents depend
-only on the matrix, the node and the tolerances, so one module slot keeps
-those of the last matrix, up to a byte cap, for the next run on an equal
-matrix with the same tolerances, whatever its f.
+new odd nodes, and no run inverts a node twice.
+
+One level loop feeds one of two running-sum forms, chosen by the matrix's
+size alone:
+
+- dense, for a finite matrix whose node inverses ``fqt_inv`` would solve in
+  every column (``finite.solves_every_column``: m <= 256 for a band
+  narrower than 64).  Each node inverse is solved on the band of -A, built
+  once per run, and the sum stays an exact m x m array, split into band
+  and corners once, after convergence;
+- algebra, for semi-infinite and larger finite matrices.  Node resolvents
+  are matrices of the algebra, added with compression.  They depend only
+  on the matrix, the node and the tolerances, so one module slot keeps
+  those of the last matrix, up to a byte cap, for the next run on an equal
+  matrix with the same tolerances, whatever its f.
 """
 
 import cmath
@@ -29,6 +40,13 @@ from .errors import (
     OnSpectrumError,
     SingularMatrixError,
     ZeroOnCircleError,
+)
+from .finite import (
+    BandMatrix,
+    FiniteQtMatrix,
+    fqt_from_dense,
+    fqt_split_norm,
+    solves_every_column,
 )
 from .symbol import LaurentSymbol, eval_at_unit_roots, sym_add, sym_truncate
 
@@ -232,6 +250,21 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
     the stopping tolerance.  A resolvent failure on a circular contour
     triggers one automatic retry with the radius inflated by 10 percent.
 
+    The sums take one of two forms, by the matrix's size (see the module
+    docstring).  In the algebra form each node adds its resolvent with one
+    compressed add, and the level difference is ``norm_cqt`` of the
+    compressed difference.  In the dense form, for a finite matrix with
+    ``finite.solves_every_column``, each node's inverse is every column of
+    a banded LU solve of zI - A, certified on sampled columns as
+    ``fqt_inv`` certifies (a singular factorization is an OnSpectrumError).
+    The sums are exact m x m arrays; the level difference is ``norm_cqt``
+    of its split with the corners summed entrywise
+    (``finite.fqt_split_norm``), and the result is split once by
+    ``fqt_from_dense``, each corner budgeted ``cfg.tol_corr`` times the
+    summed node masses, sum over k of |c_k| times the entry mass of the
+    node inverse, halved with the sum per level.  That is the scale the
+    split of each node would spend.
+
     Conjugate nodes share one resolvent.  Node k and its mirror 2^n - k are
     summed as 2 Re(c_k R(z_k)), and a node that is its own mirror (k = 0 or
     2^(n-1)) as Re(c_k R(z_k)), when all of these hold:
@@ -242,14 +275,14 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
       evaluated at every node, so a mirror is never assumed.
 
     Then R(conj z) = conj R(z), and the real part is formed exactly before
-    the one compressed add of the node.  Its correction factors are real
-    (float64), so when every node pairs, the whole accumulation (the adds,
+    the node is added.  Its correction factors (or dense entries) are real
+    float64, so when every node pairs, the whole accumulation (the adds,
     the halving of the previous level and the level difference) runs in
     real arithmetic.  Any node that fails a test gets its own resolvent.
 
-    Calls on one matrix share their node resolvents.  A module slot keeps
-    those of the last run's matrix, and a later call takes R(z) from it, for
-    any f, when all of these hold:
+    In the algebra form, calls on one matrix share their node resolvents.
+    A module slot keeps those of the last run's matrix, and a later call
+    takes R(z) from it, for any f, when all of these hold:
 
     - the matrix is of the same class and size, with a symbol and
       correction factors equal bit for bit (an equal matrix parsed afresh
@@ -263,17 +296,21 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
     32 MiB of resolvents; past that they are used and dropped.  A call on
     another matrix replaces the whole slot, and a run keeps the store it
     bound on entry, so concurrent calls on different matrices are safe and
-    at worst miss.
+    at worst miss.  The dense form neither reads nor writes the slot: its
+    node inverses are m x m arrays, too large to keep, so a run on the same
+    matrix solves them again.
 
     With ``with_info`` the result comes with a dict: ``levels``, ``nodes``
     (2^levels), ``resolvents`` (the distinct node resolvents the run that
     produced the result used; 2^(levels-1) + 1 when every pair shares one,
     and 2^levels when none does), ``reused`` (how many of those came from
-    the slot rather than from a new inversion), ``level_diffs``, and, from
-    the records of the inverses that run made, ``inverse_paths`` (a count
-    per path: "banded" for a finite matrix, "windowed" for a semi-infinite
-    one, or "scalar") and ``inverse_residual_max``
-    (None when every node came from the slot).
+    the slot rather than from a new inversion; 0 in the dense form),
+    ``level_diffs``, ``level_sum`` ("dense" or "algebra"), ``retries`` (1
+    when the result came from the inflated circle, else 0), and, from the
+    records of the inverses that run made, ``inverse_paths`` (a count per
+    path: "banded" for a finite matrix, in either form, "windowed" for a
+    semi-infinite one, or "scalar") and ``inverse_residual_max`` (None
+    when every node came from the slot).
 
     Parameters
     ----------
@@ -298,49 +335,52 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
             "contour run failed near the spectrum; retrying once with "
             "radius inflated to %.6g", inflated.radius)
         _check_enclosure(matrix.symbol, inflated, cfg)
-        return _iterate_levels(matrix, f, inflated, cfg, with_info)
+        return _iterate_levels(matrix, f, inflated, cfg, with_info, 1)
 
 
-def _iterate_levels(matrix, f, contour, cfg, with_info):
+def _iterate_levels(matrix, f, contour, cfg, with_info, retries=0):
     records = [] if with_info else None
     token = _inverse_records.set(records)
     try:
-        result, info = _sum_levels(matrix, f, contour, cfg)
+        dense = (isinstance(matrix, FiniteQtMatrix)
+                 and solves_every_column(matrix))
+        total = (_DenseSum if dense else _AlgebraSum)(matrix, cfg)
+        result, info = _sum_levels(total, f, contour, cfg)
     finally:
         _inverse_records.reset(token)
     if with_info:
-        info.update(_inverse_summary(records))
+        info.update(_inverse_summary(records), retries=retries)
         return result, info
     return result
 
 
-def _sum_levels(matrix, f, contour, cfg):
-    global _slot
-    key = _slot_key(matrix, cfg)
-    store = _slot
-    if store.key != key:
-        store = _slot = _NodeResolvents(key)
+def _sum_levels(total, f, contour, cfg):
+    """Trapezoidal levels of the integral, summed by ``total``.
+
+    ``total`` is a running-sum form, ``_AlgebraSum`` or ``_DenseSum``: it
+    starts each level from half the last one, adds the node terms and
+    measures the level difference.
+    """
     a, b = contour.interval
     length = b - a
     # R(conj z) = conj R(z) for a real matrix, and a circle with a real
     # centre maps node k to the conjugate of node 2^n - k.
     mirrored = (contour.kind == "circle" and contour.center.imag == 0
-                and matrix.is_real)
-    resolvents = reused = 0
-    prev = None
+                and total.matrix.is_real)
+    resolvents = 0
     diffs = []
     for n in range(1, cfg.max_levels + 1):
         count = 1 << n
         h = length / count
         # Merged-endpoint trapezoidal sum: gamma(a) == gamma(b), so the
         # closed-curve sum uses 2^n nodes of equal weight.  The even nodes
-        # are those of level n - 1, already summed in prev with twice the
-        # weight, so only the odd nodes are new.
+        # are those of level n - 1, already summed with twice the weight, so
+        # only the odd nodes are new.
         ks = range(2) if n == 1 else range(1, count, 2)
         nodes = nodes_weights(contour, n).nodes
         zs = {k: contour.gamma(nodes[k]) for k in ks}
         fs = {k: f(z) for k, z in zs.items()}
-        acc = matrix.zero_like() if prev is None else prev.scale(0.5)
+        total.next_level()
         for k in ks:
             j = (count - k) % count
             paired = mirrored and _conjugate(fs[j], fs[k])
@@ -349,26 +389,110 @@ def _sum_levels(matrix, f, contour, cfg):
             coef = h * contour.dgamma(nodes[k]) * fs[k] / _TWO_PI_I
             if paired and j != k:
                 coef *= 2.0
-            r = store.by_node.get(zs[k])
-            if r is None:
-                r = resolvent(matrix, zs[k], cfg)
-                store.store(zs[k], r)
-            else:
-                reused += 1
+            total.add(zs[k], coef, paired)
             resolvents += 1
-            term = r.scale(coef)
-            acc = acc.add(term.real_part() if paired else term, cfg)
-        if prev is not None:
-            delta = acc.add(prev.scale(-1.0), cfg).norm_cqt()
+        if n > 1:
+            delta = total.difference()
             diffs.append(delta)
             if delta <= cfg.tol_stop:
-                return acc, {"levels": n, "nodes": count,
-                             "resolvents": resolvents, "reused": reused,
-                             "level_diffs": diffs}
-        prev = acc
+                return total.result(), {
+                    "levels": n, "nodes": count, "resolvents": resolvents,
+                    "reused": total.reused, "level_diffs": diffs,
+                    "level_sum": total.kind}
     raise NoConvergenceError(
         f"contour quadrature did not converge within {cfg.max_levels} "
         f"levels; last differences {diffs[-3:]}")
+
+
+class _AlgebraSum:
+    """Level sums in the matrix algebra, from slot-shared node resolvents.
+
+    Each node term is one compressed add; the level difference is the
+    ``norm_cqt`` of a compressed difference.
+    """
+
+    kind = "algebra"
+
+    def __init__(self, matrix, cfg):
+        global _slot
+        key = _slot_key(matrix, cfg)
+        store = _slot
+        if store.key != key:
+            store = _slot = _NodeResolvents(key)
+        self.store, self.matrix, self.cfg = store, matrix, cfg
+        self.acc = self.prev = None
+        self.reused = 0
+
+    def next_level(self):
+        self.prev = self.acc
+        self.acc = (self.matrix.zero_like() if self.prev is None
+                    else self.prev.scale(0.5))
+
+    def add(self, z, coef, paired):
+        r = self.store.by_node.get(z)
+        if r is None:
+            r = resolvent(self.matrix, z, self.cfg)
+            self.store.store(z, r)
+        else:
+            self.reused += 1
+        term = r.scale(coef)
+        self.acc = self.acc.add(term.real_part() if paired else term,
+                                self.cfg)
+
+    def difference(self):
+        return self.acc.add(self.prev.scale(-1.0), self.cfg).norm_cqt()
+
+    def result(self):
+        return self.acc
+
+
+class _DenseSum:
+    """Level sums of a small finite matrix as dense m x m arrays.
+
+    Node inverses are every column of (zI - A)^{-1}, solved on the band of
+    -A built once (``finite.BandMatrix``) and certified as ``fqt_inv``
+    certifies; they are summed exactly, and the result is split into band
+    and corners once, budgeted against the summed node masses.  Nothing is
+    stored in the slot.
+    """
+
+    kind = "dense"
+    reused = 0
+
+    def __init__(self, matrix, cfg):
+        self.band = BandMatrix(matrix.scale(-1.0))
+        self.matrix, self.cfg = matrix, cfg
+        self.acc = self.prev = None
+        self.mass = 0.0
+
+    def next_level(self):
+        self.prev = self.acc
+        if self.prev is None:
+            # Column-major, as ?gbtrs returns the node inverses.
+            self.acc = np.zeros((self.matrix.m,) * 2, order="F")
+        else:
+            self.acc = 0.5 * self.prev
+            self.mass *= 0.5
+
+    def add(self, z, coef, paired):
+        try:
+            x, worst = self.band.shifted_inverse(z, self.cfg)
+        except SingularMatrixError as exc:
+            raise OnSpectrumError(
+                z, f"resolvent failed at z={z}: {exc}") from exc
+        records = _inverse_records.get()
+        if records is not None:
+            records.append({"path": "banded", "columns": self.matrix.m,
+                            "residual": worst})
+        term = coef * x
+        self.acc = self.acc + (term.real if paired else term)
+        self.mass += abs(coef) * float(np.abs(x).sum())
+
+    def difference(self):
+        return fqt_split_norm(self.acc - self.prev, self.cfg)
+
+    def result(self):
+        return fqt_from_dense(self.acc, None, self.cfg, mass=self.mass)
 
 
 def _conjugate(fj, fk):

@@ -10,7 +10,7 @@ flip is applied only when materializing.
 import functools
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .config import DEFAULT_CONFIG
 from .correction import (
@@ -171,32 +171,29 @@ class FiniteQtMatrix:
 def _add_corner_columns(out, corr, js):
     """Add columns js of the corner u @ v.T to the leading rows of ``out``.
 
-    Each entry sums its terms in order of t from real products (complex
-    factors go through Re and Im as in ``Correction.real_part``), which
-    round the same in every loop; so a column comes out the same bits
-    however many columns are asked with it, which a complex multiply or a
-    BLAS product does not promise.
+    Each entry is one sum over the rank axis of real products (complex
+    factors go through Re and Im as in ``Correction.real_part``), reduced
+    alone along that axis; so a column comes out the same bits however many
+    columns are asked with it, which a complex multiply or a BLAS product
+    does not promise.
     """
     sel = np.flatnonzero(js < corr.q)
     if sel.size == 0:
         return
     u, v = corr.u, corr.v[js[sel]]
     if np.iscomplexobj(u):
-        block = (_summed_in_order(np.hstack([u.real, -u.imag]),
-                                  np.hstack([v.real, v.imag]))
-                 + 1j * _summed_in_order(np.hstack([u.real, u.imag]),
-                                         np.hstack([v.imag, v.real])))
+        block = (_summed_over_rank(np.hstack([u.real, -u.imag]),
+                                   np.hstack([v.real, v.imag]))
+                 + 1j * _summed_over_rank(np.hstack([u.real, u.imag]),
+                                          np.hstack([v.imag, v.real])))
     else:
-        block = _summed_in_order(u, v)
+        block = _summed_over_rank(u, v)
     out[:corr.p, sel] += block
 
 
-def _summed_in_order(u, v):
-    """Real u @ v.T with entry (i, j) summed as ((x_0 + x_1) + x_2) + ..."""
-    total = np.zeros((u.shape[0], v.shape[0]))
-    for ut, vt in zip(u.T, v.T):
-        total += np.multiply.outer(ut, vt)
-    return total
+def _summed_over_rank(u, v):
+    """Real u @ v.T, entry (i, j) one reduction of u[i] * v[j]."""
+    return (u[:, None, :] * v[None, :, :]).sum(axis=-1)
 
 
 def _check_sizes(a, b):
@@ -325,22 +322,72 @@ def _flipped_times_tl(f_br, e_tl, m):
     return Correction(u_big @ mid, e_tl.v)
 
 
-def fqt_from_dense(dense, band_hint=None, cfg=DEFAULT_CONFIG):
+def fqt_from_dense(dense, band_hint=None, cfg=DEFAULT_CONFIG, mass=None):
     """Recover band plus two corner corrections from a dense matrix.
 
     The Toeplitz coefficient of each diagonal is read from the middle of the
     diagonal; the residual is split along the main anti-diagonal and each
     half is factored into a corner correction.  The round trip through
     ``fqt_to_dense`` reproduces the input up to the compression tolerance.
+    Each corner is budgeted ``cfg.tol_corr`` times ``mass``, by default the
+    entry mass of the whole matrix; a caller that has summed the matrix from
+    parts passes the parts' total mass, the scale their own splits would
+    have spent.  A real input gives real corner factors.
     """
-    dense = np.asarray(dense, dtype=np.complex128)
+    dense = np.asarray(dense)
+    dense = dense.astype(np.complex128 if np.iscomplexobj(dense)
+                         else np.float64, copy=False)
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise ValueError("expected a square matrix")
     m = dense.shape[0]
     mags = np.abs(dense)
-    scale = float(mags.max(initial=0.0))
-    if scale == 0.0:
+    sym = _diagonal_symbol(dense, float(mags.max(initial=0.0)), band_hint,
+                           cfg)
+    if sym is None:
         return FiniteQtMatrix.zero(m)
+    resid = dense - _toeplitz_like(sym, dense)
+    # Entries with i + j <= m - 1 go to the top-left corner, the others to
+    # the bottom-right one, read in flipped coordinates from reversed views
+    # of the residual and of its one magnitude pass; only each corner's
+    # trimmed block is cut out and masked.
+    tl_keep, br_keep = _corner_masks(m)
+    resid_mags = np.abs(resid)
+    # By default budget the corners against the mass of the whole matrix,
+    # so band coefficients dropped by the floor do not linger as corner dust.
+    mass = float(mags.sum()) if mass is None else mass
+    tl = Correction.from_dense(resid, cfg.tol_corr, scale=mass, keep=tl_keep,
+                               mags=resid_mags)
+    br = Correction.from_dense(resid[::-1, ::-1], cfg.tol_corr, scale=mass,
+                               keep=br_keep, mags=resid_mags[::-1, ::-1])
+    return FiniteQtMatrix(m, sym, tl, br)
+
+
+def fqt_split_norm(dense, cfg=DEFAULT_CONFIG):
+    """``norm_cqt`` of ``fqt_from_dense(dense)``, corners summed entrywise.
+
+    The symbol is read as ``fqt_from_dense`` reads it, and the corners
+    count with the exact entry mass of the residual instead of their
+    compressed factors, so nothing is factored.
+    """
+    dense = np.asarray(dense)
+    sym = _diagonal_symbol(dense, float(np.abs(dense).max(initial=0.0)),
+                           None, cfg)
+    if sym is None:
+        return 0.0
+    nw, nw1 = wiener_norms(sym)
+    return nw + nw1 + float(np.abs(dense - _toeplitz_like(sym, dense)).sum())
+
+
+def _diagonal_symbol(dense, scale, band_hint, cfg):
+    """Middle entry of each diagonal up to band_hint, as a symbol.
+
+    ``scale`` is the largest entry size; entries up to half of
+    ``cfg.tol_corr`` times max(1, scale) are dropped.  None for the zero
+    matrix.
+    """
+    m = dense.shape[0]
+    if scale == 0.0:
+        return None
     cap = m - 1 if band_hint is None else min(band_hint, m - 1)
     coeff_floor = 0.5 * cfg.tol_corr * max(1.0, scale)
     # The middle entry of diagonal d, of length m - |d|, in one gather.
@@ -349,22 +396,13 @@ def fqt_from_dense(dense, band_hint=None, cfg=DEFAULT_CONFIG):
     vals = dense[mid + np.maximum(-d, 0), mid + np.maximum(d, 0)]
     coeffs = np.zeros(2 * m - 1, dtype=np.complex128)
     coeffs[d + m - 1] = np.where(np.abs(vals) > coeff_floor, vals, 0.0)
-    sym = LaurentSymbol(coeffs, -(m - 1))
-    resid = dense - toeplitz_section(sym, m)
-    # Entries with i + j <= m - 1 go to the top-left corner, the others to
-    # the bottom-right one, read in flipped coordinates from reversed views
-    # of the residual and of its one magnitude pass; only each corner's
-    # trimmed block is cut out and masked.
-    tl_keep, br_keep = _corner_masks(m)
-    resid_mags = np.abs(resid)
-    # Budget the corners against the mass of the whole matrix, so band
-    # coefficients dropped by the floor do not linger as corner dust.
-    mass = float(mags.sum())
-    tl = Correction.from_dense(resid, cfg.tol_corr, scale=mass, keep=tl_keep,
-                               mags=resid_mags)
-    br = Correction.from_dense(resid[::-1, ::-1], cfg.tol_corr, scale=mass,
-                               keep=br_keep, mags=resid_mags[::-1, ::-1])
-    return FiniteQtMatrix(m, sym, tl, br)
+    return LaurentSymbol(coeffs, -(m - 1))
+
+
+def _toeplitz_like(sym, dense):
+    """T_m(sym), real when ``dense`` is (its symbol then is)."""
+    section = toeplitz_section(sym, dense.shape[0])
+    return section if np.iscomplexobj(dense) else section.real
 
 
 @functools.lru_cache(maxsize=1)
@@ -394,12 +432,13 @@ def fqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
     until the columns beyond each trimmed corner match T_m(r), r the
     reciprocal symbol clipped to the matrix: inverses of band matrices
     decay away from the diagonal (Demko, Moss and Smith, Math. Comp. 43,
-    1984).  The result is T_m(r) plus the two corners.  Once 2k >= m, which
-    is always so for m <= 256, or when the symbol has no reciprocal, every
-    column is solved and the full inverse is re-split by ``fqt_from_dense``.
+    1984).  The result is T_m(r) plus the two corners.  When 2k >= m for
+    the first k (``solves_every_column``; always so for m <= 256 and a band
+    narrower than 64), or when the symbol has no reciprocal, every column
+    is solved and the full inverse is re-split by ``fqt_from_dense``.
     The result is certified on sampled columns against the identity,
-    through a product with the band storage; a miss of the corner-column
-    branch doubles k, so only a singular or uncertifiable matrix fails.
+    through a product with the band; a miss of the corner-column branch
+    doubles k, so only a singular or uncertifiable matrix fails.
     ``cfg.max_finite_section`` is not used.
 
     The info dict has ``path`` ("banded", or "scalar" for a multiple of the
@@ -421,75 +460,142 @@ def fqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
             m, LaurentSymbol.constant(1.0 / a.symbol.coeffs[0]))
         return (inv, {"path": "scalar", "residual": 0.0}) \
             if with_info else inv
-    band = _BandMatrix(a)
+    band = BandMatrix(a)
+    lu = band.factor()
     cols = _sample_columns(m)
-    k = max(128, 1 << (2 * max(band.kl, band.ku) + 1).bit_length())
-    recip = _clipped_reciprocal(a.symbol, m, cfg) if 2 * k < m else None
+    k = _first_corner_columns(m, band.kl, band.ku)
+    recip = None if k is None else _clipped_reciprocal(a.symbol, m, cfg)
     while recip is not None and 2 * k < m:
-        result = _from_corner_columns(band, recip, k, cfg)
+        result = _from_corner_columns(lu, recip, k, cfg)
         if result is not None:
-            worst = band.residual(result, cols)
+            worst = band.residual(result.columns(cols), cols)
             if worst <= cfg.tol_stop:
                 info = {"path": "banded", "columns": 2 * k, "residual": worst}
                 return (result, info) if with_info else result
         k *= 2
-    result = fqt_from_dense(band.solve(np.arange(m)), None, cfg)
-    worst = band.residual(result, cols)
-    if worst > cfg.tol_stop:
-        raise CertificateError(
-            f"inverse residual {worst:.2e} exceeds tolerance "
-            f"{cfg.tol_stop:.2e}")
+    result = fqt_from_dense(lu.solve(np.arange(m)), None, cfg)
+    worst = _certified(band.residual(result.columns(cols), cols), cfg)
     info = {"path": "banded", "columns": m, "residual": worst}
     return (result, info) if with_info else result
 
 
-class _BandMatrix:
-    """A finite quasi-Toeplitz matrix as a LAPACK band matrix, LU-factored.
+def solves_every_column(a):
+    """Whether ``fqt_inv`` solves every column of an inverse of a's size.
 
-    Entry (i, j) sits at ``ab[kl + ku + i - j, j]``; the first kl rows of
-    ``ab`` hold the factorization's fill-in.  kl and ku cover the symbol and
-    both corners, so the band is the whole matrix.
+    That is 2k >= m for its first corner-column count k, which depends
+    only on m and the band widths, so a shift z I - a gets the same answer.
+    """
+    return _first_corner_columns(a.m, *_band_widths(a)) is None
+
+
+def _first_corner_columns(m, kl, ku):
+    """k of the first corner-column pass, None when 2k >= m."""
+    k = max(128, 1 << (2 * max(kl, ku) + 1).bit_length())
+    return None if 2 * k >= m else k
+
+
+def _band_widths(a):
+    """Lower and upper band widths enclosing the symbol and both corners."""
+    m, sym, tl, br = a.m, a.symbol, a.corr_tl, a.corr_br
+    return (min(m - 1, max(sym.n_minus, tl.p - 1, br.q - 1)),
+            min(m - 1, max(sym.n_plus, tl.q - 1, br.p - 1)))
+
+
+def _certified(worst, cfg):
+    """The residual worst, or CertificateError when it misses tol_stop."""
+    if worst > cfg.tol_stop:
+        raise CertificateError(
+            f"inverse residual {worst:.2e} exceeds tolerance "
+            f"{cfg.tol_stop:.2e}")
+    return worst
+
+
+class BandMatrix:
+    """A finite quasi-Toeplitz matrix B in BLAS band storage.
+
+    Entry (i, j) sits at ``band[ku + i - j, j]``.  kl and ku cover the
+    symbol and both corners, so the band is the whole matrix.  Built once,
+    it factors any shift z I + B.
     """
 
     def __init__(self, a):
         m, sym, tl, br = a.m, a.symbol, a.corr_tl, a.corr_br
-        kl = min(m - 1, max(sym.n_minus, tl.p - 1, br.q - 1))
-        ku = min(m - 1, max(sym.n_plus, tl.q - 1, br.p - 1))
-        top = kl + ku
-        ab = np.zeros((top + kl + 1, m), dtype=np.complex128)
+        kl, ku = _band_widths(a)
+        # Zero columns past m pad the order to kl + ku + 1, the least that
+        # SciPy's ?gbmv wrapper accepts.
+        band = np.zeros((kl + ku + 1, max(m, kl + ku + 1)),
+                        dtype=np.complex128, order="F")
         for d, c in zip(range(sym.min_deg, sym.max_deg + 1), sym.coeffs):
-            ab[top - d, max(d, 0):m + min(d, 0)] = c
+            band[ku - d, max(d, 0):m + min(d, 0)] = c
         if not tl.is_zero:
             i, j = np.indices((tl.p, tl.q))
-            ab[top + i - j, j] += tl.u @ tl.v.T
+            band[ku + i - j, j] += tl.u @ tl.v.T
         if not br.is_zero:
             # Flipped entry (i, j) is (m - 1 - i, m - 1 - j).
             i, j = np.indices((br.p, br.q))
-            ab[top + j - i, m - 1 - j] += br.u @ br.v.T
-        gbtrf, self._gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-        self.lu, self.piv, info = gbtrf(ab, kl, ku)
+            band[ku + j - i, m - 1 - j] += br.u @ br.v.T
+        self.band, self.kl, self.ku, self.m = band, kl, ku, m
+        self._gbmv = get_blas_funcs("gbmv", (band,))
+
+    def factor(self, shift=0.0):
+        """LU factors of shift I + B (``?gbtrf``).
+
+        Raises SingularMatrixError on an exact zero pivot.
+        """
+        kl, ku, m = self.kl, self.ku, self.m
+        # ?gbtrf wants kl more rows on top for the fill-in.
+        ab = np.zeros((2 * kl + ku + 1, m), dtype=np.complex128, order="F")
+        ab[kl:] = self.band[:, :m]
+        ab[kl + ku] += shift
+        gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
         if info > 0:
             raise SingularMatrixError("matrix is numerically singular")
-        self.ab, self.kl, self.ku, self.m = ab, kl, ku, m
+        return _BandLU(lu, piv, kl, ku, gbtrs)
+
+    def residual(self, x, cols, shift=0.0):
+        """Max entry of (shift I + B) x - I on columns cols.
+
+        x holds the columns cols of an inverse, dense, m x len(cols); each
+        is multiplied by the band with ``?gbmv``.
+        """
+        order = self.band.shape[1]
+        xs = np.zeros((order, len(cols)), dtype=np.complex128, order="F")
+        xs[:self.m] = x
+        out = np.empty_like(xs)
+        for t, j in enumerate(cols):
+            out[:, t] = self._gbmv(order, order, self.kl, self.ku, 1.0,
+                                   self.band, xs[:, t], beta=1.0,
+                                   y=shift * xs[:, t])
+            out[j, t] -= 1.0
+        return float(np.abs(out[:self.m]).max())
+
+    def shifted_inverse(self, shift, cfg):
+        """Every column of (shift I + B)^-1 and its certified residual.
+
+        The residual is taken on the columns ``fqt_inv`` samples.  Raises
+        SingularMatrixError or CertificateError.
+        """
+        x = self.factor(shift).solve(np.arange(self.m))
+        cols = _sample_columns(self.m)
+        return x, _certified(self.residual(x[:, cols], cols, shift), cfg)
+
+
+class _BandLU:
+    """LU factors of a band matrix, as ``?gbtrf`` leaves them."""
+
+    def __init__(self, lu, piv, kl, ku, gbtrs):
+        self.lu, self.piv, self.kl, self.ku = lu, piv, kl, ku
+        self.m = lu.shape[1]
+        self._gbtrs = gbtrs
 
     def solve(self, js):
-        """Columns js of the inverse, m x len(js)."""
+        """Columns js of the inverse, m x len(js) (``?gbtrs``)."""
         rhs = np.zeros((self.m, len(js)), dtype=np.complex128, order="F")
         rhs[js, np.arange(len(js))] = 1.0
         x, _ = self._gbtrs(self.lu, self.kl, self.ku, rhs, self.piv,
                            overwrite_b=1)
         return x
-
-    def residual(self, b, cols):
-        """Max entry of (A @ b - I) on columns cols."""
-        x = b.columns(cols)
-        out = np.zeros_like(x)
-        m, top = self.m, self.kl + self.ku
-        for d in range(-self.kl, self.ku + 1):
-            lo, hi = max(d, 0), m + min(d, 0)
-            out[lo - d:hi - d] += self.ab[top - d, lo:hi, None] * x[lo:hi]
-        out[cols, np.arange(len(cols))] -= 1.0
-        return float(np.abs(out).max())
 
 
 def _clipped_reciprocal(sym, m, cfg):
@@ -524,7 +630,7 @@ def _clipped_reciprocal(sym, m, cfg):
     return sym_truncate(recip, 0.1 * cfg.tol_symbol)
 
 
-def _from_corner_columns(band, recip, k, cfg):
+def _from_corner_columns(lu, recip, k, cfg):
     """T_m(recip) plus corners cut from the first and last k columns.
 
     Returns None unless both trimmed corners end within k // 2 columns,
@@ -532,9 +638,9 @@ def _from_corner_columns(band, recip, k, cfg):
     corner is budgeted, as in ``fqt_from_dense``, against the entry mass of
     the inverse columns it is cut from.
     """
-    m = band.m
+    m = lu.m
     js = np.concatenate([np.arange(k), np.arange(m - k, m)])
-    cols = band.solve(js)
+    cols = lu.solve(js)
     dev = cols - _gather(recip, js - np.arange(m)[:, None])
     tl = Correction.from_dense(dev[:, :k], cfg.tol_corr,
                                scale=float(np.abs(cols[:, :k]).sum()))

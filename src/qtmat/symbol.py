@@ -17,6 +17,10 @@ ZERO_FLOOR = 1e-13
 # Largest unit-root grid used by adaptive sampling loops.
 _MAX_GRID = 1 << 22
 
+# A reciprocal residual within this many ulps of ||a||_W ||b||_W is rounding.
+_ROUNDING_ULPS = 64
+_EPS = np.finfo(np.float64).eps
+
 # Products up to this size use direct convolution instead of the FFT.
 _DIRECT_CONV_LIMIT = 4096
 
@@ -301,11 +305,16 @@ def sym_reciprocal(a, tol):
 
     Requires a(z) != 0 on the unit circle and winding number zero.  The
     reciprocal is sampled at unit roots on a doubling grid and interpolated;
-    the returned candidate is certified against the residual norm.
+    the returned candidate is certified against the residual norm.  Once
+    the residual has come down to rounding, eps ||a||_W ||b||_W up to a
+    small factor, and a finer grid raises it past twice its best, the
+    growing grid only adds rounding and the search stops.
 
     Raises
     ------
-    ZeroOnCircleError, NonzeroWindingError, NoConvergenceError
+    ZeroOnCircleError, NonzeroWindingError
+    NoConvergenceError  the residual stopped decreasing above tol (the
+                        message names the best one) or the grid cap was hit
     """
     if a.is_zero:
         raise ZeroOnCircleError("cannot invert the zero symbol")
@@ -316,6 +325,7 @@ def sym_reciprocal(a, tol):
     one = LaurentSymbol.one()
     n = max(16, 4 * a.coeffs.size)
     n = 1 << (n - 1).bit_length()
+    best = np.inf
     while n <= _MAX_GRID:
         vals = eval_at_unit_roots(a, n)
         if np.min(np.abs(vals)) < floor:
@@ -326,8 +336,15 @@ def sym_reciprocal(a, tol):
         coeffs = np.concatenate([ch[half:], ch[:half]])
         cand = LaurentSymbol(coeffs, -half)
         cand = sym_truncate(cand, tol * 0.1)
-        residual = sym_sub(sym_mul(a, cand), one)
-        if norm_w(residual) <= tol:
+        residual = norm_w(sym_sub(sym_mul(a, cand), one))
+        if residual <= tol:
             return cand
+        if residual < best:
+            best = residual
+            rounding = _ROUNDING_ULPS * _EPS * norm_w(a) * norm_w(cand)
+        elif residual > 2 * best and best <= rounding:
+            raise NoConvergenceError(
+                f"reciprocal residual stopped decreasing at {best:.2e}, "
+                f"above tolerance {tol:.2e}")
         n *= 2
     raise NoConvergenceError("reciprocal grid refinement exhausted")

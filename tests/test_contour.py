@@ -28,6 +28,7 @@ from qtmat import (
     resolvent,
     serialize,
 )
+from qtmat.finite import solves_every_column
 import qtmat.contour
 from qtmat.oracles import _laplacian_power, laplacian_symbol_coeffs
 
@@ -152,6 +153,17 @@ def _finite_i_plus_h2(m, symbol=None):
     return a
 
 
+# Past 2 * 128 the node inverses take fqt_inv's corner columns, so the
+# level sums stay in the algebra and node resolvents go through the slot.
+_ALGEBRA_M = 257
+
+
+def _finite_on_the_algebra_path(symbol=None):
+    a = _finite_i_plus_h2(_ALGEBRA_M, symbol)
+    assert not solves_every_column(a)
+    return a
+
+
 def _dense_funm(a, f):
     w, v = np.linalg.eig(dense_fqt_oracle(a))
     return (v * f(w)) @ np.linalg.inv(v)
@@ -201,7 +213,7 @@ def test_no_node_resolvent_is_computed_twice(monkeypatch):
     cfg = DEFAULT_CONFIG.updated(tol_stop=1e-9)
     for symbol in (None, LaurentSymbol([0.1j], 0)):
         points.clear()
-        a = _finite_i_plus_h2(30, symbol)
+        a = _finite_on_the_algebra_path(symbol)
         _, info = funm_contour(a, np.log, ContourSpec.circle(1.5, 1.0), cfg,
                                with_info=True)
         assert len(points) == info["resolvents"] - info["reused"]
@@ -238,7 +250,7 @@ _CFG = DEFAULT_CONFIG.updated(tol_stop=1e-9)
 
 @pytest.mark.parametrize("kind", ["finite", "semi"])
 def test_log_reuses_the_node_resolvents_of_sqrt(kind, monkeypatch):
-    text = serialize(_finite_i_plus_h2(40) if kind == "finite"
+    text = serialize(_finite_on_the_algebra_path() if kind == "finite"
                      else _semi_i_plus_t())
     points = _recording(monkeypatch)
     funm_contour(parse(text), np.sqrt, _CIRCLE, _CFG)
@@ -261,7 +273,7 @@ def test_log_reuses_the_node_resolvents_of_sqrt(kind, monkeypatch):
 
 
 def test_other_tolerances_or_an_ulp_off_matrix_reuse_nothing():
-    a = _finite_i_plus_h2(30)
+    a = _finite_on_the_algebra_path()
     funm_contour(a, np.sqrt, _CIRCLE, _CFG)
     _, info = funm_contour(a, np.log, _CIRCLE, _CFG.updated(tol_corr=2e-14),
                            with_info=True)
@@ -279,7 +291,7 @@ def test_other_tolerances_or_an_ulp_off_matrix_reuse_nothing():
 
 
 def test_byte_cap_bounds_the_slot_and_leaves_results_unchanged(monkeypatch):
-    a = _finite_i_plus_h2(40)
+    a = _finite_on_the_algebra_path()
     want = [funm_contour(a, f, _CIRCLE, _CFG) for f in (np.sqrt, np.log)]
     _empty_slot()
     cap = 8 << 10
@@ -430,7 +442,8 @@ def test_resolvent_shifts_without_compressing(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["finite", "semi"])
 def test_info_reports_the_inverse_of_every_node_inverted(kind, monkeypatch):
-    a = _finite_i_plus_h2(40) if kind == "finite" else _semi_i_plus_t()
+    a = _finite_on_the_algebra_path() if kind == "finite" \
+        else _semi_i_plus_t()
     records = []
     inv = type(a).inv
 
@@ -470,19 +483,127 @@ def test_finite_inverses_need_no_dense_inverse(monkeypatch):
         assert info["path"] == "banded"
         if m == 40:
             assert np.abs(fqt_to_dense(r) - want_small).max() < 1e-12
+    slot = qtmat.contour._NodeResolvents()
+    monkeypatch.setattr(qtmat.contour, "_slot", slot)
     a = _finite_i_plus_h2(40)
-    _, info = funm_contour(a, np.sqrt, _CIRCLE, _CFG, with_info=True)
-    assert info["inverse_paths"] == {"banded": info["resolvents"]}
+    for f in (np.sqrt, np.log):
+        _, info = funm_contour(a, f, _CIRCLE, _CFG, with_info=True)
+        assert info["level_sum"] == "dense" and info["reused"] == 0
+        assert info["inverse_paths"] == {"banded": info["resolvents"]}
+    # The dense sum neither reads nor writes the slot.
+    assert qtmat.contour._slot is slot and slot.by_node == {}
 
 
 def test_uncertifiable_tolerance_is_not_an_on_spectrum_error(caplog):
-    # At tol_stop=1e-16 the node inverses of I + H^10 certify only to about
-    # 3e-14, 0.5 away from the spectrum; the error says so, once.
+    # At tol_stop=1e-16 the node inverses of I + H^10, 0.5 away from the
+    # spectrum, certify only to rounding (the dense sum certifies the exact
+    # solve, about 5e-16); the error says so, once.
     a = _laplacian_power(100).add(FiniteQtMatrix.identity(100))
     cfg = DEFAULT_CONFIG.updated(tol_stop=1e-16)
     with caplog.at_level(logging.WARNING, logger="qtmat.contour"):
         with pytest.raises(CertificateError,
-                           match=r"^inverse residual \d\.\d\de-1[45] exceeds "
+                           match=r"^inverse residual \d\.\d\de-1[456] exceeds "
                                  r"tolerance 1\.00e-16$"):
             funm_contour(a, np.sqrt, _CIRCLE, cfg)
     assert not caplog.records
+
+
+_ELLIPSE = ContourSpec.custom(
+    lambda x: 1.5 + 0.8 * math.cos(x) + 0.5j * math.sin(x),
+    lambda x: -0.8 * math.sin(x) + 0.5j * math.cos(x),
+    (0.0, 2 * math.pi))
+
+
+@pytest.mark.parametrize("case", ["sqrt", "log", "1j*z", "complex-symbol",
+                                  "ellipse"])
+def test_dense_and_algebra_sums_agree(case):
+    symbol = LaurentSymbol([0.1j, 0.05, -0.1j], -1) \
+        if case == "complex-symbol" else None
+    a = _finite_i_plus_h2(40, symbol)
+    f = {"log": np.log, "1j*z": lambda z: 1j * z}.get(case, np.sqrt)
+    contour = _ELLIPSE if case == "ellipse" else _CIRCLE
+    got, info = funm_contour(a, f, contour, _CFG, with_info=True)
+    want, want_info = qtmat.contour._sum_levels(
+        qtmat.contour._AlgebraSum(a, _CFG), f, contour, _CFG)
+    assert (info["level_sum"], want_info["level_sum"]) == ("dense", "algebra")
+    assert info["levels"] == want_info["levels"]
+    assert info["resolvents"] == want_info["resolvents"]
+    assert info["reused"] == 0 and info["retries"] == 0
+    # The level differences measure the same norm, exactly instead of
+    # through compressed corners.
+    assert np.allclose(info["level_diffs"], want_info["level_diffs"],
+                       rtol=0.0, atol=1e-11)
+    assert np.abs(fqt_to_dense(got) - fqt_to_dense(want)).max() < 1e-11
+    assert np.abs(fqt_to_dense(got) - _dense_funm(a, f)).max() < 1e-8
+
+
+def test_dense_split_keeps_no_more_than_the_algebra_sum():
+    # Budgeted by its own mass, the final split of log(I + H^10) at m = 190
+    # keeps rank 37 of rounding noise; by the summed node masses, 12.
+    a = _laplacian_power(190).add(FiniteQtMatrix.identity(190))
+    cfg = DEFAULT_CONFIG.updated(tol_stop=1e-8)
+    got, info = funm_contour(a, np.log, _CIRCLE, cfg, with_info=True)
+    want, _ = qtmat.contour._sum_levels(
+        qtmat.contour._AlgebraSum(a, cfg), np.log, _CIRCLE, cfg)
+    assert info["level_sum"] == "dense"
+    for corner in ("corr_tl", "corr_br"):
+        assert getattr(got, corner).rank <= getattr(want, corner).rank
+
+
+def test_the_engine_sums_densely_where_fqt_inv_solves_every_column():
+    z = 1.5 + 1j
+    cfg = DEFAULT_CONFIG.updated(tol_stop=1e-6)
+    # Bands narrower than 64 start at k = 128 corner columns.
+    for m, form in ((256, "dense"), (257, "algebra")):
+        a = _finite_i_plus_h2(m)
+        _, info = funm_contour(a, np.sqrt, _CIRCLE, cfg, with_info=True)
+        assert info["level_sum"] == form
+        _, inv_info = a.identity_like().scale(z).add(a.scale(-1.0)).inv(
+            cfg, with_info=True)
+        assert inv_info["columns"] == (m if form == "dense" else 256)
+    # A band reaching z^64 starts at k = 256.
+    wide = LaurentSymbol([1.0] + [0.0] * 63 + [0.01], 0)
+    assert solves_every_column(FiniteQtMatrix(512, wide))
+    assert not solves_every_column(FiniteQtMatrix(513, wide))
+
+
+def _diagonal(m, first, last):
+    """diag(first, 0, ..., 0, last) as a zero symbol with two 1 x 1 corners."""
+    return FiniteQtMatrix(m, LaurentSymbol.zero(),
+                          Correction.rank_one([first], [1.0]),
+                          Correction.rank_one([last], [1.0]))
+
+
+def test_singular_node_retries_once_then_raises(caplog):
+    from qtmat import OnSpectrumError
+    circle = ContourSpec.circle(0.5, 1.0)
+    first = circle.gamma(0.0)  # node 0 of the first run
+    inflated = ContourSpec.circle(0.5, circle.radius * 1.1).gamma(0.0)
+    cfg = DEFAULT_CONFIG.updated(tol_stop=1e-9)
+    # Only the first run meets an eigenvalue: one retry, which converges.
+    with caplog.at_level(logging.WARNING, logger="qtmat.contour"):
+        got, info = funm_contour(_diagonal(6, first.real, 0.0), np.exp,
+                                 circle, cfg, with_info=True)
+    assert len(caplog.records) == 1
+    assert (info["level_sum"], info["retries"]) == ("dense", 1)
+    want = np.diag([math.exp(first.real)] + [1.0] * 5)
+    assert np.abs(fqt_to_dense(got) - want).max() < 1e-8
+    caplog.clear()
+    # Both runs meet one: the retry's error is raised.
+    with caplog.at_level(logging.WARNING, logger="qtmat.contour"):
+        with pytest.raises(OnSpectrumError) as err:
+            funm_contour(_diagonal(6, first.real, inflated.real), np.exp,
+                         circle, cfg)
+    assert err.value.z == inflated
+    assert len(caplog.records) == 1
+
+
+@pytest.mark.parametrize("m", [20, _ALGEBRA_M])
+def test_certificate_error_passes_through_without_a_retry(m, caplog):
+    a = _finite_i_plus_h2(m)
+    cfg = DEFAULT_CONFIG.updated(tol_stop=1e-17)
+    with caplog.at_level(logging.WARNING, logger="qtmat.contour"):
+        with pytest.raises(CertificateError, match="exceeds tolerance"):
+            funm_contour(a, np.sqrt, _CIRCLE, cfg)
+    assert not caplog.records
+

@@ -23,6 +23,7 @@ from qtmat import (
     toeplitz_section,
 )
 import qtmat.correction
+from qtmat.finite import BandMatrix, fqt_split_norm
 from qtmat.oracles import _laplacian_power
 
 from tests.support import dense_fqt_oracle, random_fqt
@@ -391,6 +392,48 @@ def test_from_dense_is_bitwise_the_diagonal_loop(m, band_hint):
             assert x.shape == y.shape
             assert np.array_equal(x, y)
         assert not got.corr_tl.is_zero
+
+
+def test_from_dense_budget_follows_mass_and_real_stays_real():
+    m = 60
+    h2 = fqt_mul(*[FiniteQtMatrix(m, LaurentSymbol([0.25, 0.5, 0.25], -1))]
+                 * 2)
+    dense = np.linalg.inv((2.5 + 1j) * np.eye(m) - fqt_to_dense(h2)).real
+    own = fqt_from_dense(dense)
+    assert own.corr_tl.u.dtype == own.corr_br.v.dtype == np.float64
+    assert np.abs(fqt_to_dense(own) - dense).max() < 1e-13
+    # The same split with the default mass passed explicitly, then with a
+    # thousandfold budget that keeps less of each corner.
+    mass = float(np.abs(dense).sum())
+    same = fqt_from_dense(dense, mass=mass)
+    assert np.array_equal(same.corr_tl.u, own.corr_tl.u)
+    loose = fqt_from_dense(dense, mass=1e3 * mass)
+    assert loose.corr_tl.p < own.corr_tl.p
+    assert np.abs(fqt_to_dense(loose) - dense).max() <= 1e-14 * 1e3 * mass
+
+
+def test_split_norm_is_norm_cqt_of_the_split():
+    rng = np.random.default_rng(12)
+    for m in (1, 7, 40):
+        dense = dense_fqt_oracle(random_fqt(rng, m))
+        want = fqt_from_dense(dense).norm_cqt()
+        assert fqt_split_norm(dense) == pytest.approx(want, rel=1e-12)
+        assert fqt_split_norm(dense.real) == pytest.approx(
+            fqt_from_dense(dense.real).norm_cqt(), rel=1e-12)
+    assert fqt_split_norm(np.zeros((4, 4))) == 0.0
+
+
+@pytest.mark.parametrize("m", [1, 9, 60])
+def test_band_residual_matches_the_dense_product(m):
+    a = _banded_input(np.random.default_rng(m), m)
+    band = BandMatrix(a)
+    shift = 0.7 - 0.2j
+    cols = [0, m // 2, m - 1]
+    x = np.random.default_rng(0).standard_normal((m, len(cols))) + 0.5j
+    want = (shift * np.eye(m) + dense_fqt_oracle(a)) @ x
+    want[cols, np.arange(len(cols))] -= 1.0
+    got = band.residual(x, cols, shift)
+    assert got == pytest.approx(np.abs(want).max(), rel=1e-13)
 
 
 def test_column_extraction():

@@ -1,10 +1,13 @@
 """Laurent symbol arithmetic against scalar-loop and convolution oracles."""
 
+import time
+
 import numpy as np
 import pytest
 
 from qtmat import (
     LaurentSymbol,
+    NoConvergenceError,
     NonzeroWindingError,
     ZeroOnCircleError,
     sym_add,
@@ -132,6 +135,27 @@ def test_sym_reciprocal_winding_error():
 def test_sym_reciprocal_zero_on_circle():
     with pytest.raises(ZeroOnCircleError):
         sym_reciprocal(LaurentSymbol([1.0, -1.0]), 1e-10)  # 1 - z
+
+
+@pytest.mark.parametrize("mid", [2.15 + 0.05j, 2.08 + 0.05j])
+def test_sym_reciprocal_gives_up_once_rounding_takes_over(mid):
+    # The residual bottoms out near 1e-14 at a grid of 256 and then grows
+    # with the grid; the search stops there instead of at 2^22.
+    start = time.perf_counter()
+    with pytest.raises(NoConvergenceError,
+                       match=r"stopped decreasing at [12]\.\d\de-14, above "
+                             r"tolerance 1\.00e-14"):
+        sym_reciprocal(LaurentSymbol([1.0, mid, 1.0], -1), 1e-14)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_sym_reciprocal_rides_out_a_residual_that_rises_early():
+    # The residual goes 1.47, 0.95, 1.58, 0.72, ... and certifies on a grid
+    # of 4096; the rise at 64 is not rounding and must not stop the search.
+    a = LaurentSymbol([-2.707 + 2.598j, -0.693 - 2.588j, 0.688 + 1.437j,
+                       8.009 + 1.557j], -3)
+    b = sym_reciprocal(a, 1e-9)
+    assert norm_w(sym_sub(sym_mul(a, b), LaurentSymbol.one())) <= 1e-9
 
 
 def test_sym_reciprocal_random_property():
