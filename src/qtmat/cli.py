@@ -162,18 +162,6 @@ def _series_spec(func):
     raise UsageError(f"unknown function {func!r}")
 
 
-def _scalar_callback(func):
-    if func == "exp":
-        return np.exp
-    if func == "log1p":
-        return lambda z: np.log(1.0 + z)
-    if func == "sqrt1p":
-        return lambda z: np.sqrt(1.0 + z)
-    if func.startswith("coeff-file:"):
-        return _series_spec(func).scalar
-    raise UsageError(f"unknown function {func!r}")
-
-
 def _dense_oracle(matrix, func, result):
     """Residual of the result against a dense matrix-function oracle."""
     if isinstance(matrix, CqtMatrix):
@@ -212,7 +200,7 @@ def cmd_funm(args):
                 "method laurent requires a Laurent coefficient file")
         out = funm_laurent(matrix, spec, cfg, args.info)
     else:
-        out = funm_contour(matrix, _scalar_callback(args.func), contour,
+        out = funm_contour(matrix, _series_spec(args.func).scalar, contour,
                            cfg, args.info)
     elapsed = time.perf_counter() - start
     if args.info:

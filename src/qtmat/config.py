@@ -2,6 +2,10 @@
 
 from dataclasses import dataclass, replace
 
+# Least number of unit-circle samples of the symbol range checks: the
+# annulus check of funm_laurent and the enclosure check of funm_contour.
+RANGE_SAMPLES = 256
+
 
 @dataclass(frozen=True)
 class ToleranceConfig:
@@ -11,11 +15,10 @@ class ToleranceConfig:
     tol_corr          relative error allowed when compressing corrections
     tol_stop          stopping tolerance of iterative engines and certificates
     max_terms         cap on the number of series terms
-    max_finite_section largest window of the windowed-inverse loop
-                      (cqt.decayed_windows) of the semi-infinite cqt_inv;
-                      the finite fqt_inv has no window and ignores it
+    max_finite_section largest window of the windowed-inverse loop of the
+                      semi-infinite cqt_inv; the finite fqt_inv has no
+                      window and ignores it
     max_levels        cap on node-doubling levels of the contour engine
-    annulus_samples   unit-circle sample count for symbol range checks
     """
 
     tol_symbol: float = 1e-14
@@ -24,14 +27,12 @@ class ToleranceConfig:
     max_terms: int = 512
     max_finite_section: int = 4096
     max_levels: int = 12
-    annulus_samples: int = 256
 
     def __post_init__(self):
         for name in ("tol_symbol", "tol_corr", "tol_stop"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("max_terms", "max_finite_section", "max_levels",
-                     "annulus_samples"):
+        for name in ("max_terms", "max_finite_section", "max_levels"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
 

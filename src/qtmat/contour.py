@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG
+from .config import DEFAULT_CONFIG, RANGE_SAMPLES
 from .errors import (
     CertificateError,
     EnclosureError,
@@ -172,15 +172,10 @@ _inverse_records = contextvars.ContextVar("inverse_records", default=None)
 
 
 def _inverse_summary(records):
-    """Count per inverse path and worst residual of the inverted nodes.
-
-    A semi-infinite record carries no path: it is windowed, or scalar when
-    no section was needed.
-    """
+    """Count per inverse path and worst residual of the inverted nodes."""
     paths = {}
     for rec in records:
-        path = rec.get("path") or ("windowed" if rec["section"] else "scalar")
-        paths[path] = paths.get(path, 0) + 1
+        paths[rec["path"]] = paths.get(rec["path"], 0) + 1
     worst = max((rec["residual"] for rec in records), default=None)
     return {"inverse_paths": paths, "inverse_residual_max": worst}
 
@@ -225,7 +220,7 @@ class _NodeResolvents:
 _slot = _NodeResolvents()
 
 
-def _check_enclosure(symbol, contour, cfg):
+def _check_enclosure(symbol, contour):
     """Certify (indirectly) that the symbol curve lies inside the contour.
 
     Samples the symbol on the unit circle and requires every sample inside;
@@ -234,7 +229,7 @@ def _check_enclosure(symbol, contour, cfg):
     if symbol.is_zero:
         samples = np.zeros(1, dtype=np.complex128)
     else:
-        n = max(cfg.annulus_samples, 4 * symbol.support_len)
+        n = max(RANGE_SAMPLES, 4 * symbol.support_len)
         samples = eval_at_unit_roots(symbol, 1 << (n - 1).bit_length())
     inside = contour.contains(samples)
     if not bool(np.all(inside)):
@@ -325,7 +320,7 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
     NoConvergenceError level cap reached
     """
     try:
-        _check_enclosure(matrix.symbol, contour, cfg)
+        _check_enclosure(matrix.symbol, contour)
         return _iterate_levels(matrix, f, contour, cfg, with_info)
     except (OnSpectrumError, EnclosureError):
         if contour.kind != "circle":
@@ -334,7 +329,7 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
         log.warning(
             "contour run failed near the spectrum; retrying once with "
             "radius inflated to %.6g", inflated.radius)
-        _check_enclosure(matrix.symbol, inflated, cfg)
+        _check_enclosure(matrix.symbol, inflated)
         return _iterate_levels(matrix, f, inflated, cfg, with_info, 1)
 
 

@@ -50,10 +50,6 @@ class CqtMatrix:
     def identity(cls):
         return cls(LaurentSymbol.one())
 
-    @classmethod
-    def from_toeplitz(cls, symbol):
-        return cls(symbol)
-
     @property
     def is_zero(self):
         return self.symbol.is_zero and self.corr.is_zero
@@ -101,9 +97,6 @@ class CqtMatrix:
 
     def with_symbol(self, symbol):
         return CqtMatrix(symbol, self.corr)
-
-    def finite_section(self, n):
-        return finite_section(self, n)
 
     def __add__(self, other):
         return cqt_add(self, other, DEFAULT_CONFIG)
@@ -199,11 +192,16 @@ def cqt_mul(a, b, cfg=DEFAULT_CONFIG):
 def cqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
     """Inverse in the algebra, certified through finite sections.
 
-    The symbol of the inverse is the reciprocal symbol; the correction is
-    the first candidate of ``decayed_windows``, the one windowed-inverse
-    loop, whose algebra product with ``a`` passes the stopping tolerance
-    against the identity on a covering section.  Windows double up to
-    ``cfg.max_finite_section``.
+    The symbol of the inverse is the reciprocal symbol.  The correction
+    comes from the one windowed-inverse loop: for windows n, 2n, ... up to
+    ``cfg.max_finite_section``, the top-left half of the inverse of the
+    leading n x n section minus T(recip) is a candidate once it has decayed
+    to ``cfg.tol_stop`` on its last tenth of rows and columns, and the
+    first candidate whose algebra product with ``a`` passes the stopping
+    tolerance against the identity on a covering section is returned.
+
+    The record's ``path`` is "windowed", or "scalar" for a scalar Toeplitz
+    matrix, which inverts exactly with no section.
 
     Raises
     ------
@@ -217,41 +215,17 @@ def cqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
     if (a.corr.is_zero and a.symbol.support_len == 1
             and a.symbol.min_deg == 0):
         inv = CqtMatrix(LaurentSymbol.constant(1.0 / a.symbol.coeffs[0]))
-        return (inv, {"section": 0, "certified_n": 1, "residual": 0.0}) \
-            if with_info else inv
+        info = {"path": "scalar", "section": 0, "certified_n": 1,
+                "residual": 0.0}
+        return (inv, info) if with_info else inv
     recip = sym_reciprocal(a.symbol, cfg.tol_symbol)
     band = a.symbol.support_len + recip.support_len
     n = max(64, 2 * max(a.corr.p, a.corr.q, 1), 4 * a.symbol.support_len)
     n = 1 << (n - 1).bit_length()
-    for n, corr in decayed_windows(a, recip, n, cfg.max_finite_section, cfg):
-        result = CqtMatrix(recip, corr)
-        residual = inverse_residual(a, result, cfg)
-        if residual <= cfg.tol_stop:
-            info = {"section": n,
-                    "certified_n": _certificate_section(a, result),
-                    "residual": residual}
-            return (result, info) if with_info else result
-    raise NoConvergenceError(
-        "inverse correction did not decay within the section cap; "
-        f"band estimate {band}")
-
-
-def decayed_windows(a, recip, n, n_max, cfg):
-    """Candidate inverse corrections from doubling leading windows.
-
-    For n, 2n, ... up to ``n_max``, inverts ``a.finite_section(n)`` and
-    yields ``(n, Correction)`` of its top-left half minus T(recip) whenever
-    that has decayed to ``cfg.tol_stop`` on its last tenth of rows and
-    columns.
-
-    Raises
-    ------
-    SingularSectionError  if a dense window is singular
-    """
     compress_tol = max(cfg.tol_corr, cfg.tol_stop / 10)
-    while n <= n_max:
+    while n <= cfg.max_finite_section:
         try:
-            dense_inv = np.linalg.inv(a.finite_section(n))
+            dense_inv = np.linalg.inv(finite_section(a, n))
         except np.linalg.LinAlgError as exc:
             raise SingularSectionError(
                 f"dense {n} x {n} section is singular") from exc
@@ -261,8 +235,17 @@ def decayed_windows(a, recip, n, n_max, cfg):
         frame_mass = max(np.abs(cand[half - frame:, :]).max(initial=0.0),
                          np.abs(cand[:, half - frame:]).max(initial=0.0))
         if frame_mass <= cfg.tol_stop:
-            yield n, Correction.from_dense(cand, compress_tol)
+            result = CqtMatrix(recip, Correction.from_dense(cand, compress_tol))
+            residual = inverse_residual(a, result, cfg)
+            if residual <= cfg.tol_stop:
+                info = {"path": "windowed", "section": n,
+                        "certified_n": _certificate_section(a, result),
+                        "residual": residual}
+                return (result, info) if with_info else result
         n *= 2
+    raise NoConvergenceError(
+        "inverse correction did not decay within the section cap; "
+        f"band estimate {band}")
 
 
 def _certificate_section(a, b):

@@ -75,10 +75,6 @@ class FiniteQtMatrix:
     def identity(cls, m):
         return cls(m, LaurentSymbol.one())
 
-    @classmethod
-    def from_toeplitz(cls, m, symbol):
-        return cls(m, symbol)
-
     @property
     def is_zero(self):
         return (self.symbol.is_zero and self.corr_tl.is_zero

@@ -1,9 +1,10 @@
 """Matrix functions from truncated power and Laurent series.
 
-The engines accumulate sum_i f_i A^i directly in the algebra, which keeps
-the correction part in factored, compressed form at every step, and finally
-refresh the Toeplitz part by evaluating the scalar function on the symbol at
-unit roots and interpolating.  The same code drives semi-infinite and finite
+Both engines accumulate sum_i f_i A^i (with f_{-i} A^{-i} for a Laurent
+series) in one term loop, directly in the algebra, which keeps the
+correction part in factored, compressed form at every step, and finally
+refresh the Toeplitz part by evaluating the scalar function on the symbol
+at unit roots and interpolating.  The same code drives semi-infinite and finite
 matrices through the shared algebra methods (add, mul, inv, scale, norms).
 """
 
@@ -13,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG
+from .config import DEFAULT_CONFIG, RANGE_SAMPLES
 from .correction import (
     Correction,
     corr_add,
@@ -257,34 +258,16 @@ def funm_taylor(matrix, f, cfg=DEFAULT_CONFIG, with_info=False):
         raise RadiusViolationError(
             f"series norm hypothesis violated: ||A|| = {nrm:.6g} is not "
             f"below the radius of analyticity {f.radius:.6g}")
-    coeffs = [complex(f.coeff(0))]
-    total = matrix.identity_like().scale(coeffs[0])
-    power = matrix
-    rule = _TermRule(nrm, f.radius, cfg.tol_stop)
-    reached = None
-    cap = f.degree if f.degree is not None else cfg.max_terms
-    for k in range(1, cap + 1):
-        if k > 1:
-            power = power.mul(matrix, cfg)
-        fk = complex(f.coeff(k))
-        coeffs.append(fk)
-        if fk != 0:
-            total = total.add(power.scale(fk), cfg)
-        if f.degree is None and rule.done(coeffs, k):
-            reached = k
-            break
-    if f.degree is not None:
-        reached = f.degree
-    elif reached is None:
-        raise NoConvergenceError(
-            f"series did not converge within {cfg.max_terms} terms")
-    scalar = f.scalar or _partial_sum_scalar(coeffs)
-    total = _refresh_symbol(total, matrix.symbol, scalar, cfg)
+    rules = (_TermRule(nrm, f.radius, cfg.tol_stop),)
+    total, pos, _, reached = _sum_terms(matrix, None, f, f.degree, rules,
+                                        cfg)
+    total = _refresh_symbol(total, matrix.symbol,
+                            f.scalar or _partial_scalar(pos), cfg)
     if with_info:
-        info = {"terms": reached,
-                "tail_estimate": _tail_estimate(coeffs, reached, nrm,
-                                                f.radius)}
-        return total, info
+        # A polynomial is summed exactly: nothing is left in its tail.
+        tail = 0.0 if f.degree is not None else _tail_estimate(
+            pos, reached, nrm, f.radius)
+        return total, {"terms": reached, "tail_estimate": tail}
     return total
 
 
@@ -296,6 +279,11 @@ def funm_laurent(matrix, f, cfg=DEFAULT_CONFIG, with_info=False):
     rule on both tails.  Preconditions: ||A|| below the outer radius,
     ||A^{-1}|| below the reciprocal of the inner radius, and the sampled
     symbol values inside the annulus.
+
+    With ``with_info`` the result comes with ``terms`` and
+    ``tail_estimate``, the fitted geometric tails of both sides summed:
+    the positive one on ||A|| and R_f, the negative one on ||A^{-1}|| and
+    1/r_f (unbounded when r_f = 0); 0 for a Laurent polynomial.
     """
     if f.annulus is None:
         raise ValueError("power series require funm_taylor")
@@ -314,70 +302,76 @@ def funm_laurent(matrix, f, cfg=DEFAULT_CONFIG, with_info=False):
             f"annulus norm hypothesis violated: ||A^-1|| = {inv_nrm:.6g} "
             f"is not below 1/r_f = {1.0 / r_f:.6g}")
     vals = np.abs(eval_at_unit_roots(matrix.symbol,
-                                     _sample_grid(matrix.symbol, cfg)))
+                                     _sample_grid(matrix.symbol)))
     if np.any(vals >= big_r) or (need_inverse and np.any(vals <= r_f)):
         raise RadiusViolationError(
             "sampled symbol values leave the annulus of analyticity")
+    inner = math.inf if r_f == 0 else 1.0 / r_f
+    rules = (_TermRule(nrm, big_r, cfg.tol_stop),
+             _TermRule(inv_nrm, inner, cfg.tol_stop))
+    exact = f.degree is not None and f.neg_degree is not None
+    degree = max(f.degree, f.neg_degree) if exact else None
+    total, pos, neg, reached = _sum_terms(matrix, inv, f, degree, rules, cfg)
+    scalar = f.scalar or _partial_scalar(pos, neg if need_inverse else ())
+    total = _refresh_symbol(total, matrix.symbol, scalar, cfg)
+    if with_info:
+        tail = 0.0 if exact else (
+            _tail_estimate(pos, reached, nrm, big_r)
+            + _tail_estimate(neg, reached, inv_nrm, inner))
+        return total, {"terms": reached, "tail_estimate": tail}
+    return total
+
+
+def _sum_terms(matrix, inv, f, degree, rules, cfg):
+    """The one series term loop: f_0 I + sum_k (f_k A^k + f_{-k} A^{-k}).
+
+    Negative powers are taken only when ``inv`` (A^{-1}) is given.  An exact
+    series stops at ``degree``; otherwise the loop stops at the first k
+    where every rule is done, checked in order (the first on the positive,
+    the second on the negative coefficients), so a later rule is consulted
+    only once the earlier ones have fired; NoConvergenceError past
+    ``cfg.max_terms``.  Returns the sum, both coefficient lists (f_k and
+    f_{-k} at index k) and the last term index.
+    """
     pos = [complex(f.coeff(0))]
     neg = [0.0 + 0.0j]
     total = matrix.identity_like().scale(pos[0])
     ppow, mpow = matrix, inv
-    rule_pos = _TermRule(nrm, big_r, cfg.tol_stop)
-    rule_neg = _TermRule(inv_nrm, math.inf if r_f == 0 else 1.0 / r_f,
-                         cfg.tol_stop)
-    exact = f.degree is not None and f.neg_degree is not None
-    cap = max(f.degree or 0, f.neg_degree or 0) if exact else cfg.max_terms
-    reached = None
-    for k in range(1, cap + 1):
+    for k in range(1, (cfg.max_terms if degree is None else degree) + 1):
         if k > 1:
             ppow = ppow.mul(matrix, cfg)
-            if need_inverse:
+            if inv is not None:
                 mpow = mpow.mul(inv, cfg)
-        fk = complex(f.coeff(k))
-        fmk = complex(f.coeff(-k)) if need_inverse else 0.0 + 0.0j
-        pos.append(fk)
-        neg.append(fmk)
-        if fk != 0:
-            total = total.add(ppow.scale(fk), cfg)
-        if fmk != 0:
-            total = total.add(mpow.scale(fmk), cfg)
-        if not exact and rule_pos.done(pos, k) and rule_neg.done(neg, k):
-            reached = k
-            break
-    if exact:
-        reached = cap
-    elif reached is None:
+        pos.append(complex(f.coeff(k)))
+        neg.append(complex(f.coeff(-k)) if inv is not None else 0.0 + 0.0j)
+        if pos[k] != 0:
+            total = total.add(ppow.scale(pos[k]), cfg)
+        if neg[k] != 0:
+            total = total.add(mpow.scale(neg[k]), cfg)
+        if degree is None and all(rule.done(coeffs, k) for rule, coeffs
+                                  in zip(rules, (pos, neg))):
+            return total, pos, neg, k
+    if degree is None:
         raise NoConvergenceError(
-            f"Laurent series did not converge within {cfg.max_terms} terms")
-    scalar = f.scalar or _laurent_partial_scalar(pos, neg)
-    total = _refresh_symbol(total, matrix.symbol, scalar, cfg)
-    if with_info:
-        return total, {"terms": reached}
-    return total
+            f"series did not converge within {cfg.max_terms} terms")
+    return total, pos, neg, degree
 
 
-def _partial_sum_scalar(coeffs):
-    cs = np.asarray(coeffs, dtype=np.complex128)
-
-    def scalar(x):
-        return np.polyval(cs[::-1], x)
-
-    return scalar
-
-
-def _laurent_partial_scalar(pos, neg):
-    ps = np.asarray(pos, dtype=np.complex128)
-    ns = np.asarray(neg, dtype=np.complex128)
+def _partial_scalar(pos, neg=()):
+    """Scalar map of the partial sum; no 1/x without a negative part."""
+    ps = np.asarray(pos, dtype=np.complex128)[::-1]
+    ns = np.asarray(neg, dtype=np.complex128)[::-1]
 
     def scalar(x):
         x = np.asarray(x, dtype=np.complex128)
-        return np.polyval(ps[::-1], x) + np.polyval(ns[::-1], 1.0 / x) - ns[0]
+        out = np.polyval(ps, x)
+        return out + np.polyval(ns, 1.0 / x) if ns.size else out
 
     return scalar
 
 
-def _sample_grid(symbol, cfg):
-    n = max(cfg.annulus_samples, 4 * max(1, symbol.support_len))
+def _sample_grid(symbol):
+    n = max(RANGE_SAMPLES, 4 * max(1, symbol.support_len))
     return 1 << (n - 1).bit_length()
 
 

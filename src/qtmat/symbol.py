@@ -276,10 +276,18 @@ def winding_number(a):
 
     Argument increments are accumulated on a unit-circle grid which is
     refined until all successive increments are below pi/2.
+
+    A symbol with Hermitian coefficients (a_{-k} = conj(a_k), compared
+    exactly) is real on the circle, so a sign change between two
+    consecutive samples proves a zero between them; that raises at once
+    instead of refining the grid.  Rounding in the samples stays far below
+    the ``ZERO_FLOOR`` that every sample has passed, so it cannot fake one.
     """
     if a.is_zero:
         raise ZeroOnCircleError("zero symbol has no winding number")
     floor = ZERO_FLOOR * norm_w(a)
+    hermitian = (a.min_deg == -a.max_deg
+                 and np.array_equal(a.coeffs, np.conj(a.coeffs[::-1])))
     n = max(64, 4 * a.coeffs.size)
     n = 1 << (n - 1).bit_length()
     while n <= _MAX_GRID:
@@ -287,6 +295,10 @@ def winding_number(a):
         if np.min(np.abs(vals)) < floor:
             raise ZeroOnCircleError(
                 "symbol vanishes on the unit circle (sampled)")
+        neg = np.signbit(vals.real)
+        if hermitian and np.any(neg != np.roll(neg, -1)):
+            raise ZeroOnCircleError(
+                "real symbol changes sign on the unit circle")
         ratios = np.roll(vals, -1) / vals
         incr = np.angle(ratios)
         if np.max(np.abs(incr)) < np.pi / 2:

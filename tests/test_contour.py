@@ -4,6 +4,7 @@ import logging
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from qtmat import (
     serialize,
 )
 from qtmat.finite import solves_every_column
+from qtmat.symbol import winding_number
 import qtmat.contour
 from qtmat.oracles import _laplacian_power, laplacian_symbol_coeffs
 
@@ -404,6 +406,19 @@ def test_resolvent_on_spectrum_raises():
     with pytest.raises(OnSpectrumError) as info:
         resolvent(a, 1.0)
     assert info.value.z == 1.0
+
+
+def test_sign_change_of_a_real_symbol_raises_without_refining():
+    # 1 - 2 cos(theta) changes sign between unit roots, where no sample
+    # falls below the zero floor; the grid is not refined to its cap.
+    from qtmat import OnSpectrumError
+    a = CqtMatrix(LaurentSymbol([1.0, 0.0, 1.0], -1))
+    start = time.perf_counter()
+    with pytest.raises(OnSpectrumError):
+        resolvent(a, 1.0)
+    assert time.perf_counter() - start < 0.05
+    for coeffs in ([1.0, 4.0, 1.0], [1.0 - 2.0j, 5.0, 1.0 + 2.0j]):
+        assert winding_number(LaurentSymbol(coeffs, -1)) == 0
 
 
 @pytest.mark.parametrize("kind", ["finite", "semi"])

@@ -243,7 +243,7 @@ def _cqt_inv_inline(a, cfg=DEFAULT_CONFIG):
             result = CqtMatrix(recip, Correction.from_dense(cand, compress_tol))
             residual = inverse_residual(a, result, cfg)
             if residual <= cfg.tol_stop:
-                return result, {"section": n,
+                return result, {"path": "windowed", "section": n,
                                 "certified_n": _certificate_section(a, result),
                                 "residual": residual}
         n *= 2

@@ -239,7 +239,13 @@ def test_funm_laurent_geometric_tails_vs_dense():
         return 1.0 / (1.0 - r * x) + (r / x) / (1.0 - r / x)
 
     f = SeriesSpec.laurent(coeff, r, 1.0 / r, scalar=scalar)
-    got = funm_laurent(a, f)
+    got, info = funm_laurent(a, f, with_info=True)
+    # The estimate bounds the closed-form majorant of the dropped terms,
+    # sum over i > terms of r^i (||A||^i + ||A^-1||^i).
+    terms = info["terms"]
+    majorant = sum((r * x) ** (terms + 1) / (1.0 - r * x)
+                   for x in (a.norm_cqt(), a.inv().norm_cqt()))
+    assert info["tail_estimate"] >= majorant > 0
     n = 50
     big = 400
     dense = dense_cqt_oracle(a, big)
@@ -252,6 +258,25 @@ def test_funm_laurent_geometric_tails_vs_dense():
         mpow = mpow @ dense_inv
         acc = acc + coeff(i) * ppow + coeff(-i) * mpow
     assert np.abs(finite_section(got, n) - acc[:n, :n]).max() < 1e-9
+
+
+def test_power_series_and_laurent_share_the_term_loop():
+    # A polynomial through either engine sums the same terms in the same
+    # order, so the correction factors agree bit for bit.
+    rng = np.random.default_rng(8)
+    a = CqtMatrix(random_symbol(rng, max_len=5, scale=0.3),
+                  random_correction(rng, 6, 4, 2, scale=0.2))
+    c = [0.5, -1.0, 0.25, 2.0, -0.75]
+    got, got_info = funm_taylor(a, SeriesSpec.polynomial(c),
+                                with_info=True)
+    want, want_info = funm_laurent(
+        a, SeriesSpec.laurent_polynomial(dict(enumerate(c))), with_info=True)
+    # Both sum the polynomial exactly, so neither has a tail to estimate.
+    assert got_info == want_info == {"terms": 4, "tail_estimate": 0.0}
+    assert not got.corr.is_zero
+    for x, y in ((got.corr.u, want.corr.u), (got.corr.v, want.corr.v)):
+        assert x.shape == y.shape
+        assert np.array_equal(x, y)
 
 
 def test_funm_laurent_annulus_violation():
