@@ -6,7 +6,6 @@ error.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -68,16 +67,6 @@ def format_report(rows):
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
              for row in table]
     return "\n".join(lines)
-
-
-def write_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_HEADER)
-        for r in rows:
-            writer.writerow([r.case, f"{r.time_s:.6f}", r.band, r.rows,
-                             r.cols, r.rank,
-                             "" if r.error is None else f"{r.error:.6e}"])
 
 
 def _result_row(case, result, elapsed, error=None):
@@ -214,8 +203,6 @@ def cmd_funm(args):
         error = _dense_oracle(matrix, args.func, result)
     row = _result_row(os.path.basename(args.output), result, elapsed, error)
     print(format_report([row]))
-    if args.csv:
-        write_csv(args.csv, [row])
     return EXIT_OK
 
 
@@ -237,7 +224,6 @@ def build_parser():
     funm.add_argument("--max-terms", type=int, default=None)
     funm.add_argument("--max-levels", type=int, default=None)
     funm.add_argument("--oracle", choices=("none", "dense"), default="none")
-    funm.add_argument("--csv", default=None)
     funm.add_argument("--info", action="store_true",
                       help="write the engine's run record as one JSON line "
                            "on stderr")

@@ -2,10 +2,6 @@
 
 from dataclasses import dataclass, replace
 
-# Least number of unit-circle samples of the symbol range checks: the
-# annulus check of funm_laurent and the enclosure check of funm_contour.
-RANGE_SAMPLES = 256
-
 
 @dataclass(frozen=True)
 class ToleranceConfig:

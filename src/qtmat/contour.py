@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, RANGE_SAMPLES
+from .config import DEFAULT_CONFIG
 from .errors import (
     CertificateError,
     EnclosureError,
@@ -48,7 +48,7 @@ from .finite import (
     fqt_split_norm,
     solves_every_column,
 )
-from .symbol import LaurentSymbol, eval_at_unit_roots, sym_add, sym_truncate
+from .symbol import LaurentSymbol, range_samples, sym_add, sym_truncate
 
 log = logging.getLogger(__name__)
 
@@ -226,12 +226,7 @@ def _check_enclosure(symbol, contour):
     Samples the symbol on the unit circle and requires every sample inside;
     crossing curves additionally trip the per-node resolvent checks.
     """
-    if symbol.is_zero:
-        samples = np.zeros(1, dtype=np.complex128)
-    else:
-        n = max(RANGE_SAMPLES, 4 * symbol.support_len)
-        samples = eval_at_unit_roots(symbol, 1 << (n - 1).bit_length())
-    inside = contour.contains(samples)
+    inside = contour.contains(range_samples(symbol))
     if not bool(np.all(inside)):
         raise EnclosureError(
             "sampled symbol curve leaves the integration contour")
@@ -487,7 +482,7 @@ class _DenseSum:
         return fqt_split_norm(self.acc - self.prev, self.cfg)
 
     def result(self):
-        return fqt_from_dense(self.acc, None, self.cfg, mass=self.mass)
+        return fqt_from_dense(self.acc, self.cfg, mass=self.mass)
 
 
 def _conjugate(fj, fk):

@@ -20,7 +20,7 @@ from .correction import (
     hankel_product,
     toeplitz_times_corr,
 )
-from .errors import NoConvergenceError, SingularSectionError
+from .errors import CertificateError, NoConvergenceError, SingularSectionError
 from .symbol import (
     LaurentSymbol,
     sym_add,
@@ -85,9 +85,6 @@ class CqtMatrix:
 
     def norm_cqt(self):
         return cqt_norm(self)
-
-    def norm_qt(self):
-        return qt_norm(self)
 
     def zero_like(self):
         return CqtMatrix.zero()
@@ -207,6 +204,9 @@ def cqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
     ------
     NonzeroWindingError, ZeroOnCircleError  if the symbol is not invertible
     SingularSectionError                    if a dense section is singular
+    CertificateError                        if a decayed window misses the
+                                            tolerance without halving the
+                                            last decayed window's residual
     NoConvergenceError                      if sections exhaust the cap
     """
     if a.is_zero:
@@ -223,6 +223,7 @@ def cqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
     n = max(64, 2 * max(a.corr.p, a.corr.q, 1), 4 * a.symbol.support_len)
     n = 1 << (n - 1).bit_length()
     compress_tol = max(cfg.tol_corr, cfg.tol_stop / 10)
+    best = np.inf
     while n <= cfg.max_finite_section:
         try:
             dense_inv = np.linalg.inv(finite_section(a, n))
@@ -242,6 +243,13 @@ def cqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
                         "certified_n": _certificate_section(a, result),
                         "residual": residual}
                 return (result, info) if with_info else result
+            # A decayed window that no longer halves the residual has met
+            # the arithmetic's floor; larger windows would not certify.
+            if not residual < best / 2:
+                raise CertificateError(
+                    f"inverse residual {min(best, residual):.2e} exceeds "
+                    f"tolerance {cfg.tol_stop:.2e}")
+            best = residual
         n *= 2
     raise NoConvergenceError(
         "inverse correction did not decay within the section cap; "

@@ -26,38 +26,34 @@ _TAG = "cqt"
 _VERSION = 1
 
 
-def _fmt(x):
-    return f"{x:.17g}"
+def _emit_block(lines, block):
+    """Append one line per row of a complex block: each entry's re/im pair.
 
-
-def _emit_symbol(lines, sym):
-    lines.append(f"symbol {sym.min_deg} {sym.coeffs.size}")
-    for c in sym.coeffs:
-        lines.append(f"{_fmt(c.real)} {_fmt(c.imag)}")
-
-
-def _emit_correction(lines, corr):
-    lines.append(f"correction {corr.p} {corr.q} {corr.rank}")
-    for row in corr.u:
-        lines.append(" ".join(f"{_fmt(c.real)} {_fmt(c.imag)}" for c in row))
-    for row in corr.v:
-        lines.append(" ".join(f"{_fmt(c.real)} {_fmt(c.imag)}" for c in row))
+    One ``%.17g`` template formats the interleaved float row; ``%`` and
+    ``format`` share one float-to-text routine, so the digits are those of
+    ``f"{x:.17g}"``.
+    """
+    pairs = np.ascontiguousarray(block, dtype=np.complex128).view(np.float64)
+    template = " ".join(["%.17g"] * pairs.shape[1])
+    lines.extend(template % tuple(row) for row in pairs.tolist())
 
 
 def serialize(x):
     """Serialize a CqtMatrix or FiniteQtMatrix to text."""
-    lines = []
     if isinstance(x, CqtMatrix):
-        lines.append(f"{_TAG} {_VERSION} semi")
-        _emit_symbol(lines, x.symbol)
-        _emit_correction(lines, x.corr)
+        lines = [f"{_TAG} {_VERSION} semi"]
+        corrections = (x.corr,)
     elif isinstance(x, FiniteQtMatrix):
-        lines.append(f"{_TAG} {_VERSION} finite {x.m}")
-        _emit_symbol(lines, x.symbol)
-        _emit_correction(lines, x.corr_tl)
-        _emit_correction(lines, x.corr_br)
+        lines = [f"{_TAG} {_VERSION} finite {x.m}"]
+        corrections = (x.corr_tl, x.corr_br)
     else:
         raise TypeError(f"cannot serialize {type(x).__name__}")
+    lines.append(f"symbol {x.symbol.min_deg} {x.symbol.coeffs.size}")
+    _emit_block(lines, x.symbol.coeffs[:, None])
+    for corr in corrections:
+        lines.append(f"correction {corr.p} {corr.q} {corr.rank}")
+        _emit_block(lines, corr.u)
+        _emit_block(lines, corr.v)
     return "\n".join(lines) + "\n"
 
 
@@ -91,29 +87,56 @@ def _read_int(field, reader, what):
             f"line {reader.pos}: bad integer for {what}: {field!r}") from exc
 
 
-def _read_float(field, reader, what):
+def _read_header(reader, word, names):
+    """The integers of a ``<word> <int>...`` block header line."""
+    fields = reader.next_fields(len(names) + 1, f"{word} header")
+    if fields[0] != word:
+        raise MalformedFileError(
+            f"line {reader.pos}: expected {word!r}, got {fields[0]!r}")
+    return [_read_int(f, reader, name) for f, name in zip(fields[1:], names)]
+
+
+def _read_block(reader, rows, cols, what, number_what=None):
+    """A complex rows x cols block, one line of 2 * cols re/im fields a row.
+
+    Each line converts in one step.  A wrong field count names ``what``; a
+    field that is not a number is named with its line as ``number_what``,
+    by default ``what``.
+    """
+    out = np.empty((rows, 2 * cols))
+    for i in range(rows):
+        fields = reader.next_fields(2 * cols, what)
+        try:
+            out[i] = list(map(float, fields))
+        except ValueError:
+            bad = next(f for f in fields if not _is_number(f))
+            raise MalformedFileError(
+                f"line {reader.pos}: bad number for {number_what or what}: "
+                f"{bad!r}") from None
+    return out.view(np.complex128)
+
+
+def _is_number(field):
     try:
-        return float(field)
-    except ValueError as exc:
-        raise MalformedFileError(
-            f"line {reader.pos}: bad number for {what}: {field!r}") from exc
+        float(field)
+    except ValueError:
+        return False
+    return True
 
 
-def _parse_symbol(reader):
-    fields = reader.next_fields(3, "symbol header")
-    if fields[0] != "symbol":
-        raise MalformedFileError(
-            f"line {reader.pos}: expected 'symbol', got {fields[0]!r}")
-    min_deg = _read_int(fields[1], reader, "symbol min_deg")
-    count = _read_int(fields[2], reader, "symbol count")
-    if count < 0:
-        raise MalformedFileError(f"line {reader.pos}: negative count")
-    coeffs = np.zeros(count, dtype=np.complex128)
-    for i in range(count):
-        re, im = reader.next_fields(2, "symbol coefficient")
-        coeffs[i] = complex(_read_float(re, reader, "coefficient"),
-                            _read_float(im, reader, "coefficient"))
-    return LaurentSymbol(coeffs, min_deg)
+def _parse_correction(reader):
+    p, q, r = _read_header(reader, "correction", ("correction rows",
+                                                  "correction cols",
+                                                  "correction rank"))
+    if min(p, q, r) < 0:
+        raise MalformedFileError(f"line {reader.pos}: negative dimension")
+    if r == 0 or p == 0 or q == 0:
+        if (p, q, r) != (0, 0, 0):
+            raise MalformedFileError(
+                f"line {reader.pos}: empty correction must be 0 0 0")
+        return Correction.zero()
+    return Correction(_read_block(reader, p, r, "correction left factor"),
+                      _read_block(reader, q, r, "correction right factor"))
 
 
 def parse(text):
@@ -135,58 +158,29 @@ def parse(text):
     if kind == "semi":
         if len(header) != 3:
             raise MalformedFileError("line 1: trailing fields after 'semi'")
-        sym = _parse_symbol(reader)
-        corr = _parse_correction_block(reader)
-        if not reader.done():
-            raise MalformedFileError(
-                f"line {reader.pos + 1}: trailing content")
-        return CqtMatrix(sym, corr)
-    if kind == "finite":
+        m = None
+    elif kind == "finite":
         if len(header) != 4:
             raise MalformedFileError("line 1: finite kind requires a size")
         m = _read_int(header[3], reader, "size")
-        sym = _parse_symbol(reader)
-        tl = _parse_correction_block(reader)
-        br = _parse_correction_block(reader)
-        if not reader.done():
-            raise MalformedFileError(
-                f"line {reader.pos + 1}: trailing content")
-        try:
-            return FiniteQtMatrix(m, sym, tl, br)
-        except ValueError as exc:
-            raise MalformedFileError(f"invalid finite matrix: {exc}") from exc
-    raise MalformedFileError(f"line 1: unknown kind {kind!r}")
-
-
-def _parse_correction_block(reader):
-    fields = reader.next_fields(4, "correction header")
-    if fields[0] != "correction":
-        raise MalformedFileError(
-            f"line {reader.pos}: expected 'correction', got {fields[0]!r}")
-    p = _read_int(fields[1], reader, "correction rows")
-    q = _read_int(fields[2], reader, "correction cols")
-    r = _read_int(fields[3], reader, "correction rank")
-    if min(p, q, r) < 0:
-        raise MalformedFileError(f"line {reader.pos}: negative dimension")
-    if r == 0 or p == 0 or q == 0:
-        if (p, q, r) != (0, 0, 0):
-            raise MalformedFileError(
-                f"line {reader.pos}: empty correction must be 0 0 0")
-        return Correction.zero()
-
-    def read_rows(count, what):
-        out = np.zeros((count, r), dtype=np.complex128)
-        for i in range(count):
-            vals = reader.next_fields(2 * r, what)
-            for k in range(r):
-                out[i, k] = complex(
-                    _read_float(vals[2 * k], reader, what),
-                    _read_float(vals[2 * k + 1], reader, what))
-        return out
-
-    u = read_rows(p, "correction left factor")
-    v = read_rows(q, "correction right factor")
-    return Correction(u, v)
+    else:
+        raise MalformedFileError(f"line 1: unknown kind {kind!r}")
+    min_deg, count = _read_header(reader, "symbol",
+                                  ("symbol min_deg", "symbol count"))
+    if count < 0:
+        raise MalformedFileError(f"line {reader.pos}: negative count")
+    coeffs = _read_block(reader, count, 1, "symbol coefficient", "coefficient")
+    sym = LaurentSymbol(coeffs[:, 0], min_deg)
+    corrections = [_parse_correction(reader)
+                   for _ in range(1 if m is None else 2)]
+    if not reader.done():
+        raise MalformedFileError(f"line {reader.pos + 1}: trailing content")
+    if m is None:
+        return CqtMatrix(sym, *corrections)
+    try:
+        return FiniteQtMatrix(m, sym, *corrections)
+    except ValueError as exc:
+        raise MalformedFileError(f"invalid finite matrix: {exc}") from exc
 
 
 def write_file(path, x):

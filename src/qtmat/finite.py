@@ -120,10 +120,6 @@ class FiniteQtMatrix:
         return nw + nw1 + abs_sum_norm(self.corr_tl) \
             + abs_sum_norm(self.corr_br)
 
-    def norm_qt(self):
-        nw, _ = wiener_norms(self.symbol)
-        return nw + abs_sum_norm(self.corr_tl) + abs_sum_norm(self.corr_br)
-
     def zero_like(self):
         return FiniteQtMatrix.zero(self.m)
 
@@ -318,7 +314,7 @@ def _flipped_times_tl(f_br, e_tl, m):
     return Correction(u_big @ mid, e_tl.v)
 
 
-def fqt_from_dense(dense, band_hint=None, cfg=DEFAULT_CONFIG, mass=None):
+def fqt_from_dense(dense, cfg=DEFAULT_CONFIG, mass=None):
     """Recover band plus two corner corrections from a dense matrix.
 
     The Toeplitz coefficient of each diagonal is read from the middle of the
@@ -337,8 +333,7 @@ def fqt_from_dense(dense, band_hint=None, cfg=DEFAULT_CONFIG, mass=None):
         raise ValueError("expected a square matrix")
     m = dense.shape[0]
     mags = np.abs(dense)
-    sym = _diagonal_symbol(dense, float(mags.max(initial=0.0)), band_hint,
-                           cfg)
+    sym = _diagonal_symbol(dense, float(mags.max(initial=0.0)), cfg)
     if sym is None:
         return FiniteQtMatrix.zero(m)
     resid = dense - _toeplitz_like(sym, dense)
@@ -366,16 +361,15 @@ def fqt_split_norm(dense, cfg=DEFAULT_CONFIG):
     compressed factors, so nothing is factored.
     """
     dense = np.asarray(dense)
-    sym = _diagonal_symbol(dense, float(np.abs(dense).max(initial=0.0)),
-                           None, cfg)
+    sym = _diagonal_symbol(dense, float(np.abs(dense).max(initial=0.0)), cfg)
     if sym is None:
         return 0.0
     nw, nw1 = wiener_norms(sym)
     return nw + nw1 + float(np.abs(dense - _toeplitz_like(sym, dense)).sum())
 
 
-def _diagonal_symbol(dense, scale, band_hint, cfg):
-    """Middle entry of each diagonal up to band_hint, as a symbol.
+def _diagonal_symbol(dense, scale, cfg):
+    """Middle entry of each diagonal, as a symbol.
 
     ``scale`` is the largest entry size; entries up to half of
     ``cfg.tol_corr`` times max(1, scale) are dropped.  None for the zero
@@ -384,10 +378,9 @@ def _diagonal_symbol(dense, scale, band_hint, cfg):
     m = dense.shape[0]
     if scale == 0.0:
         return None
-    cap = m - 1 if band_hint is None else min(band_hint, m - 1)
     coeff_floor = 0.5 * cfg.tol_corr * max(1.0, scale)
     # The middle entry of diagonal d, of length m - |d|, in one gather.
-    d = np.arange(-cap, cap + 1)
+    d = np.arange(-(m - 1), m)
     mid = (m - np.abs(d) - 1) // 2
     vals = dense[mid + np.maximum(-d, 0), mid + np.maximum(d, 0)]
     coeffs = np.zeros(2 * m - 1, dtype=np.complex128)
@@ -469,7 +462,7 @@ def fqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
                 info = {"path": "banded", "columns": 2 * k, "residual": worst}
                 return (result, info) if with_info else result
         k *= 2
-    result = fqt_from_dense(lu.solve(np.arange(m)), None, cfg)
+    result = fqt_from_dense(lu.solve(np.arange(m)), cfg)
     worst = _certified(band.residual(result.columns(cols), cols), cfg)
     info = {"path": "banded", "columns": m, "residual": worst}
     return (result, info) if with_info else result

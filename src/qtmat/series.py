@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, RANGE_SAMPLES
+from .config import DEFAULT_CONFIG
 from .correction import (
     Correction,
     corr_add,
@@ -28,6 +28,7 @@ from .errors import NoConvergenceError, RadiusViolationError
 from .symbol import (
     LaurentSymbol,
     eval_at_unit_roots,
+    range_samples,
     sym_mul,
     sym_split,
     sym_truncate,
@@ -301,8 +302,7 @@ def funm_laurent(matrix, f, cfg=DEFAULT_CONFIG, with_info=False):
         raise RadiusViolationError(
             f"annulus norm hypothesis violated: ||A^-1|| = {inv_nrm:.6g} "
             f"is not below 1/r_f = {1.0 / r_f:.6g}")
-    vals = np.abs(eval_at_unit_roots(matrix.symbol,
-                                     _sample_grid(matrix.symbol)))
+    vals = np.abs(range_samples(matrix.symbol))
     if np.any(vals >= big_r) or (need_inverse and np.any(vals <= r_f)):
         raise RadiusViolationError(
             "sampled symbol values leave the annulus of analyticity")
@@ -368,11 +368,6 @@ def _partial_scalar(pos, neg=()):
         return out + np.polyval(ns, 1.0 / x) if ns.size else out
 
     return scalar
-
-
-def _sample_grid(symbol):
-    n = max(RANGE_SAMPLES, 4 * max(1, symbol.support_len))
-    return 1 << (n - 1).bit_length()
 
 
 def _refresh_symbol(total, arg_symbol, scalar, cfg):

@@ -197,6 +197,21 @@ def eval_at_unit_roots(a, n):
     return np.fft.ifft(buf) * n
 
 
+# Least number of unit-circle samples of the symbol range checks: the
+# annulus check of funm_laurent and the enclosure check of funm_contour.
+RANGE_SAMPLES = 256
+
+
+def range_samples(a):
+    """Values of a at the unit roots of the symbol range checks.
+
+    The grid is the power of two at or above max(RANGE_SAMPLES, 4 times the
+    support length), so the samples are alias-free.
+    """
+    n = max(RANGE_SAMPLES, 4 * a.support_len)
+    return eval_at_unit_roots(a, 1 << (n - 1).bit_length())
+
+
 def sym_split(a):
     """Split a = a0 + a^-(z) + a^+(z).
 

@@ -19,6 +19,7 @@ from qtmat import (
     FiniteQtMatrix,
     LaurentSymbol,
     SeriesSpec,
+    cqt_inv,
     finite_section,
     fqt_mul,
     fqt_to_dense,
@@ -622,3 +623,24 @@ def test_certificate_error_passes_through_without_a_retry(m, caplog):
             funm_contour(a, np.sqrt, _CIRCLE, cfg)
     assert not caplog.records
 
+
+
+def test_semi_infinite_certificate_miss_is_a_certificate_error(caplog):
+    # At tol_stop=1e-15 every window of this inverse decays, but each one
+    # certifies only to about 1.3e-15: the error says so at the second
+    # window instead of doubling to the section cap, and funm_contour
+    # passes it on without a retry or an on-spectrum error.
+    a = CqtMatrix(LaurentSymbol([0.5, 3.0, 0.3], -1),
+                  Correction.rank_one([0.2, 0.1], [0.1, 0.3]))
+    cfg = DEFAULT_CONFIG.updated(tol_stop=1e-15)
+    message = r"^inverse residual \d\.\d\de-15 exceeds tolerance 1\.00e-15$"
+    start = time.perf_counter()
+    with pytest.raises(CertificateError, match=message):
+        cqt_inv(a, cfg)
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    with caplog.at_level(logging.WARNING, logger="qtmat.contour"):
+        with pytest.raises(CertificateError, match=message):
+            funm_contour(a, np.sqrt, ContourSpec.circle(3, 2), cfg)
+    assert time.perf_counter() - start < 5.0
+    assert not caplog.records

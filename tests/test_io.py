@@ -1,4 +1,7 @@
-"""Serialization round trips and parse diagnostics."""
+"""Serialization round trips, the literal format and parse diagnostics."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,8 @@ from qtmat import (
 )
 
 from tests.support import random_cqt, random_fqt
+
+CHECKS = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
 
 
 def identical_semi(a, b):
@@ -139,3 +144,109 @@ def test_real_and_complex_storage_serialize_alike():
     assert serialize(CqtMatrix(sym, real)) == serialize(CqtMatrix(sym, cplx))
     assert serialize(FiniteQtMatrix(9, sym, real, real)) \
         == serialize(FiniteQtMatrix(9, sym, cplx, cplx))
+
+
+def test_golden_semi_text():
+    # A signed zero, a value that needs all 17 digits, complex factors.
+    a = CqtMatrix(LaurentSymbol([2.0, complex(-0.0, 0.5), 0.1 + 1 / 3], -1),
+                  Correction([[1 + 2j, complex(-0.0, -1.0)], [0.125j, 3.0]],
+                             [[0.25, 1e-300 + 0j]]))
+    assert serialize(a) == ("cqt 1 semi\n"
+                            "symbol -1 3\n"
+                            "2 0\n"
+                            "-0 0.5\n"
+                            "0.43333333333333335 0\n"
+                            "correction 2 1 2\n"
+                            "1 2 -0 -1\n"
+                            "0 0.125 3 0\n"
+                            "0.25 0 1e-300 0\n")
+
+
+def test_golden_finite_text():
+    # Real factors with a signed zero, then a zero correction.
+    a = FiniteQtMatrix(5, LaurentSymbol([-1.0, 4.0, -1.0], -1),
+                       Correction([[-0.0, 1.5], [2.0, 1 / 3]], [[1.0, -2.5]]),
+                       Correction.zero())
+    assert a.corr_tl.u.dtype == np.float64
+    assert serialize(a) == ("cqt 1 finite 5\n"
+                            "symbol -1 3\n"
+                            "-1 0\n"
+                            "4 0\n"
+                            "-1 0\n"
+                            "correction 2 1 2\n"
+                            "-0 0 1.5 0\n"
+                            "2 0 0.33333333333333331 0\n"
+                            "1 0 -2.5 0\n"
+                            "correction 0 0 0\n")
+
+
+def _load_checks():
+    spec = importlib.util.spec_from_file_location("perfbench_checks", CHECKS)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks
+
+
+def test_benchmark_reader_reads_what_parse_reads():
+    # The benchmark oracle reads every output with its own reader.
+    checks = _load_checks()
+    rng = np.random.default_rng(41)
+    mats = [random_cqt(rng) for _ in range(10)]
+    mats += [random_fqt(rng, int(rng.integers(4, 40))) for _ in range(10)]
+    mats += [CqtMatrix.zero(), FiniteQtMatrix.identity(7)]
+    for a in mats:
+        text = serialize(a)
+        ours, theirs = parse(text), checks.read_matrix(text)
+        finite = isinstance(ours, FiniteQtMatrix)
+        assert theirs.m == (ours.m if finite else None)
+        corrs = (ours.corr_tl, ours.corr_br) if finite else (ours.corr,)
+        assert len(theirs.corners) == len(corrs)
+        if ours.symbol.is_zero:
+            assert theirs.coeffs.size == 0
+        else:
+            assert theirs.min_deg == ours.symbol.min_deg
+            assert np.array_equal(theirs.coeffs, ours.symbol.coeffs)
+        for (u, v), corr in zip(theirs.corners, corrs):
+            if corr.is_zero:
+                assert u.size == v.size == 0
+            else:
+                assert np.array_equal(u, corr.u)
+                assert np.array_equal(v, corr.v)
+
+
+_FACTOR_TEXT = ("cqt 1 semi\n"
+                "symbol 0 1\n"
+                "1 0\n"
+                "correction 2 1 1\n"
+                "{u0}\n"
+                "0.5 0\n"
+                "{v0}\n")
+
+
+def test_parse_names_a_bad_left_factor_number():
+    text = _FACTOR_TEXT.format(u0="1 zz", v0="2 0")
+    with pytest.raises(MalformedFileError,
+                       match=r"^line 5: bad number for correction left "
+                             r"factor: 'zz'$"):
+        parse(text)
+
+
+def test_parse_names_a_bad_right_factor_number():
+    text = _FACTOR_TEXT.format(u0="1 0", v0="2.5e 0")
+    with pytest.raises(MalformedFileError,
+                       match=r"^line 7: bad number for correction right "
+                             r"factor: '2.5e'$"):
+        parse(text)
+
+
+def test_parse_names_a_short_factor_row():
+    text = _FACTOR_TEXT.format(u0="1", v0="2 0")
+    with pytest.raises(MalformedFileError,
+                       match=r"^line 5: expected 2 fields for correction "
+                             r"left factor, got 1$"):
+        parse(text)
+    text = _FACTOR_TEXT.format(u0="1 0", v0="2 0 3")
+    with pytest.raises(MalformedFileError,
+                       match=r"^line 7: expected 2 fields for correction "
+                             r"right factor, got 3$"):
+        parse(text)

@@ -19,7 +19,13 @@ from qtmat import (
     wiener_norms,
     winding_number,
 )
-from qtmat.symbol import norm_w, sym_eval, sym_reverse, sym_sub
+from qtmat.symbol import (
+    norm_w,
+    range_samples,
+    sym_eval,
+    sym_reverse,
+    sym_sub,
+)
 
 from tests.support import (
     convolve_oracle,
@@ -255,3 +261,15 @@ def test_sym_reverse():
     a = dict_to_symbol({-2: 1.0, 1: 5.0})
     r = sym_reverse(a)
     assert symbol_to_dict(r) == {2: 1.0 + 0j, -1: 5.0 + 0j}
+
+
+def test_range_samples_grid():
+    # The power of two at or above max(256, 4 x support length), sampled
+    # at the unit roots, where sym_eval gives the same values.
+    for width, size in ((1, 256), (64, 256), (65, 512), (300, 2048)):
+        a = LaurentSymbol(np.linspace(1.0, 2.0, width), -(width // 2))
+        vals = range_samples(a)
+        assert vals.size == size
+        w = np.exp(2j * np.pi * np.arange(size) / size)
+        assert np.allclose(vals, sym_eval(a, w), rtol=1e-12, atol=1e-12)
+    assert not np.any(range_samples(LaurentSymbol.zero()))
