@@ -23,7 +23,6 @@ size alone:
 
 import cmath
 import contextvars
-import logging
 import math
 import threading
 from dataclasses import dataclass
@@ -49,8 +48,6 @@ from .finite import (
     solves_every_column,
 )
 from .symbol import LaurentSymbol, range_samples, sym_add, sym_truncate
-
-log = logging.getLogger(__name__)
 
 _TWO_PI_I = 2j * math.pi
 
@@ -237,8 +234,10 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
 
     Doubles the node count per level, T_n = T_{n-1} / 2 + h_n * (sum over
     the new odd nodes), until the algebra norm of T_n - T_{n-1} drops below
-    the stopping tolerance.  A resolvent failure on a circular contour
-    triggers one automatic retry with the radius inflated by 10 percent.
+    the stopping tolerance.  There is no retry: the caller's contour must
+    enclose the spectrum of A and exclude the singularities of f, which the
+    engine cannot see.  The enclosure is checked on sampled symbol values
+    only, and a node that meets the spectrum raises OnSpectrumError.
 
     The sums take one of two forms, by the matrix's size (see the module
     docstring).  In the algebra form each node adds its resolvent with one
@@ -278,8 +277,7 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
       correction factors equal bit for bit (an equal matrix parsed afresh
       qualifies; identity does not matter);
     - ``cfg`` is equal in every field;
-    - the node z is equal bit for bit, as on the same contour; the retry on
-      an inflated circle only misses.
+    - the node z is equal bit for bit, as on the same contour.
 
     A stored resolvent is the object the same code would recompute, so the
     result does not depend on what the slot holds.  The slot keeps at most
@@ -295,8 +293,7 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
     produced the result used; 2^(levels-1) + 1 when every pair shares one,
     and 2^levels when none does), ``reused`` (how many of those came from
     the slot rather than from a new inversion; 0 in the dense form),
-    ``level_diffs``, ``level_sum`` ("dense" or "algebra"), ``retries`` (1
-    when the result came from the inflated circle, else 0), and, from the
+    ``level_diffs``, ``level_sum`` ("dense" or "algebra"), and, from the
     records of the inverses that run made, ``inverse_paths`` (a count per
     path: "banded" for a finite matrix, in either form, "windowed" for a
     semi-infinite one, or "scalar") and ``inverse_residual_max`` (None
@@ -310,25 +307,11 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
     Raises
     ------
     EnclosureError     sampled symbol curve not inside the contour
-    OnSpectrumError    resolvent failure (after the inflation retry)
-    CertificateError   a node inverse misses ``cfg.tol_stop``; no retry
+    OnSpectrumError    resolvent failure; its ``z`` is the node
+    CertificateError   a node inverse misses ``cfg.tol_stop``
     NoConvergenceError level cap reached
     """
-    try:
-        _check_enclosure(matrix.symbol, contour)
-        return _iterate_levels(matrix, f, contour, cfg, with_info)
-    except (OnSpectrumError, EnclosureError):
-        if contour.kind != "circle":
-            raise
-        inflated = ContourSpec.circle(contour.center, contour.radius * 1.1)
-        log.warning(
-            "contour run failed near the spectrum; retrying once with "
-            "radius inflated to %.6g", inflated.radius)
-        _check_enclosure(matrix.symbol, inflated)
-        return _iterate_levels(matrix, f, inflated, cfg, with_info, 1)
-
-
-def _iterate_levels(matrix, f, contour, cfg, with_info, retries=0):
+    _check_enclosure(matrix.symbol, contour)
     records = [] if with_info else None
     token = _inverse_records.set(records)
     try:
@@ -339,7 +322,7 @@ def _iterate_levels(matrix, f, contour, cfg, with_info, retries=0):
     finally:
         _inverse_records.reset(token)
     if with_info:
-        info.update(_inverse_summary(records), retries=retries)
+        info.update(_inverse_summary(records))
         return result, info
     return result
 

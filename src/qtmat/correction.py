@@ -17,7 +17,7 @@ import functools
 
 import numpy as np
 
-from .symbol import sym_reverse
+from .symbol import sym_reverse, sym_split
 
 # Dense materialization above this many entries falls back to row blocks.
 _DENSE_BLOCK_ENTRIES = 1 << 21
@@ -427,3 +427,20 @@ def corr_times_corr(e1, e2):
         return Correction.zero()
     mid = e1.v[:inner].T @ e2.u[:inner]
     return Correction._owned(e1.u @ mid, e2.v)
+
+
+def corr_product(a, e, b, f, cap=None):
+    """Correction of (T(a) + E)(T(b) + F) - T(ab), uncompressed.
+
+    T(a) T(b) = T(ab) - H(a^-) H(b^+), so the correction is
+    -H(a^-) H(b^+) + T(a) F + E T(b) + E F, summed in that order.  ``cap``
+    clips every term to the leading cap x cap block, for finite corners,
+    whose E and F fit in it.
+    """
+    a_minus, _, _ = sym_split(a)
+    _, _, b_plus = sym_split(b)
+    corr = corr_add(Correction.zero(), hankel_product(a_minus, b_plus, cap),
+                    -1.0)
+    corr = corr_add(corr, toeplitz_times_corr(a, f, row_cap=cap))
+    corr = corr_add(corr, corr_times_toeplitz(e, b, col_cap=cap))
+    return corr_add(corr, corr_times_corr(e, f))

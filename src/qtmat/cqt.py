@@ -15,10 +15,7 @@ from .correction import (
     abs_sum_norm,
     corr_add,
     corr_compress,
-    corr_times_corr,
-    corr_times_toeplitz,
-    hankel_product,
-    toeplitz_times_corr,
+    corr_product,
 )
 from .errors import CertificateError, NoConvergenceError, SingularSectionError
 from .symbol import (
@@ -27,7 +24,6 @@ from .symbol import (
     sym_mul,
     sym_reciprocal,
     sym_scale,
-    sym_split,
     sym_truncate,
     wiener_norms,
 )
@@ -160,10 +156,10 @@ def cqt_add(a, b, cfg=DEFAULT_CONFIG):
 def cqt_mul(a, b, cfg=DEFAULT_CONFIG):
     """Product in the algebra.
 
-    The Toeplitz part carries the product symbol; the correction collects the
-    Hankel-product deviation of the two Toeplitz parts together with the
-    cross terms involving the input corrections, all realized in factored
-    form and compressed at the end.
+    The Toeplitz part carries the product symbol.  The correction is
+    ``corr_product`` of the two pairs, compressed: the Hankel-product
+    deviation of the two Toeplitz parts together with the cross terms
+    involving the input corrections, in factored form.
     """
     if a.is_zero or b.is_zero:
         return CqtMatrix.zero()
@@ -171,19 +167,10 @@ def cqt_mul(a, b, cfg=DEFAULT_CONFIG):
         return b
     if b.is_identity:
         return a
-    c = sym_mul(a.symbol, b.symbol)
-    a_minus, _, _ = sym_split(a.symbol)
-    _, _, b_plus = sym_split(b.symbol)
-    corr = corr_add(Correction.zero(),
-                    hankel_product(a_minus, b_plus), -1.0)
-    if not b.corr.is_zero:
-        corr = corr_add(corr, toeplitz_times_corr(a.symbol, b.corr))
-    if not a.corr.is_zero:
-        corr = corr_add(corr, corr_times_toeplitz(a.corr, b.symbol))
-    if not a.corr.is_zero and not b.corr.is_zero:
-        corr = corr_add(corr, corr_times_corr(a.corr, b.corr))
-    return CqtMatrix(sym_truncate(c, cfg.tol_symbol),
-                     corr_compress(corr, cfg.tol_corr))
+    return CqtMatrix(
+        sym_truncate(sym_mul(a.symbol, b.symbol), cfg.tol_symbol),
+        corr_compress(corr_product(a.symbol, a.corr, b.symbol, b.corr),
+                      cfg.tol_corr))
 
 
 def cqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):

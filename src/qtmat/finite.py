@@ -18,10 +18,8 @@ from .correction import (
     abs_sum_norm,
     corr_add,
     corr_compress,
+    corr_product,
     corr_times_corr,
-    corr_times_toeplitz,
-    hankel_product,
-    toeplitz_times_corr,
 )
 from .cqt import _gather, toeplitz_section
 from .errors import (
@@ -38,7 +36,6 @@ from .symbol import (
     sym_mul,
     sym_reverse,
     sym_scale,
-    sym_split,
     sym_truncate,
     wiener_norms,
     winding_number,
@@ -242,10 +239,12 @@ def fqt_mul(a, b, cfg=DEFAULT_CONFIG):
     """Product of two finite quasi-Toeplitz matrices.
 
     The Toeplitz part is the product symbol clipped to the representable
-    band; both corners collect their Hankel-product deviation and the cross
-    terms from the input corrections.  When corner supports meet across the
-    matrix, the cross-corner products are materialized exactly in factored
-    form (one factor then spans the full dimension).
+    band.  Each corner is ``corr_product`` of its own pair clipped to m x m:
+    the top-left one of a and b, the bottom-right one of J a J and J b J,
+    whose symbols are reversed.  When the top-left corner of one factor and
+    the bottom-right corner of the other meet across the matrix, their
+    product is added to the top-left corner exactly, the flipped corner
+    embedded by ``_unflipped`` as a top-left correction spanning m.
     """
     _check_sizes(a, b)
     if a.is_zero or b.is_zero:
@@ -256,62 +255,25 @@ def fqt_mul(a, b, cfg=DEFAULT_CONFIG):
         return a
     m = a.m
     c = sym_clip(sym_mul(a.symbol, b.symbol), m - 1)
-    am, _, ap = sym_split(a.symbol)
-    bm, _, bp = sym_split(b.symbol)
-    arev = sym_reverse(a.symbol)
-    brev = sym_reverse(b.symbol)
-
-    tl = corr_add(Correction.zero(), hankel_product(am, bp, clip=m), -1.0)
-    br = corr_add(Correction.zero(), hankel_product(ap, bm, clip=m), -1.0)
-
-    if not b.corr_tl.is_zero:
-        tl = corr_add(tl, toeplitz_times_corr(a.symbol, b.corr_tl, row_cap=m))
-    if not b.corr_br.is_zero:
-        br = corr_add(br, toeplitz_times_corr(arev, b.corr_br, row_cap=m))
-    if not a.corr_tl.is_zero:
-        tl = corr_add(tl, corr_times_toeplitz(a.corr_tl, b.symbol, col_cap=m))
-    if not a.corr_br.is_zero:
-        br = corr_add(br, corr_times_toeplitz(a.corr_br, brev, col_cap=m))
-    if not a.corr_tl.is_zero and not b.corr_tl.is_zero:
-        tl = corr_add(tl, corr_times_corr(a.corr_tl, b.corr_tl))
-    if not a.corr_br.is_zero and not b.corr_br.is_zero:
-        br = corr_add(br, corr_times_corr(a.corr_br, b.corr_br))
-
-    # Cross-corner terms; nonzero only when the supports overlap across the
-    # middle of the matrix.
-    if not a.corr_tl.is_zero and not b.corr_br.is_zero \
-            and a.corr_tl.q + b.corr_br.p > m:
-        tl = corr_add(tl, _tl_times_flipped(a.corr_tl, b.corr_br, m))
-    if not a.corr_br.is_zero and not b.corr_tl.is_zero \
-            and a.corr_br.q + b.corr_tl.p > m:
-        tl = corr_add(tl, _flipped_times_tl(a.corr_br, b.corr_tl, m))
-
+    tl = corr_product(a.symbol, a.corr_tl, b.symbol, b.corr_tl, m)
+    br = corr_product(sym_reverse(a.symbol), a.corr_br,
+                      sym_reverse(b.symbol), b.corr_br, m)
+    if a.corr_tl.q + b.corr_br.p > m:
+        tl = corr_add(tl, corr_times_corr(a.corr_tl, _unflipped(b.corr_br, m)))
+    if a.corr_br.q + b.corr_tl.p > m:
+        tl = corr_add(tl, corr_times_corr(_unflipped(a.corr_br, m), b.corr_tl))
     return FiniteQtMatrix(
         a.m, sym_truncate(c, cfg.tol_symbol),
         corr_compress(tl, cfg.tol_corr), corr_compress(br, cfg.tol_corr))
 
 
-def _embed_flipped_rows(factor, m):
-    """Rows of a flipped-corner factor inside the full index range."""
-    out = np.zeros((m, factor.shape[1]), dtype=np.complex128)
-    out[m - factor.shape[0]:] = factor[::-1]
-    return out
-
-
-def _tl_times_flipped(e_tl, f_br, m):
-    """E_tl @ (J F J) as a top-left-anchored correction (q spans m)."""
-    u_big = _embed_flipped_rows(f_br.u, m)
-    mid = e_tl.v.T @ u_big[:e_tl.q]
-    v_big = _embed_flipped_rows(f_br.v, m)
-    return Correction(e_tl.u @ mid, v_big)
-
-
-def _flipped_times_tl(f_br, e_tl, m):
-    """(J F J) @ E_tl as a top-left-anchored correction (p spans m)."""
-    u_big = _embed_flipped_rows(f_br.u, m)
-    v_big = _embed_flipped_rows(f_br.v, m)
-    mid = v_big[:e_tl.p].T @ e_tl.u
-    return Correction(u_big @ mid, e_tl.v)
+def _unflipped(corr, m):
+    """A flipped bottom-right corner as a top-left correction (p = q = m)."""
+    u = np.zeros((m, corr.rank), dtype=np.complex128)
+    v = np.zeros((m, corr.rank), dtype=np.complex128)
+    u[m - corr.p:] = corr.u[::-1]
+    v[m - corr.q:] = corr.v[::-1]
+    return Correction._owned(u, v)
 
 
 def fqt_from_dense(dense, cfg=DEFAULT_CONFIG, mass=None):

@@ -15,22 +15,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import DEFAULT_CONFIG
-from .correction import (
-    Correction,
-    corr_add,
-    corr_compress,
-    corr_times_corr,
-    corr_times_toeplitz,
-    hankel_product,
-    toeplitz_times_corr,
-)
+from .correction import Correction, corr_compress, corr_product
 from .errors import NoConvergenceError, RadiusViolationError
 from .symbol import (
     LaurentSymbol,
     eval_at_unit_roots,
     range_samples,
     sym_mul,
-    sym_split,
     sym_truncate,
     wiener_norms,
 )
@@ -147,44 +138,30 @@ def _sqrt1p_coeff(i):
 
 
 def power_corrections(a, e, k, cfg=DEFAULT_CONFIG):
-    """Corrections of the powers of T(a) + E.
+    """Corrections of the powers of T(a) + E, E = 0 when ``e`` is None.
 
-    For a zero input correction returns [E_1, ..., E_k] where
-    T(a)^i = T(a^i) + E_i, built from the recurrence
-    E_i = T(a) E_{i-1} - H(a^-) H((a^{i-1})^+) with E_1 = 0.
+    (T(a) + E)^i = T(a^i) + D_i with D_0 = 0 (the zeroth power is the
+    identity) and D_i = ``corr_product(a, E, a^{i-1}, D_{i-1})``, the
+    correction of (T(a) + E)(T(a^{i-1}) + D_{i-1}); that is
+    D_i = (T(a) + E) D_{i-1} - H(a^-) H((a^{i-1})^+) + E T(a^{i-1}),
+    so D_1 = E.
 
-    For a general correction E returns [D_0, ..., D_k] where
-    (T(a) + E)^i = T(a^i) + D_i, so D_0 = 0 (the zeroth power is the
-    identity) and the recurrence
-    D_i = (T(a) + E) D_{i-1} - H(a^-) H((a^{i-1})^+) + E T(a^{i-1})
-    reproduces D_1 = E exactly.
+    Returns [D_0, ..., D_k] for a nonzero E.  For a zero one it returns
+    [D_1, ..., D_k], the corrections E_i of T(a)^i = T(a^i) + E_i, with
+    E_1 = 0.
 
     Every step is compressed with the configured tolerance.
     """
     if k < 1:
         raise ValueError("power index must be at least 1")
-    a_minus, _, _ = sym_split(a)
-    general = e is not None and not e.is_zero
-    out = []
-    cur = Correction.zero()
-    out.append(cur)
-    if general:
-        start = 1
-        apow = LaurentSymbol.one()  # a^{i-1} at i = 1
-    else:
-        start = 2
-        apow = a  # a^{i-1} at i = 2
-    for i in range(start, k + 1):
-        _, _, pow_plus = sym_split(apow)
-        term = corr_add(toeplitz_times_corr(a, cur),
-                        hankel_product(a_minus, pow_plus), -1.0)
-        if general:
-            term = corr_add(term, corr_times_corr(e, cur))
-            term = corr_add(term, corr_times_toeplitz(e, apow))
-        cur = corr_compress(term, cfg.tol_corr)
-        out.append(cur)
+    e = Correction.zero() if e is None else e
+    out = [Correction.zero()]
+    apow = LaurentSymbol.one()  # a^{i-1} at i = 1
+    for _ in range(k):
+        out.append(corr_compress(corr_product(a, e, apow, out[-1]),
+                                 cfg.tol_corr))
         apow = sym_truncate(sym_mul(apow, a), cfg.tol_symbol)
-    return out
+    return out[1:] if e.is_zero else out
 
 
 def _tail_estimate(coeffs, k, nrm, radius):

@@ -222,7 +222,6 @@ def test_funm_info_writes_one_json_line_on_stderr(tmp_path, capsys, method):
             path: info["resolvents"] - info["reused"]}
         assert info["inverse_residual_max"] <= 1e-9
         assert info["level_sum"] == ("dense" if finite else "algebra")
-        assert info["retries"] == 0
     else:
         assert info["terms"] >= 1
 

@@ -367,17 +367,23 @@ def test_contour_contains_and_custom_parametrization():
                   - 0.25 * np.eye(6)).max() <= 10 * DEFAULT_CONFIG.tol_stop
 
 
-def test_contour_inflation_retry(caplog):
-    # Symbol curve is the single point 0.6, just outside the initial circle
-    # around 0.5; one 10 percent inflation brings it inside.
-    a = CqtMatrix(LaurentSymbol.constant(0.6))
+def test_contour_raises_enclosure_error_without_inflation_retry(caplog):
+    # Each symbol curve leaves its circle just barely: the single point 0.6,
+    # and the range [0.04, 1.96].  A circle 10 percent wider would enclose
+    # the second one and also the pole of 1/z at 0, and the run on it
+    # returned the zero matrix for A^-1.
+    cases = [(CqtMatrix(LaurentSymbol.constant(0.6)), np.exp,
+              ContourSpec.circle(0.5, 0.096)),
+             (FiniteQtMatrix(40, LaurentSymbol([0.48, 1.0, 0.48], -1)),
+              lambda z: 1.0 / z, ContourSpec.circle(1.0, 0.95))]
     cfg = DEFAULT_CONFIG.updated(tol_stop=1e-6)
-    import logging
-    with caplog.at_level(logging.WARNING, logger="qtmat.contour"):
-        got = funm_contour(a, np.exp, ContourSpec.circle(0.5, 0.096), cfg)
-    assert any("inflated" in rec.message for rec in caplog.records)
-    assert np.abs(finite_section(got, 6)
-                  - math.exp(0.6) * np.eye(6)).max() < 1e-3
+    with caplog.at_level(logging.DEBUG, logger="qtmat.contour"):
+        for a, f, circle in cases:
+            start = time.perf_counter()
+            with pytest.raises(EnclosureError):
+                funm_contour(a, f, circle, cfg)
+            assert time.perf_counter() - start < 1.0
+    assert not caplog.records
 
 
 def test_invalid_contours():
@@ -544,7 +550,7 @@ def test_dense_and_algebra_sums_agree(case):
     assert (info["level_sum"], want_info["level_sum"]) == ("dense", "algebra")
     assert info["levels"] == want_info["levels"]
     assert info["resolvents"] == want_info["resolvents"]
-    assert info["reused"] == 0 and info["retries"] == 0
+    assert info["reused"] == 0
     # The level differences measure the same norm, exactly instead of
     # through compressed corners.
     assert np.allclose(info["level_diffs"], want_info["level_diffs"],
@@ -590,28 +596,27 @@ def _diagonal(m, first, last):
                           Correction.rank_one([last], [1.0]))
 
 
-def test_singular_node_retries_once_then_raises(caplog):
+def test_singular_node_raises_on_spectrum_error_without_retry(caplog):
+    # Both matrices have the eigenvalue 1.5 at node 0 of the circle.  For
+    # the second a circle 10 percent wider would also enclose the pole of f
+    # at 1.55, and the run on it returned 0 for the entry -20 of f(A).
     from qtmat import OnSpectrumError
     circle = ContourSpec.circle(0.5, 1.0)
-    first = circle.gamma(0.0)  # node 0 of the first run
-    inflated = ContourSpec.circle(0.5, circle.radius * 1.1).gamma(0.0)
+    node = circle.gamma(0.0)
+    d = np.array([0.3, 0.5, 0.7, 0.2, 0.4, 1.5])
+    cases = [(_diagonal(6, node.real, 0.0), np.exp),
+             (FiniteQtMatrix(6, LaurentSymbol([0.5]),
+                             Correction(np.diag(d - 0.5), np.eye(6))),
+              lambda z: 1.0 / (z - 1.55))]
     cfg = DEFAULT_CONFIG.updated(tol_stop=1e-9)
-    # Only the first run meets an eigenvalue: one retry, which converges.
-    with caplog.at_level(logging.WARNING, logger="qtmat.contour"):
-        got, info = funm_contour(_diagonal(6, first.real, 0.0), np.exp,
-                                 circle, cfg, with_info=True)
-    assert len(caplog.records) == 1
-    assert (info["level_sum"], info["retries"]) == ("dense", 1)
-    want = np.diag([math.exp(first.real)] + [1.0] * 5)
-    assert np.abs(fqt_to_dense(got) - want).max() < 1e-8
-    caplog.clear()
-    # Both runs meet one: the retry's error is raised.
-    with caplog.at_level(logging.WARNING, logger="qtmat.contour"):
-        with pytest.raises(OnSpectrumError) as err:
-            funm_contour(_diagonal(6, first.real, inflated.real), np.exp,
-                         circle, cfg)
-    assert err.value.z == inflated
-    assert len(caplog.records) == 1
+    with caplog.at_level(logging.DEBUG, logger="qtmat.contour"):
+        for a, f in cases:
+            start = time.perf_counter()
+            with pytest.raises(OnSpectrumError) as err:
+                funm_contour(a, f, circle, cfg)
+            assert time.perf_counter() - start < 1.0
+            assert err.value.z == node == 1.5
+    assert not caplog.records
 
 
 @pytest.mark.parametrize("m", [20, _ALGEBRA_M])

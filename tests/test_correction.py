@@ -16,6 +16,7 @@ from qtmat import (
 from qtmat.correction import (
     _kept_length,
     _kept_rank,
+    corr_product,
     corr_times_corr,
     corr_times_toeplitz,
     toeplitz_times_corr,
@@ -23,10 +24,12 @@ from qtmat.correction import (
 )
 
 from tests.support import (
+    convolve_oracle,
     dense_correction_oracle,
     dense_hankel_minus,
     dense_hankel_plus,
     dense_toeplitz_oracle,
+    dict_to_symbol,
     random_correction,
     random_symbol,
 )
@@ -228,6 +231,83 @@ def test_corr_times_corr_vs_dense():
     n = 8
     want = dense_correction_oracle(e1, n, n) @ dense_correction_oracle(e2, n, n)
     assert np.abs(dense_correction_oracle(got, n, n) - want).max() < 1e-12
+
+
+# Exponent ranges of symbols with only negative, only positive and both
+# kinds of exponent.
+_EXPONENTS = {"negative": (-8, -1), "positive": (1, 8), "both": (-7, 6)}
+
+
+def _product_factors(rng, kind, real):
+    """A symbol of the given exponent kind and a correction, real or not."""
+    lo, hi = _EXPONENTS[kind]
+    coeffs = rng.standard_normal(hi - lo + 1)
+    if real:
+        p, q, r = rng.integers(1, 7, size=3)
+        corr = Correction(rng.standard_normal((p, r)),
+                          rng.standard_normal((q, r)))
+    else:
+        coeffs = coeffs + 1j * rng.standard_normal(hi - lo + 1)
+        corr = random_correction(rng, *rng.integers(1, 7, size=3))
+    return LaurentSymbol(coeffs, lo), corr
+
+
+def _product_oracle(a, e, b, f, n):
+    """Leading n x n section of (T(a) + E)(T(b) + F) - T(ab).
+
+    The inner dimension 2n covers every band and correction of the tests.
+    """
+    left = dense_toeplitz_oracle(a, 2 * n) \
+        + dense_correction_oracle(e, 2 * n, 2 * n)
+    right = dense_toeplitz_oracle(b, 2 * n) \
+        + dense_correction_oracle(f, 2 * n, 2 * n)
+    return (left @ right)[:n, :n] \
+        - dense_toeplitz_oracle(dict_to_symbol(convolve_oracle(a, b)), n)
+
+
+def _finite_product_oracle(a, e, b, f, m):
+    """(T_m(a) + E)(T_m(b) + F) - T_m(ab) without its bottom-right term.
+
+    The product of two m x m Toeplitz sections is
+    T_m(ab) - H_m(a^-) H_m(b^+) - J H_m(a^+) H_m(b^-) J (J the flip), so
+    the last term, which belongs to the bottom-right corner, is added back.
+    """
+    def hankel(sym, sign):
+        return np.array([[sym.coeff(sign * (i + j + 1)) for j in range(m)]
+                         for i in range(m)], dtype=complex)
+
+    left = dense_toeplitz_oracle(a, m) + dense_correction_oracle(e, m, m)
+    right = dense_toeplitz_oracle(b, m) + dense_correction_oracle(f, m, m)
+    flipped = hankel(a, 1) @ hankel(b, -1)
+    return left @ right \
+        - dense_toeplitz_oracle(dict_to_symbol(convolve_oracle(a, b)), m) \
+        + flipped[::-1, ::-1]
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("kinds", [("negative", "positive"),
+                                   ("positive", "negative"),
+                                   ("negative", "negative"),
+                                   ("positive", "positive"),
+                                   ("both", "both")])
+def test_corr_product_vs_dense_sections(kinds, real):
+    rng = np.random.default_rng(23)
+    a, e = _product_factors(rng, kinds[0], real)
+    b, f = _product_factors(rng, kinds[1], real)
+    # As in an m x m matrix, the symbols fit in its band and E and F in its
+    # corner; the Toeplitz terms T(a) F and E T(b) reach past the cap.
+    n, m = 24, 9
+    for ee in (Correction.zero(), e):
+        for ff in (Correction.zero(), f):
+            got = corr_product(a, ee, b, ff)
+            assert got.p <= n and got.q <= n
+            assert np.abs(dense_correction_oracle(got, n, n)
+                          - _product_oracle(a, ee, b, ff, n)).max() < 1e-12
+            got = corr_product(a, ee, b, ff, m)
+            assert got.p <= m and got.q <= m
+            assert np.abs(dense_correction_oracle(got, m, m)
+                          - _finite_product_oracle(a, ee, b, ff, m)
+                          ).max() < 1e-12
 
 
 def test_from_dense_round_trip():

@@ -8,11 +8,13 @@ from qtmat import (
     DEFAULT_CONFIG,
     CertificateError,
     Correction,
+    CqtMatrix,
     FiniteQtMatrix,
     LaurentSymbol,
     SingularMatrixError,
     SizeMismatchError,
     ToleranceConfig,
+    cqt_mul,
     cross_corner_count,
     fqt_add,
     fqt_from_dense,
@@ -24,6 +26,7 @@ from qtmat import (
 )
 import qtmat.correction
 from qtmat.finite import BandMatrix, fqt_split_norm
+from qtmat.symbol import sym_reverse
 from qtmat.oracles import _laplacian_power
 
 from tests.support import dense_fqt_oracle, random_fqt
@@ -101,6 +104,25 @@ def test_mul_corner_disjointness_for_large_m():
         assert not p.corners_overlap
         assert p.corr_tl.p + p.corr_br.p <= m
         assert p.corr_tl.q + p.corr_br.q <= m
+
+
+def test_mul_corners_are_the_semi_infinite_products_bit_for_bit():
+    # One product rule for both classes: with no clip biting and no corners
+    # crossing, the top-left corner is the product of the top-left pair
+    # and the flipped bottom-right one that of J a J and J b J.
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        a = random_fqt(rng, 64, band=4, corner=8)
+        b = random_fqt(rng, 64, band=4, corner=8)
+        got = fqt_mul(a, b)
+        assert cross_corner_count(a, b) == 0
+        tl = cqt_mul(CqtMatrix(a.symbol, a.corr_tl),
+                     CqtMatrix(b.symbol, b.corr_tl)).corr
+        br = cqt_mul(CqtMatrix(sym_reverse(a.symbol), a.corr_br),
+                     CqtMatrix(sym_reverse(b.symbol), b.corr_br)).corr
+        for corner, want in ((got.corr_tl, tl), (got.corr_br, br)):
+            assert np.array_equal(corner.u, want.u)
+            assert np.array_equal(corner.v, want.v)
 
 
 def test_mul_preserves_symmetry():

@@ -82,6 +82,17 @@ def test_power_corrections_match_dense_sections():
             assert np.abs(got - want).max() < 1e-11
 
 
+def test_power_corrections_of_a_zero_correction_are_bitwise_none():
+    # One recurrence: E = 0 given as a correction or as None.
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        a = random_symbol(rng, max_len=6, scale=0.5)
+        for got, want in zip(power_corrections(a, Correction.zero(), 6),
+                             power_corrections(a, None, 6), strict=True):
+            assert np.array_equal(got.u, want.u)
+            assert np.array_equal(got.v, want.v)
+
+
 def test_power_corrections_norm_bound():
     rng = np.random.default_rng(3)
     a = LaurentSymbol([1.0, 0.0, 1.0], -1)
