@@ -9,7 +9,10 @@ class ToleranceConfig:
 
     tol_symbol        relative mass allowed to be dropped from symbol tails
     tol_corr          relative error allowed when compressing corrections
-    tol_stop          stopping tolerance of iterative engines and certificates
+    tol_stop          stopping tolerance of iterative engines and certificates;
+                      the contour engine stops when it bounds the level
+                      difference or the predicted trapezoidal error (see
+                      ``contour.funm_contour``)
     max_terms         cap on the number of series terms
     max_finite_section largest window of the windowed-inverse loop of the
                       semi-infinite cqt_inv; the finite fqt_inv has no

@@ -6,6 +6,14 @@ family whose count doubles per level.  The nodes of one level are the even
 nodes of the next, so each level halves the previous sum and adds only its
 new odd nodes, and no run inverts a node twice.
 
+On an analytic periodic integrand the rule converges geometrically
+(Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
+SIAM Review 56(3), 2014).  The level difference d_n = ||T_n - T_{n-1}||
+measures the error of T_{n-1}, so the loop also stops when the predicted
+error of T_n, d_n^2 / d_{n-1}, is below the stopping tolerance, once two
+falling ratios show the decay has set in; otherwise convergence would be
+seen one level, and as many new nodes as all earlier levels, late.
+
 One level loop feeds one of two running-sum forms, chosen by the matrix's
 size alone:
 
@@ -233,11 +241,20 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
     """f(A) through trapezoidal quadrature of the resolvent integral.
 
     Doubles the node count per level, T_n = T_{n-1} / 2 + h_n * (sum over
-    the new odd nodes), until the algebra norm of T_n - T_{n-1} drops below
-    the stopping tolerance.  There is no retry: the caller's contour must
-    enclose the spectrum of A and exclude the singularities of f, which the
-    engine cannot see.  The enclosure is checked on sampled symbol values
-    only, and a node that meets the spectrum raises OnSpectrumError.
+    the new odd nodes), until ``cfg.tol_stop`` bounds the level difference
+    d_n, the algebra norm of T_n - T_{n-1}, or the predicted error of T_n.
+    The prediction is d_n^2 / d_{n-1}, the geometric decay of the
+    trapezoidal rule (Trefethen & Weideman, SIAM Review 56(3), 2014).  It
+    counts only once two falling ratios,
+    d_n / d_{n-1} <= d_{n-1} / d_{n-2} < 1, show that decay, and it is
+    never taken below the noise floor of the sum form: ``cfg.tol_corr``
+    times the node count in the algebra form, whose differences are
+    compressed, and 0 in the exact dense form.
+
+    There is no retry: the caller's contour must enclose the spectrum of A
+    and exclude the singularities of f, which the engine cannot see.  The
+    enclosure is checked on sampled symbol values only, and a node that
+    meets the spectrum raises OnSpectrumError.
 
     The sums take one of two forms, by the matrix's size (see the module
     docstring).  In the algebra form each node adds its resolvent with one
@@ -293,11 +310,13 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
     produced the result used; 2^(levels-1) + 1 when every pair shares one,
     and 2^levels when none does), ``reused`` (how many of those came from
     the slot rather than from a new inversion; 0 in the dense form),
-    ``level_diffs``, ``level_sum`` ("dense" or "algebra"), and, from the
-    records of the inverses that run made, ``inverse_paths`` (a count per
-    path: "banded" for a finite matrix, in either form, "windowed" for a
-    semi-infinite one, or "scalar") and ``inverse_residual_max`` (None
-    when every node came from the slot).
+    ``level_diffs``, ``predicted_error`` (the guarded prediction at the
+    last level, None when the decay guard did not hold there),
+    ``stopped_on`` ("difference" or "prediction"), ``level_sum`` ("dense"
+    or "algebra"), and, from the records of the inverses that run made,
+    ``inverse_paths`` (a count per path: "banded" for a finite matrix, in
+    either form, "windowed" for a semi-infinite one, or "scalar") and
+    ``inverse_residual_max`` (None when every node came from the slot).
 
     Parameters
     ----------
@@ -331,8 +350,9 @@ def _sum_levels(total, f, contour, cfg):
     """Trapezoidal levels of the integral, summed by ``total``.
 
     ``total`` is a running-sum form, ``_AlgebraSum`` or ``_DenseSum``: it
-    starts each level from half the last one, adds the node terms and
-    measures the level difference.
+    starts each level from half the last one, adds the node terms,
+    measures the level difference and gives the noise floor of that
+    difference, below which no error prediction is taken.
     """
     a, b = contour.interval
     length = b - a
@@ -365,16 +385,40 @@ def _sum_levels(total, f, contour, cfg):
             total.add(zs[k], coef, paired)
             resolvents += 1
         if n > 1:
-            delta = total.difference()
-            diffs.append(delta)
-            if delta <= cfg.tol_stop:
-                return total.result(), {
-                    "levels": n, "nodes": count, "resolvents": resolvents,
-                    "reused": total.reused, "level_diffs": diffs,
-                    "level_sum": total.kind}
+            diffs.append(total.difference())
+            predicted = _predicted_error(diffs, total.floor(count))
+            if diffs[-1] <= cfg.tol_stop:
+                stopped_on = "difference"
+            elif predicted is not None and predicted <= cfg.tol_stop:
+                stopped_on = "prediction"
+            else:
+                continue
+            return total.result(), {
+                "levels": n, "nodes": count, "resolvents": resolvents,
+                "reused": total.reused, "level_diffs": diffs,
+                "predicted_error": predicted, "stopped_on": stopped_on,
+                "level_sum": total.kind}
     raise NoConvergenceError(
         f"contour quadrature did not converge within {cfg.max_levels} "
         f"levels; last differences {diffs[-3:]}")
+
+
+def _predicted_error(diffs, floor):
+    """Geometric prediction d_n^2 / d_{n-1} of the error of the last sum.
+
+    d_n = ||T_n - T_{n-1}|| measures the error of T_{n-1}; on a geometric
+    decay the error of T_n is about d_n times the ratio d_n / d_{n-1}.  The
+    prediction counts only after two falling ratios,
+    d_n / d_{n-1} <= d_{n-1} / d_{n-2} < 1, so a pre-asymptotic dip cannot
+    end a run, and it is never below ``floor``, the noise the sum form puts
+    into d_n.  None when the decay guard does not hold.
+    """
+    if len(diffs) < 3:
+        return None
+    d2, d1, d0 = diffs[-3:]
+    if not d0 / d1 <= d1 / d2 < 1.0:
+        return None
+    return max(d0 * d0 / d1, floor)
 
 
 class _AlgebraSum:
@@ -414,6 +458,10 @@ class _AlgebraSum:
 
     def difference(self):
         return self.acc.add(self.prev.scale(-1.0), self.cfg).norm_cqt()
+
+    def floor(self, count):
+        """Compression noise in a difference of ``count``-node sums."""
+        return self.cfg.tol_corr * count
 
     def result(self):
         return self.acc
@@ -463,6 +511,10 @@ class _DenseSum:
 
     def difference(self):
         return fqt_split_norm(self.acc - self.prev, self.cfg)
+
+    def floor(self, count):
+        """The sums are exact: no noise floor."""
+        return 0.0
 
     def result(self):
         return fqt_from_dense(self.acc, self.cfg, mass=self.mass)

@@ -197,7 +197,9 @@ class _TermRule:
 
     A term counts as negligible when |f_k| max(1, ||A||)^k drops below the
     stopping tolerance, or when the fitted geometric tail of the remaining
-    series is already below it.
+    series is already below it.  ``checked`` keeps the quantity compared
+    with the tolerance on each of the last three terms: the term bound, or
+    the fitted tail where the term bound was not below it.
     """
 
     def __init__(self, nrm, radius, tol):
@@ -206,13 +208,19 @@ class _TermRule:
         self.tol = tol
         self.log_scale = math.log(max(1.0, nrm))
         self.consecutive = 0
+        self.checked = []
 
     def done(self, coeffs, k):
         fk = abs(coeffs[k])
-        small = fk == 0.0 or \
-            math.log(fk) + k * self.log_scale < math.log(self.tol)
-        if not small:
-            small = _tail_estimate(coeffs, k, self.nrm, self.radius) < self.tol
+        if fk == 0.0:
+            small, checked = True, 0.0
+        else:
+            log_term = math.log(fk) + k * self.log_scale
+            small = log_term < math.log(self.tol)
+            checked = math.exp(log_term) if small else _tail_estimate(
+                coeffs, k, self.nrm, self.radius)
+            small = small or checked < self.tol
+        self.checked = self.checked[-2:] + [checked]
         self.consecutive = self.consecutive + 1 if small else 0
         return self.consecutive >= 3
 
@@ -223,6 +231,13 @@ def funm_taylor(matrix, f, cfg=DEFAULT_CONFIG, with_info=False):
     Requires the algebra norm of A to lie inside the disk of analyticity;
     for functions whose spectrum-based contour representation applies
     instead, use ``funm_contour``.
+
+    With ``with_info`` the result comes with ``terms`` and
+    ``tail_estimate``, the largest quantity the stopping rule compared with
+    ``cfg.tol_stop`` on its last three terms (the term bound
+    |f_k| max(1, ||A||)^k, or the fitted geometric tail where that bound
+    was not below the tolerance), so below the tolerance; 0 for a
+    polynomial.
 
     Raises
     ------
@@ -236,15 +251,14 @@ def funm_taylor(matrix, f, cfg=DEFAULT_CONFIG, with_info=False):
         raise RadiusViolationError(
             f"series norm hypothesis violated: ||A|| = {nrm:.6g} is not "
             f"below the radius of analyticity {f.radius:.6g}")
-    rules = (_TermRule(nrm, f.radius, cfg.tol_stop),)
-    total, pos, _, reached = _sum_terms(matrix, None, f, f.degree, rules,
+    rule = _TermRule(nrm, f.radius, cfg.tol_stop)
+    total, pos, _, reached = _sum_terms(matrix, None, f, f.degree, (rule,),
                                         cfg)
     total = _refresh_symbol(total, matrix.symbol,
                             f.scalar or _partial_scalar(pos), cfg)
     if with_info:
         # A polynomial is summed exactly: nothing is left in its tail.
-        tail = 0.0 if f.degree is not None else _tail_estimate(
-            pos, reached, nrm, f.radius)
+        tail = 0.0 if f.degree is not None else max(rule.checked)
         return total, {"terms": reached, "tail_estimate": tail}
     return total
 

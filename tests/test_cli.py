@@ -222,6 +222,8 @@ def test_funm_info_writes_one_json_line_on_stderr(tmp_path, capsys, method):
             path: info["resolvents"] - info["reused"]}
         assert info["inverse_residual_max"] <= 1e-9
         assert info["level_sum"] == ("dense" if finite else "algebra")
+        assert info["stopped_on"] in ("difference", "prediction")
+        assert "predicted_error" in info
     else:
         assert info["terms"] >= 1
 

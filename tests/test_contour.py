@@ -649,3 +649,96 @@ def test_semi_infinite_certificate_miss_is_a_certificate_error(caplog):
             funm_contour(a, np.sqrt, ContourSpec.circle(3, 2), cfg)
     assert time.perf_counter() - start < 5.0
     assert not caplog.records
+
+
+# -- stopping on the predicted error ------------------------------------------
+
+
+def _raw_prediction(diffs):
+    """d_n^2 / d_{n-1} when two falling ratios hold, else None."""
+    if len(diffs) < 3:
+        return None
+    d2, d1, d0 = diffs[-3:]
+    return d0 * d0 / d1 if d0 / d1 <= d1 / d2 < 1.0 else None
+
+
+@pytest.mark.parametrize("form", ["dense", "algebra"])
+def test_info_records_the_prediction_and_the_test_that_stopped(form):
+    a = _finite_i_plus_h2(40) if form == "dense" \
+        else _finite_on_the_algebra_path()
+    got, info = funm_contour(a, np.sqrt, _CIRCLE, _CFG, with_info=True)
+    assert info["level_sum"] == form
+    diffs = info["level_diffs"]
+    raw = _raw_prediction(diffs)
+    assert raw is not None
+    floor = 0.0 if form == "dense" else _CFG.tol_corr * info["nodes"]
+    assert info["predicted_error"] == max(raw, floor) <= _CFG.tol_stop
+    # Both inputs converge one level before their difference shows it.
+    assert diffs[-1] > _CFG.tol_stop
+    assert info["stopped_on"] == "prediction"
+    assert np.abs(fqt_to_dense(got) - _dense_funm(a, np.sqrt)).max() \
+        <= _CFG.tol_stop
+
+
+def test_info_has_no_prediction_before_two_falling_ratios():
+    a = CqtMatrix(LaurentSymbol.constant(0.5))
+    _, info = funm_contour(a, lambda z: z, ContourSpec.circle(0.5, 0.4),
+                           with_info=True)
+    assert len(info["level_diffs"]) < 3
+    assert info["predicted_error"] is None
+    assert info["stopped_on"] == "difference"
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+@pytest.mark.parametrize("pole", [2.52, 2.6, 3.0])
+def test_pole_near_the_contour_stops_within_tolerance(pole, tol):
+    # 1/(p - z) with p just outside circle(1.5, 1.0): the first levels do
+    # not decay geometrically, and the closer the pole, the longer the
+    # pre-asymptotic stretch the decay guard has to sit out.
+    a = _finite_i_plus_h2(40)
+    f = lambda z: 1.0 / (pole - z)  # noqa: E731
+    cfg = DEFAULT_CONFIG.updated(tol_stop=tol)
+    got = funm_contour(a, f, _CIRCLE, cfg)
+    assert np.abs(fqt_to_dense(got) - _dense_funm(a, f)).max() <= tol
+
+
+@pytest.mark.parametrize("f, tol", [(np.sqrt, 5e-13), (np.log, 1e-12)])
+def test_algebra_sum_never_predicts_below_the_compression_floor(
+        f, tol, monkeypatch):
+    # tol_stop just below the floor tol_corr * 2^n of the level where the
+    # bare prediction d_n^2 / d_{n-1} first falls under it.
+    seen = []
+    predict = qtmat.contour._predicted_error
+
+    def spy(diffs, floor):
+        seen.append((len(diffs) + 1, list(diffs), floor))
+        return predict(diffs, floor)
+
+    monkeypatch.setattr(qtmat.contour, "_predicted_error", spy)
+    a = _finite_on_the_algebra_path()
+    cfg = DEFAULT_CONFIG.updated(tol_stop=tol)
+    got, info = funm_contour(a, f, _CIRCLE, cfg, with_info=True)
+    assert info["level_sum"] == "algebra"
+    held_by_floor = False
+    for n, diffs, floor in seen:
+        assert floor == cfg.tol_corr * 2 ** n
+        raw = _raw_prediction(diffs)
+        if raw is not None:
+            held_by_floor |= raw <= tol < floor
+    assert held_by_floor
+    assert info["predicted_error"] >= cfg.tol_corr * info["nodes"]
+    assert info["stopped_on"] == "difference"
+    assert np.abs(fqt_to_dense(got) - _dense_funm(a, f)).max() <= tol
+
+
+@pytest.mark.parametrize("f", [np.sqrt, np.log])
+def test_i_plus_h10_converges_at_the_default_tolerance(f):
+    a = _laplacian_power(100).add(FiniteQtMatrix.identity(100))
+    got, info = funm_contour(a, f, _CIRCLE, with_info=True)
+    assert np.abs(fqt_to_dense(got) - _dense_funm(a, f)).max() \
+        <= DEFAULT_CONFIG.tol_stop
+    if f is np.log:
+        # The last difference is above the tolerance: stopping on it would
+        # have taken one more level, twice the nodes.
+        assert info["stopped_on"] == "prediction"
+        assert info["level_diffs"][-1] > DEFAULT_CONFIG.tol_stop

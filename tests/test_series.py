@@ -386,3 +386,12 @@ def test_parsed_input_keeps_complex_factors_through_taylor():
     assert parsed.corr.u.dtype == parsed.corr.v.dtype == np.complex128
     got = funm_taylor(parsed, SeriesSpec.exp())
     assert got.corr.u.dtype == got.corr.v.dtype == np.complex128
+
+
+def test_taylor_tail_estimate_is_what_the_stopping_rule_compared():
+    # The paper's Hessenberg band with k = 8 superdiagonals of ones: the
+    # rule fires on the term bound |f_k| ||A||^k while the fitted geometric
+    # tail still reads five orders of magnitude above the tolerance.
+    a = CqtMatrix(LaurentSymbol(np.ones(10), -1))
+    _, info = funm_taylor(a, SeriesSpec.exp(), with_info=True)
+    assert 0.0 < info["tail_estimate"] <= DEFAULT_CONFIG.tol_stop
