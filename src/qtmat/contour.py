@@ -20,8 +20,10 @@ size alone:
 - dense, for a finite matrix whose node inverses ``fqt_inv`` would solve in
   every column (``finite.solves_every_column``: m <= 256 for a band
   narrower than 64).  Each node inverse is solved on the band of -A, built
-  once per run, and the sum stays an exact m x m array, split into band
-  and corners once, after convergence;
+  once per run, and the sum stays an exact dense array, split into band
+  and corners once, after convergence.  When the band is centrosymmetric
+  (J A J = A, J the anti-identity, as for I + H^10), so is every node
+  inverse, and only its first ceil(m/2) columns are solved and summed;
 - algebra, for semi-infinite and larger finite matrices.  Node resolvents
   are matrices of the algebra, added with compression.  They depend only
   on the matrix, the node and the tolerances, so one module slot keeps
@@ -38,7 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG
+from .config import DEFAULT_CONFIG, MIRROR_ULPS
 from .errors import (
     CertificateError,
     EnclosureError,
@@ -53,15 +55,13 @@ from .finite import (
     FiniteQtMatrix,
     fqt_from_dense,
     fqt_split_norm,
+    mirrored_columns,
     solves_every_column,
 )
 from .symbol import LaurentSymbol, range_samples, sym_add, sym_truncate
 
 _TWO_PI_I = 2j * math.pi
 
-# Mirror nodes share one resolvent when f there matches conj f within this
-# many ulps (the mirror node itself is off the exact conjugate by a few).
-_CONJ_ULPS = 16
 _EPS = np.finfo(np.float64).eps
 
 # Bytes of node resolvents the slot keeps; past it they are used and dropped.
@@ -177,12 +177,18 @@ _inverse_records = contextvars.ContextVar("inverse_records", default=None)
 
 
 def _inverse_summary(records):
-    """Count per inverse path and worst residual of the inverted nodes."""
-    paths = {}
+    """Counts per inverse path and per solved column count, worst residual.
+
+    Semi-infinite inverses solve no columns and count in the paths only.
+    """
+    paths, columns = {}, {}
     for rec in records:
         paths[rec["path"]] = paths.get(rec["path"], 0) + 1
+        if "columns" in rec:
+            columns[rec["columns"]] = columns.get(rec["columns"], 0) + 1
     worst = max((rec["residual"] for rec in records), default=None)
-    return {"inverse_paths": paths, "inverse_residual_max": worst}
+    return {"inverse_paths": paths, "inverse_columns": columns,
+            "inverse_residual_max": worst}
 
 
 def _stored_arrays(matrix):
@@ -271,6 +277,19 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
     node inverse, halved with the sum per level.  That is the scale the
     split of each node would spend.
 
+    When the band of A equals its point reflection to within
+    ``config.MIRROR_ULPS`` ulps of its largest entry
+    (``BandMatrix.mirrored``: J A J = A up to rounding), every resolvent is
+    centrosymmetric too, and the dense form solves and sums only its first
+    h = ceil(m/2) columns: column j >= h is column m - 1 - j reversed.  The
+    certificate reads its sampled columns past h from those mirrors and
+    multiplies them by the band itself, so the symmetry is checked, not
+    assumed.  The m x h sums are expanded to m x m for the level difference
+    and the result.  If a half misses the certificate, the node's other
+    columns are solved; when that full inverse certifies, the sums are
+    expanded once and every later node is solved in full, and otherwise
+    the run raises CertificateError.
+
     Conjugate nodes share one resolvent.  Node k and its mirror 2^n - k are
     summed as 2 Re(c_k R(z_k)), and a node that is its own mirror (k = 0 or
     2^(n-1)) as Re(c_k R(z_k)), when all of these hold:
@@ -313,9 +332,14 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
     ``level_diffs``, ``predicted_error`` (the guarded prediction at the
     last level, None when the decay guard did not hold there),
     ``stopped_on`` ("difference" or "prediction"), ``level_sum`` ("dense"
-    or "algebra"), and, from the records of the inverses that run made,
+    or "algebra"), ``mirrored`` (whether the dense sums kept the half
+    columns of a centrosymmetric band to the end; False in the algebra
+    form), and, from the records of the inverses that run made,
     ``inverse_paths`` (a count per path: "banded" for a finite matrix, in
-    either form, "windowed" for a semi-infinite one, or "scalar") and
+    either form, "windowed" for a semi-infinite one, or "scalar"),
+    ``inverse_columns`` (a count per number of inverse columns solved for
+    a finite node: ceil(m/2) for a mirrored half, m for a full dense
+    inverse, or the corner columns of ``fqt_inv``) and
     ``inverse_residual_max`` (None when every node came from the slot).
 
     Parameters
@@ -358,8 +382,8 @@ def _sum_levels(total, f, contour, cfg):
     length = b - a
     # R(conj z) = conj R(z) for a real matrix, and a circle with a real
     # centre maps node k to the conjugate of node 2^n - k.
-    mirrored = (contour.kind == "circle" and contour.center.imag == 0
-                and total.matrix.is_real)
+    conjugates = (contour.kind == "circle" and contour.center.imag == 0
+                  and total.matrix.is_real)
     resolvents = 0
     diffs = []
     for n in range(1, cfg.max_levels + 1):
@@ -376,7 +400,7 @@ def _sum_levels(total, f, contour, cfg):
         total.next_level()
         for k in ks:
             j = (count - k) % count
-            paired = mirrored and _conjugate(fs[j], fs[k])
+            paired = conjugates and _conjugate(fs[j], fs[k])
             if paired and j < k:
                 continue  # summed with its mirror j
             coef = h * contour.dgamma(nodes[k]) * fs[k] / _TWO_PI_I
@@ -397,7 +421,7 @@ def _sum_levels(total, f, contour, cfg):
                 "levels": n, "nodes": count, "resolvents": resolvents,
                 "reused": total.reused, "level_diffs": diffs,
                 "predicted_error": predicted, "stopped_on": stopped_on,
-                "level_sum": total.kind}
+                "level_sum": total.kind, "mirrored": total.mirrored}
     raise NoConvergenceError(
         f"contour quadrature did not converge within {cfg.max_levels} "
         f"levels; last differences {diffs[-3:]}")
@@ -429,6 +453,7 @@ class _AlgebraSum:
     """
 
     kind = "algebra"
+    mirrored = False
 
     def __init__(self, matrix, cfg):
         global _slot
@@ -468,13 +493,15 @@ class _AlgebraSum:
 
 
 class _DenseSum:
-    """Level sums of a small finite matrix as dense m x m arrays.
+    """Level sums of a small finite matrix as dense arrays.
 
-    Node inverses are every column of (zI - A)^{-1}, solved on the band of
-    -A built once (``finite.BandMatrix``) and certified as ``fqt_inv``
+    Node inverses are columns of (zI - A)^{-1}, solved on the band of -A
+    built once (``finite.BandMatrix``) and certified as ``fqt_inv``
     certifies; they are summed exactly, and the result is split into band
     and corners once, budgeted against the summed node masses.  Nothing is
-    stored in the slot.
+    stored in the slot.  On a mirrored band the sums keep the first
+    ceil(m/2) columns only, until a node's half misses its certificate
+    (see ``funm_contour``).
     """
 
     kind = "dense"
@@ -483,44 +510,63 @@ class _DenseSum:
     def __init__(self, matrix, cfg):
         self.band = BandMatrix(matrix.scale(-1.0))
         self.matrix, self.cfg = matrix, cfg
+        self.mirrored = self.band.mirrored
         self.acc = self.prev = None
         self.mass = 0.0
 
     def next_level(self):
         self.prev = self.acc
         if self.prev is None:
+            m = self.matrix.m
+            width = (m + 1) // 2 if self.mirrored else m
             # Column-major, as ?gbtrs returns the node inverses.
-            self.acc = np.zeros((self.matrix.m,) * 2, order="F")
+            self.acc = np.zeros((m, width), order="F")
         else:
             self.acc = 0.5 * self.prev
             self.mass *= 0.5
 
     def add(self, z, coef, paired):
         try:
-            x, worst = self.band.shifted_inverse(z, self.cfg)
+            x, worst = self.band.shifted_inverse(z, self.cfg,
+                                                 half=self.mirrored)
         except SingularMatrixError as exc:
             raise OnSpectrumError(
                 z, f"resolvent failed at z={z}: {exc}") from exc
         records = _inverse_records.get()
         if records is not None:
-            records.append({"path": "banded", "columns": self.matrix.m,
+            records.append({"path": "banded", "columns": x.shape[1],
                             "residual": worst})
+        if x.shape[1] > self.acc.shape[1]:
+            self.acc, self.prev = self._full(self.acc), self._full(self.prev)
+            self.mirrored = False
         term = coef * x
         self.acc = self.acc + (term.real if paired else term)
-        self.mass += abs(coef) * float(np.abs(x).sum())
+        mass = float(np.abs(x).sum())
+        if self.mirrored:
+            # The half stands for both halves, which share a middle column
+            # when m is odd.
+            middle = np.abs(x[:, -1]).sum() if self.matrix.m % 2 else 0.0
+            mass = 2.0 * mass - float(middle)
+        self.mass += abs(coef) * mass
+
+    def _full(self, part):
+        """The m x m sum of which ``part`` holds the leading columns."""
+        if part is None or not self.mirrored:
+            return part
+        return mirrored_columns(part, np.arange(self.matrix.m))
 
     def difference(self):
-        return fqt_split_norm(self.acc - self.prev, self.cfg)
+        return fqt_split_norm(self._full(self.acc - self.prev), self.cfg)
 
     def floor(self, count):
         """The sums are exact: no noise floor."""
         return 0.0
 
     def result(self):
-        return fqt_from_dense(self.acc, self.cfg, mass=self.mass)
+        return fqt_from_dense(self._full(self.acc), self.cfg, mass=self.mass)
 
 
 def _conjugate(fj, fk):
     """Whether fj equals conj(fk) to within a few ulps of their size."""
     scale = max(abs(fj), abs(fk))
-    return abs(fj - np.conj(fk)) <= _CONJ_ULPS * _EPS * scale
+    return abs(fj - np.conj(fk)) <= MIRROR_ULPS * _EPS * scale

@@ -10,9 +10,10 @@ flip is applied only when materializing.
 import functools
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import get_lapack_funcs
 
-from .config import DEFAULT_CONFIG
+from .config import DEFAULT_CONFIG, MIRROR_ULPS
 from .correction import (
     Correction,
     abs_sum_norm,
@@ -472,10 +473,7 @@ class BandMatrix:
     def __init__(self, a):
         m, sym, tl, br = a.m, a.symbol, a.corr_tl, a.corr_br
         kl, ku = _band_widths(a)
-        # Zero columns past m pad the order to kl + ku + 1, the least that
-        # SciPy's ?gbmv wrapper accepts.
-        band = np.zeros((kl + ku + 1, max(m, kl + ku + 1)),
-                        dtype=np.complex128, order="F")
+        band = np.zeros((kl + ku + 1, m), dtype=np.complex128, order="F")
         for d, c in zip(range(sym.min_deg, sym.max_deg + 1), sym.coeffs):
             band[ku - d, max(d, 0):m + min(d, 0)] = c
         if not tl.is_zero:
@@ -486,7 +484,26 @@ class BandMatrix:
             i, j = np.indices((br.p, br.q))
             band[ku + j - i, m - 1 - j] += br.u @ br.v.T
         self.band, self.kl, self.ku, self.m = band, kl, ku, m
-        self._gbmv = get_blas_funcs("gbmv", (band,))
+        # The same entries by row: B[i, i - kl + t] at rows[i, t].
+        r, j = np.indices(band.shape)
+        i = r - ku + j
+        inside = (0 <= i) & (i < m)
+        self._rows = np.zeros((m, kl + ku + 1), dtype=np.complex128)
+        self._rows[i[inside], kl + ku - r[inside]] = band[inside]
+
+    @functools.cached_property
+    def mirrored(self):
+        """Whether J B J = B up to rounding, J the anti-identity.
+
+        In band storage that is kl == ku and a band equal to its point
+        reflection ``band[::-1, ::-1]``, entry by entry to within
+        ``MIRROR_ULPS`` ulps of the largest entry.  A shift z I keeps it.
+        """
+        if self.kl != self.ku:
+            return False
+        gap = np.abs(self.band - self.band[::-1, ::-1]).max()
+        ulp = np.finfo(np.float64).eps * np.abs(self.band).max()
+        return bool(gap <= MIRROR_ULPS * ulp)
 
     def factor(self, shift=0.0):
         """LU factors of shift I + B (``?gbtrf``).
@@ -496,7 +513,7 @@ class BandMatrix:
         kl, ku, m = self.kl, self.ku, self.m
         # ?gbtrf wants kl more rows on top for the fill-in.
         ab = np.zeros((2 * kl + ku + 1, m), dtype=np.complex128, order="F")
-        ab[kl:] = self.band[:, :m]
+        ab[kl:] = self.band
         ab[kl + ku] += shift
         gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
         lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
@@ -507,29 +524,54 @@ class BandMatrix:
     def residual(self, x, cols, shift=0.0):
         """Max entry of (shift I + B) x - I on columns cols.
 
-        x holds the columns cols of an inverse, dense, m x len(cols); each
-        is multiplied by the band with ``?gbmv``.
+        x holds the columns cols of an inverse, dense, m x len(cols).  Row
+        i of B x is row i of B, kept by row, times rows i - kl .. i + ku of
+        x: one batched product over all columns.
         """
-        order = self.band.shape[1]
-        xs = np.zeros((order, len(cols)), dtype=np.complex128, order="F")
-        xs[:self.m] = x
-        out = np.empty_like(xs)
-        for t, j in enumerate(cols):
-            out[:, t] = self._gbmv(order, order, self.kl, self.ku, 1.0,
-                                   self.band, xs[:, t], beta=1.0,
-                                   y=shift * xs[:, t])
-            out[j, t] -= 1.0
-        return float(np.abs(out[:self.m]).max())
+        m, kl, width = self.m, self.kl, self._rows.shape[1]
+        padded = np.zeros((m + width - 1, x.shape[1]), dtype=np.complex128)
+        padded[kl:kl + m] = x
+        windows = sliding_window_view(padded, width, axis=0)
+        out = shift * x + (windows @ self._rows[:, :, None])[:, :, 0]
+        out[cols, np.arange(len(cols))] -= 1.0
+        return float(np.abs(out).max())
 
-    def shifted_inverse(self, shift, cfg):
-        """Every column of (shift I + B)^-1 and its certified residual.
+    def shifted_inverse(self, shift, cfg, half=False):
+        """Columns of (shift I + B)^-1 and their certified residual.
 
-        The residual is taken on the columns ``fqt_inv`` samples.  Raises
+        Every column, or with ``half`` on a mirrored band the first
+        h = ceil(m/2): the inverse of a mirrored matrix is mirrored, so
+        column j >= h is column m - 1 - j reversed (``mirrored_columns``).
+        The residual is taken on the columns ``fqt_inv`` samples, those
+        past h read from their mirrors and multiplied by B itself.  A half
+        that misses the certificate gets its other columns solved and is
+        certified whole, so the result has m columns then.  Raises
         SingularMatrixError or CertificateError.
         """
-        x = self.factor(shift).solve(np.arange(self.m))
-        cols = _sample_columns(self.m)
+        m = self.m
+        lu = self.factor(shift)
+        cols = _sample_columns(m)
+        h = (m + 1) // 2 if half and self.mirrored else m
+        x = lu.solve(np.arange(h))
+        if h < m:
+            worst = self.residual(mirrored_columns(x, cols), cols, shift)
+            if worst <= cfg.tol_stop:
+                return x, worst
+            x = np.hstack([x, lu.solve(np.arange(h, m))])
         return x, _certified(self.residual(x[:, cols], cols, shift), cfg)
+
+
+def mirrored_columns(x, js):
+    """Columns js of a mirrored m x m matrix X from its first ceil(m/2).
+
+    X = J X J, so column j >= ceil(m/2) of X is column m - 1 - j reversed.
+    """
+    m, h = x.shape
+    js = np.asarray(js)
+    out = x[:, np.minimum(js, m - 1 - js)]
+    far = js >= h
+    out[:, far] = out[::-1, far]
+    return out
 
 
 class _BandLU:

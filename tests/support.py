@@ -9,6 +9,7 @@ is meaningful.
 import numpy as np
 
 from qtmat import CqtMatrix, Correction, FiniteQtMatrix, LaurentSymbol
+from qtmat.oracles import _laplacian_power
 
 
 def dense_toeplitz_oracle(sym, n):
@@ -46,6 +47,19 @@ def dense_fqt_oracle(a):
     br = dense_correction_oracle(a.corr_br, m, m)
     out += br[::-1, ::-1]
     return out
+
+
+def centrosymmetric_fqt(m):
+    """I + H^10, a centrosymmetric matrix (J A J = A).
+
+    Below m = 3, where H^10 does not fit, a tridiagonal band with equal
+    corners instead.
+    """
+    if m >= 3:
+        return _laplacian_power(m).add(FiniteQtMatrix.identity(m))
+    corner = Correction.rank_one([0.1], [1.0])
+    return FiniteQtMatrix(m, LaurentSymbol([0.2, 1.5, 0.2][2 - m:m + 1],
+                                           1 - m), corner, corner)
 
 
 def convolve_oracle(a, b):

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qtmat import (
     CertificateError,
@@ -30,12 +31,16 @@ from qtmat import (
     resolvent,
     serialize,
 )
-from qtmat.finite import solves_every_column
+from qtmat.finite import BandMatrix, solves_every_column
 from qtmat.symbol import winding_number
 import qtmat.contour
 from qtmat.oracles import _laplacian_power, laplacian_symbol_coeffs
 
-from tests.support import dense_cqt_oracle, dense_fqt_oracle
+from tests.support import (
+    centrosymmetric_fqt,
+    dense_cqt_oracle,
+    dense_fqt_oracle,
+)
 
 
 def unit_circle_contour():
@@ -742,3 +747,72 @@ def test_i_plus_h10_converges_at_the_default_tolerance(f):
         # have taken one more level, twice the nodes.
         assert info["stopped_on"] == "prediction"
         assert info["level_diffs"][-1] > DEFAULT_CONFIG.tol_stop
+
+
+# -- mirrored dense sums ------------------------------------------------------
+
+
+def _every_column(monkeypatch):
+    """Let no band mirror, so the dense sum solves every column."""
+    monkeypatch.setattr(BandMatrix, "mirrored", False)
+
+
+@pytest.mark.parametrize("m", [1, 2, 121, 122])
+@pytest.mark.parametrize("f", [np.sqrt, np.log])
+def test_mirrored_dense_sum_agrees_with_the_all_columns_sum(
+        m, f, monkeypatch):
+    a = centrosymmetric_fqt(m)
+    got, info = funm_contour(a, f, _CIRCLE, _CFG, with_info=True)
+    assert info["level_sum"] == "dense" and info["mirrored"]
+    assert info["inverse_columns"] == {(m + 1) // 2: info["resolvents"]}
+    _every_column(monkeypatch)
+    want, want_info = funm_contour(a, f, _CIRCLE, _CFG, with_info=True)
+    assert not want_info["mirrored"]
+    assert want_info["inverse_columns"] == {m: want_info["resolvents"]}
+    assert info["levels"] == want_info["levels"]
+    assert np.allclose(info["level_diffs"], want_info["level_diffs"],
+                       rtol=0.0, atol=1e-13)
+    assert np.abs(fqt_to_dense(got) - fqt_to_dense(want)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("case", ["symbol", "corner"])
+def test_inputs_without_mirror_symmetry_solve_every_column(case):
+    m = 121
+    a = centrosymmetric_fqt(m)
+    if case == "symbol":
+        a = a.add(FiniteQtMatrix(m, LaurentSymbol([0.01, 0.0, 0.02], -1)))
+    else:
+        a = FiniteQtMatrix(m, a.symbol, a.corr_tl,
+                           a.corr_br.scaled(1.0 + 1e-6))
+    got, info = funm_contour(a, np.sqrt, _CIRCLE, _CFG, with_info=True)
+    assert info["level_sum"] == "dense" and not info["mirrored"]
+    assert info["inverse_columns"] == {m: info["resolvents"]}
+    want = scipy.linalg.sqrtm(dense_fqt_oracle(a))
+    assert np.abs(fqt_to_dense(got) - want).max() <= _CFG.tol_stop
+
+
+def test_a_mirrored_miss_switches_the_run_to_every_column(monkeypatch):
+    # The certificate of the half of the third node inverse is made to
+    # miss; its full inverse certifies, so that node and every later one
+    # is solved in full, and the run returns the all-columns result.
+    m = 121
+    a = centrosymmetric_fqt(m)
+    calls = []
+    residual = BandMatrix.residual
+
+    def missing_once(self, x, cols, shift=0.0):
+        calls.append(x.shape)
+        worst = residual(self, x, cols, shift)
+        return 1.0 if len(calls) == 3 else worst
+
+    with monkeypatch.context() as patch:
+        patch.setattr(BandMatrix, "residual", missing_once)
+        got, info = funm_contour(a, np.sqrt, _CIRCLE, _CFG, with_info=True)
+    assert not info["mirrored"]
+    assert info["inverse_columns"] == {(m + 1) // 2: 2,
+                                       m: info["resolvents"] - 2}
+    assert info["inverse_residual_max"] <= _CFG.tol_stop
+    _every_column(monkeypatch)
+    want, want_info = funm_contour(a, np.sqrt, _CIRCLE, _CFG, with_info=True)
+    assert info["levels"] == want_info["levels"]
+    assert np.abs(fqt_to_dense(got) - fqt_to_dense(want)).max() <= 1e-13

@@ -25,11 +25,11 @@ from qtmat import (
     toeplitz_section,
 )
 import qtmat.correction
-from qtmat.finite import BandMatrix, fqt_split_norm
+from qtmat.finite import BandMatrix, fqt_split_norm, mirrored_columns
 from qtmat.symbol import sym_reverse
 from qtmat.oracles import _laplacian_power
 
-from tests.support import dense_fqt_oracle, random_fqt
+from tests.support import centrosymmetric_fqt, dense_fqt_oracle, random_fqt
 
 
 def test_to_dense_matches_oracle():
@@ -446,6 +446,40 @@ def test_band_residual_matches_the_dense_product(m):
     want[cols, np.arange(len(cols))] -= 1.0
     got = band.residual(x, cols, shift)
     assert got == pytest.approx(np.abs(want).max(), rel=1e-13)
+
+
+@pytest.mark.parametrize("m", [1, 2, 121, 122])
+def test_half_inverse_of_a_mirrored_band_is_the_full_inverse(m):
+    band = BandMatrix(centrosymmetric_fqt(m).scale(-1.0))
+    assert band.mirrored
+    shift, cfg = 1.5 + 1j, DEFAULT_CONFIG
+    half, worst = band.shifted_inverse(shift, cfg, half=True)
+    full, _ = band.shifted_inverse(shift, cfg)
+    assert half.shape == (m, (m + 1) // 2) and full.shape == (m, m)
+    assert np.abs(mirrored_columns(half, np.arange(m)) - full).max() < 1e-13
+    # The certificate reads the sampled columns past the half from their
+    # mirrors and multiplies them by the band itself.
+    cols = qtmat.finite._sample_columns(m)
+    assert worst == band.residual(mirrored_columns(half, cols), cols, shift)
+    assert worst <= cfg.tol_stop
+
+
+def test_mirrored_is_the_point_reflection_of_the_band_up_to_rounding():
+    m = 60
+    a = centrosymmetric_fqt(m)
+    band = BandMatrix(a)
+    # The symbol of H^10 misses bitwise symmetry by the summation order.
+    assert not np.array_equal(band.band, band.band[::-1, ::-1])
+    assert band.mirrored
+    tilted = a.add(FiniteQtMatrix(m, LaurentSymbol([1e-9, 0.0, 0.0], -1)))
+    other_br = FiniteQtMatrix(m, a.symbol, a.corr_tl,
+                              a.corr_br.scaled(1.0 + 1e-9))
+    wider = FiniteQtMatrix(m, a.symbol,
+                           Correction(np.ones((12, 1)), np.ones((11, 1))),
+                           Correction(np.ones((11, 1)), np.ones((12, 1))))
+    assert BandMatrix(wider).kl != BandMatrix(wider).ku
+    for b in (tilted, other_br, wider):
+        assert not BandMatrix(b).mirrored
 
 
 def test_column_extraction():
