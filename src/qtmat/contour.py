@@ -25,10 +25,16 @@ size alone:
   (J A J = A, J the anti-identity, as for I + H^10), so is every node
   inverse, and only its first ceil(m/2) columns are solved and summed;
 - algebra, for semi-infinite and larger finite matrices.  Node resolvents
-  are matrices of the algebra, added with compression.  They depend only
-  on the matrix, the node and the tolerances, so one module slot keeps
-  those of the last matrix, up to a byte cap, for the next run on an equal
-  matrix with the same tolerances, whatever its f.
+  are matrices of the algebra.  The sum keeps their symbol coefficients
+  and each correction as a dense block grown to the largest node support,
+  added exactly, and truncates the symbol and factors each block once,
+  after convergence.  Node resolvents depend only on the matrix, the node
+  and the tolerances, so one module slot keeps those of the last matrix,
+  up to a byte cap, for the next run on an equal matrix with the same
+  tolerances, whatever its f.
+
+Both forms sum exactly and split once, so the level differences carry no
+compression noise and the predicted error is taken as it is.
 """
 
 import cmath
@@ -58,7 +64,16 @@ from .finite import (
     mirrored_columns,
     solves_every_column,
 )
-from .symbol import LaurentSymbol, range_samples, sym_add, sym_truncate
+from .correction import Correction
+from .symbol import (
+    LaurentSymbol,
+    norm_w,
+    range_samples,
+    sym_add,
+    sym_scale,
+    sym_truncate,
+    wiener_norms,
+)
 
 _TWO_PI_I = 2j * math.pi
 
@@ -193,9 +208,8 @@ def _inverse_summary(records):
 
 def _stored_arrays(matrix):
     """The arrays a CqtMatrix or FiniteQtMatrix is stored in."""
-    corrs = [getattr(matrix, name) for name in ("corr", "corr_tl", "corr_br")
-             if hasattr(matrix, name)]
-    return [matrix.symbol.coeffs] + [x for c in corrs for x in (c.u, c.v)]
+    return [matrix.symbol.coeffs] + [x for c in matrix.corrections
+                                     for x in (c.u, c.v)]
 
 
 def _slot_key(matrix, cfg):
@@ -252,10 +266,9 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
     The prediction is d_n^2 / d_{n-1}, the geometric decay of the
     trapezoidal rule (Trefethen & Weideman, SIAM Review 56(3), 2014).  It
     counts only once two falling ratios,
-    d_n / d_{n-1} <= d_{n-1} / d_{n-2} < 1, show that decay, and it is
-    never taken below the noise floor of the sum form: ``cfg.tol_corr``
-    times the node count in the algebra form, whose differences are
-    compressed, and 0 in the exact dense form.
+    d_n / d_{n-1} <= d_{n-1} / d_{n-2} < 1, show that decay.  Both sum
+    forms are exact until the result is split, so d_n carries no
+    compression noise and the prediction is taken as it is.
 
     There is no retry: the caller's contour must enclose the spectrum of A
     and exclude the singularities of f, which the engine cannot see.  The
@@ -263,19 +276,28 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
     meets the spectrum raises OnSpectrumError.
 
     The sums take one of two forms, by the matrix's size (see the module
-    docstring).  In the algebra form each node adds its resolvent with one
-    compressed add, and the level difference is ``norm_cqt`` of the
-    compressed difference.  In the dense form, for a finite matrix with
-    ``finite.solves_every_column``, each node's inverse is every column of
-    a banded LU solve of zI - A, certified on sampled columns as
-    ``fqt_inv`` certifies (a singular factorization is an OnSpectrumError).
-    The sums are exact m x m arrays; the level difference is ``norm_cqt``
-    of its split with the corners summed entrywise
-    (``finite.fqt_split_norm``), and the result is split once by
-    ``fqt_from_dense``, each corner budgeted ``cfg.tol_corr`` times the
-    summed node masses, sum over k of |c_k| times the entry mass of the
-    node inverse, halved with the sum per level.  That is the scale the
-    split of each node would spend.
+    docstring).  Both sum exactly and split once, after convergence, each
+    correction budgeted ``cfg.tol_corr`` times the summed node masses, sum
+    over k of |c_k| times the mass of the node's resolvent, halved with the
+    sum per level.  That is the scale the split of each node would spend.
+
+    - In the algebra form each node adds its resolvent's symbol
+      coefficients and the dense block of each correction.  The level
+      difference is the exact ``norm_cqt`` of T_n - T_{n-1}: the Wiener
+      norms of the symbol difference plus the entry sum of the correction
+      differences.  The result truncates the symbol once with
+      ``cfg.tol_symbol`` and factors each block once with
+      ``Correction.from_dense``.  A node's mass is the Wiener norm of its
+      symbol plus the entry mass of its corrections.
+    - In the dense form, for a finite matrix with
+      ``finite.solves_every_column``, each node's inverse is every column
+      of a banded LU solve of zI - A, certified on sampled columns as
+      ``fqt_inv`` certifies (a singular factorization is an
+      OnSpectrumError).  The sums are m x m arrays; the level difference is
+      ``norm_cqt`` of their split with the corners summed entrywise
+      (``finite.fqt_split_norm``), and the result is split by
+      ``fqt_from_dense``.  A node's mass is the entry mass of its
+      inverse.
 
     When the band of A equals its point reflection to within
     ``config.MIRROR_ULPS`` ulps of its largest entry
@@ -300,10 +322,11 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
       evaluated at every node, so a mirror is never assumed.
 
     Then R(conj z) = conj R(z), and the real part is formed exactly before
-    the node is added.  Its correction factors (or dense entries) are real
-    float64, so when every node pairs, the whole accumulation (the adds,
-    the halving of the previous level and the level difference) runs in
-    real arithmetic.  Any node that fails a test gets its own resolvent.
+    the node is added.  Its correction blocks (or dense entries) are real
+    float64, so when every node pairs, the whole accumulation of the
+    corrections (the adds, the halving of the previous level and the level
+    difference) runs in real arithmetic.  Any node that fails a test gets
+    its own resolvent.
 
     In the algebra form, calls on one matrix share their node resolvents.
     A module slot keeps those of the last run's matrix, and a later call
@@ -374,9 +397,8 @@ def _sum_levels(total, f, contour, cfg):
     """Trapezoidal levels of the integral, summed by ``total``.
 
     ``total`` is a running-sum form, ``_AlgebraSum`` or ``_DenseSum``: it
-    starts each level from half the last one, adds the node terms,
-    measures the level difference and gives the noise floor of that
-    difference, below which no error prediction is taken.
+    starts each level from half the last one, adds the node terms exactly,
+    measures the exact level difference and splits the converged sum once.
     """
     a, b = contour.interval
     length = b - a
@@ -410,7 +432,7 @@ def _sum_levels(total, f, contour, cfg):
             resolvents += 1
         if n > 1:
             diffs.append(total.difference())
-            predicted = _predicted_error(diffs, total.floor(count))
+            predicted = _predicted_error(diffs)
             if diffs[-1] <= cfg.tol_stop:
                 stopped_on = "difference"
             elif predicted is not None and predicted <= cfg.tol_stop:
@@ -427,29 +449,29 @@ def _sum_levels(total, f, contour, cfg):
         f"levels; last differences {diffs[-3:]}")
 
 
-def _predicted_error(diffs, floor):
+def _predicted_error(diffs):
     """Geometric prediction d_n^2 / d_{n-1} of the error of the last sum.
 
     d_n = ||T_n - T_{n-1}|| measures the error of T_{n-1}; on a geometric
     decay the error of T_n is about d_n times the ratio d_n / d_{n-1}.  The
     prediction counts only after two falling ratios,
     d_n / d_{n-1} <= d_{n-1} / d_{n-2} < 1, so a pre-asymptotic dip cannot
-    end a run, and it is never below ``floor``, the noise the sum form puts
-    into d_n.  None when the decay guard does not hold.
+    end a run.  None when the decay guard does not hold.
     """
     if len(diffs) < 3:
         return None
     d2, d1, d0 = diffs[-3:]
     if not d0 / d1 <= d1 / d2 < 1.0:
         return None
-    return max(d0 * d0 / d1, floor)
+    return d0 * d0 / d1
 
 
 class _AlgebraSum:
-    """Level sums in the matrix algebra, from slot-shared node resolvents.
+    """Level sums of slot-shared node resolvents of the algebra.
 
-    Each node term is one compressed add; the level difference is the
-    ``norm_cqt`` of a compressed difference.
+    A sum is a symbol and one dense block per correction of the matrix,
+    each grown to the largest node support; node terms add exactly, and
+    the result is truncated and factored once (see ``funm_contour``).
     """
 
     kind = "algebra"
@@ -462,13 +484,17 @@ class _AlgebraSum:
         if store.key != key:
             store = _slot = _NodeResolvents(key)
         self.store, self.matrix, self.cfg = store, matrix, cfg
-        self.acc = self.prev = None
+        self.sym = LaurentSymbol.zero()
+        self.blocks = [np.zeros((0, 0)) for _ in matrix.corrections]
+        self.prev = None
+        self.mass = 0.0
         self.reused = 0
 
     def next_level(self):
-        self.prev = self.acc
-        self.acc = (self.matrix.zero_like() if self.prev is None
-                    else self.prev.scale(0.5))
+        self.prev = (self.sym, self.blocks)
+        self.sym = sym_scale(self.sym, 0.5)
+        self.blocks = [0.5 * b for b in self.blocks]
+        self.mass *= 0.5
 
     def add(self, z, coef, paired):
         r = self.store.by_node.get(z)
@@ -477,19 +503,46 @@ class _AlgebraSum:
             self.store.store(z, r)
         else:
             self.reused += 1
-        term = r.scale(coef)
-        self.acc = self.acc.add(term.real_part() if paired else term,
-                                self.cfg)
+        term = sym_scale(r.symbol, coef)
+        self.sym = sym_add(self.sym, term.real_part() if paired else term)
+        self.mass += abs(coef) * norm_w(r.symbol)
+        for i, c in enumerate(r.corrections):
+            if c.is_zero:
+                continue
+            block = (c.u * coef) @ c.v.T
+            self.mass += float(np.abs(block).sum())
+            self.blocks[i] = _padded_sum(self.blocks[i],
+                                         block.real if paired else block)
 
     def difference(self):
-        return self.acc.add(self.prev.scale(-1.0), self.cfg).norm_cqt()
-
-    def floor(self, count):
-        """Compression noise in a difference of ``count``-node sums."""
-        return self.cfg.tol_corr * count
+        prev_sym, prev_blocks = self.prev
+        nw, nw1 = wiener_norms(sym_add(self.sym, sym_scale(prev_sym, -1.0)))
+        return nw + nw1 + sum(float(np.abs(_padded_sum(-p, b)).sum())
+                              for b, p in zip(self.blocks, prev_blocks))
 
     def result(self):
-        return self.acc
+        tol = self.cfg.tol_corr
+        return self.matrix.with_parts(
+            sym_truncate(self.sym, self.cfg.tol_symbol),
+            [Correction.from_dense(b, tol, scale=self.mass)
+             for b in self.blocks])
+
+
+def _padded_sum(acc, block):
+    """acc + block, each read as zero past its own shape.
+
+    Adds into acc in place when it is large enough and of a wide enough
+    dtype, so a caller passes an acc it owns.
+    """
+    rows, cols = block.shape
+    dtype = np.result_type(acc, block)
+    if rows > acc.shape[0] or cols > acc.shape[1] or dtype != acc.dtype:
+        grown = np.zeros((max(rows, acc.shape[0]), max(cols, acc.shape[1])),
+                         dtype)
+        grown[:acc.shape[0], :acc.shape[1]] = acc
+        acc = grown
+    acc[:rows, :cols] += block
+    return acc
 
 
 class _DenseSum:
@@ -557,10 +610,6 @@ class _DenseSum:
 
     def difference(self):
         return fqt_split_norm(self._full(self.acc - self.prev), self.cfg)
-
-    def floor(self, count):
-        """The sums are exact: no noise floor."""
-        return 0.0
 
     def result(self):
         return fqt_from_dense(self._full(self.acc), self.cfg, mass=self.mass)

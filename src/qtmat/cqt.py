@@ -75,21 +75,23 @@ class CqtMatrix:
     def is_real(self):
         return self.symbol.is_real and self.corr.is_real
 
-    def real_part(self):
-        """Entrywise real part, exact and uncompressed."""
-        return CqtMatrix(self.symbol.real_part(), self.corr.real_part())
-
     def norm_cqt(self):
         return cqt_norm(self)
-
-    def zero_like(self):
-        return CqtMatrix.zero()
 
     def identity_like(self):
         return CqtMatrix.identity()
 
     def with_symbol(self, symbol):
         return CqtMatrix(symbol, self.corr)
+
+    @property
+    def corrections(self):
+        """The stored corrections, in constructor order."""
+        return (self.corr,)
+
+    def with_parts(self, symbol, corrections):
+        """A matrix of this class and size from a symbol and corrections."""
+        return CqtMatrix(symbol, *corrections)
 
     def __add__(self, other):
         return cqt_add(self, other, DEFAULT_CONFIG)
@@ -181,8 +183,9 @@ def cqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
     ``cfg.max_finite_section``, the top-left half of the inverse of the
     leading n x n section minus T(recip) is a candidate once it has decayed
     to ``cfg.tol_stop`` on its last tenth of rows and columns, and the
-    first candidate whose algebra product with ``a`` passes the stopping
-    tolerance against the identity on a covering section is returned.
+    first candidate whose product with ``a`` passes the stopping tolerance
+    against the identity on a covering section (``inverse_residual``) is
+    returned.
 
     The record's ``path`` is "windowed", or "scalar" for a scalar Toeplitz
     matrix, which inverts exactly with no section.
@@ -224,7 +227,7 @@ def cqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
                          np.abs(cand[:, half - frame:]).max(initial=0.0))
         if frame_mass <= cfg.tol_stop:
             result = CqtMatrix(recip, Correction.from_dense(cand, compress_tol))
-            residual = inverse_residual(a, result, cfg)
+            residual = inverse_residual(a, result)
             if residual <= cfg.tol_stop:
                 info = {"path": "windowed", "section": n,
                         "certified_n": _certificate_section(a, result),
@@ -249,15 +252,18 @@ def _certificate_section(a, b):
     return prod_extent + band + 8
 
 
-def inverse_residual(a, b, cfg=DEFAULT_CONFIG):
-    """Entrywise max of finite_section(a @ b - I) on a covering section.
+def inverse_residual(a, b):
+    """Entrywise max of the leading n x n block of a @ b - I.
 
-    The section covers both the full correction support of the product and
-    one period of every stored symbol coefficient, so together with the
-    residual of the reciprocal symbol it certifies the whole matrix.
+    The section n covers both the full correction support of the product
+    and one period of every stored symbol coefficient, so together with the
+    residual of the reciprocal symbol it certifies the whole matrix.  The
+    block is the product of dense sections, exact and uncompressed: row
+    i < n of a has no entry past column i + n_plus, nor past column
+    a.corr.q < n, so its first k = n + n_plus columns hold all of it.
     """
-    prod = cqt_mul(a, b, cfg)
     n = _certificate_section(a, b)
-    resid = finite_section(prod, n)
+    k = n + a.symbol.n_plus
+    resid = finite_section(a, k)[:n] @ finite_section(b, k)[:, :n]
     np.fill_diagonal(resid, resid.diagonal() - 1.0)
     return float(np.abs(resid).max())

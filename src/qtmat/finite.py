@@ -107,19 +107,10 @@ class FiniteQtMatrix:
         return (self.symbol.is_real and self.corr_tl.is_real
                 and self.corr_br.is_real)
 
-    def real_part(self):
-        """Entrywise real part, exact and uncompressed."""
-        return FiniteQtMatrix(self.m, self.symbol.real_part(),
-                              self.corr_tl.real_part(),
-                              self.corr_br.real_part())
-
     def norm_cqt(self):
         nw, nw1 = wiener_norms(self.symbol)
         return nw + nw1 + abs_sum_norm(self.corr_tl) \
             + abs_sum_norm(self.corr_br)
-
-    def zero_like(self):
-        return FiniteQtMatrix.zero(self.m)
 
     def identity_like(self):
         return FiniteQtMatrix.identity(self.m)
@@ -127,6 +118,15 @@ class FiniteQtMatrix:
     def with_symbol(self, symbol):
         return FiniteQtMatrix(self.m, sym_clip(symbol, self.m - 1),
                               self.corr_tl, self.corr_br)
+
+    @property
+    def corrections(self):
+        """The stored corrections, in constructor order."""
+        return (self.corr_tl, self.corr_br)
+
+    def with_parts(self, symbol, corrections):
+        """A matrix of this class and size from a symbol and corrections."""
+        return FiniteQtMatrix(self.m, symbol, *corrections)
 
     def columns(self, js):
         """Dense columns js (zero-based), m x len(js), without materializing.
@@ -386,12 +386,14 @@ def fqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
     decay away from the diagonal (Demko, Moss and Smith, Math. Comp. 43,
     1984).  The result is T_m(r) plus the two corners.  When 2k >= m for
     the first k (``solves_every_column``; always so for m <= 256 and a band
-    narrower than 64), or when the symbol has no reciprocal, every column
-    is solved and the full inverse is re-split by ``fqt_from_dense``.
-    The result is certified on sampled columns against the identity,
-    through a product with the band; a miss of the corner-column branch
-    doubles k, so only a singular or uncertifiable matrix fails.
-    ``cfg.max_finite_section`` is not used.
+    narrower than 64), or when the symbol has no reciprocal, the whole
+    inverse comes from ``BandMatrix.shifted_inverse``, the node-inverse
+    routine of the contour engine: on a centrosymmetric band its first
+    ceil(m/2) columns, expanded by ``mirrored_columns``, else every column.
+    It is re-split by ``fqt_from_dense``.  The result is certified on
+    sampled columns against the identity, through a product with the band;
+    a miss of the corner-column branch doubles k, so only a singular or
+    uncertifiable matrix fails.  ``cfg.max_finite_section`` is not used.
 
     The info dict has ``path`` ("banded", or "scalar" for a multiple of the
     identity), ``columns`` (inverse columns solved in the certified pass)
@@ -413,21 +415,25 @@ def fqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
         return (inv, {"path": "scalar", "residual": 0.0}) \
             if with_info else inv
     band = BandMatrix(a)
-    lu = band.factor()
     cols = _sample_columns(m)
     k = _first_corner_columns(m, band.kl, band.ku)
     recip = None if k is None else _clipped_reciprocal(a.symbol, m, cfg)
-    while recip is not None and 2 * k < m:
-        result = _from_corner_columns(lu, recip, k, cfg)
-        if result is not None:
-            worst = band.residual(result.columns(cols), cols)
-            if worst <= cfg.tol_stop:
-                info = {"path": "banded", "columns": 2 * k, "residual": worst}
-                return (result, info) if with_info else result
-        k *= 2
-    result = fqt_from_dense(lu.solve(np.arange(m)), cfg)
+    if recip is not None:
+        lu = band.factor()
+        while 2 * k < m:
+            result = _from_corner_columns(lu, recip, k, cfg)
+            if result is not None:
+                worst = band.residual(result.columns(cols), cols)
+                if worst <= cfg.tol_stop:
+                    info = {"path": "banded", "columns": 2 * k,
+                            "residual": worst}
+                    return (result, info) if with_info else result
+            k *= 2
+    x, _ = band.shifted_inverse(0.0, cfg, half=True)
+    full = x if x.shape[1] == m else mirrored_columns(x, np.arange(m))
+    result = fqt_from_dense(full, cfg)
     worst = _certified(band.residual(result.columns(cols), cols), cfg)
-    info = {"path": "banded", "columns": m, "residual": worst}
+    info = {"path": "banded", "columns": x.shape[1], "residual": worst}
     return (result, info) if with_info else result
 
 

@@ -280,6 +280,34 @@ def test_log_reuses_the_node_resolvents_of_sqrt(kind, monkeypatch):
     assert _bit_equal(got, want)
 
 
+def test_a_repeat_semi_infinite_run_factors_only_its_result(monkeypatch):
+    # Every node comes from the slot and is summed exactly, so the run
+    # compresses nothing and factors its one correction once, at the end.
+    a = _semi_i_plus_t()
+    _empty_slot()
+    want = funm_contour(a, np.log, _CIRCLE, _CFG)
+    compressed, factored = [], []
+    compress = qtmat.correction.corr_compress
+    from_dense = Correction.from_dense.__func__
+
+    def counting_compress(e, tol):
+        compressed.append(e)
+        return compress(e, tol)
+
+    def counting_from_dense(cls, *args, **kwargs):
+        factored.append(args[0].shape)
+        return from_dense(cls, *args, **kwargs)
+
+    for mod in (qtmat.correction, qtmat.cqt, qtmat.finite, qtmat.series):
+        monkeypatch.setattr(mod, "corr_compress", counting_compress)
+    monkeypatch.setattr(Correction, "from_dense",
+                        classmethod(counting_from_dense))
+    got, info = funm_contour(a, np.log, _CIRCLE, _CFG, with_info=True)
+    assert info["reused"] == info["resolvents"] > 0
+    assert compressed == [] and len(factored) == 1
+    assert _bit_equal(got, want)
+
+
 def test_other_tolerances_or_an_ulp_off_matrix_reuse_nothing():
     a = _finite_on_the_algebra_path()
     funm_contour(a, np.sqrt, _CIRCLE, _CFG)
@@ -580,14 +608,15 @@ def test_dense_split_keeps_no_more_than_the_algebra_sum():
 def test_the_engine_sums_densely_where_fqt_inv_solves_every_column():
     z = 1.5 + 1j
     cfg = DEFAULT_CONFIG.updated(tol_stop=1e-6)
-    # Bands narrower than 64 start at k = 128 corner columns.
+    # Bands narrower than 64 start at k = 128 corner columns.  Below that
+    # fqt_inv solves the whole inverse, of I + H^2 from its mirrored half.
     for m, form in ((256, "dense"), (257, "algebra")):
         a = _finite_i_plus_h2(m)
         _, info = funm_contour(a, np.sqrt, _CIRCLE, cfg, with_info=True)
         assert info["level_sum"] == form
         _, inv_info = a.identity_like().scale(z).add(a.scale(-1.0)).inv(
             cfg, with_info=True)
-        assert inv_info["columns"] == (m if form == "dense" else 256)
+        assert inv_info["columns"] == (m // 2 if form == "dense" else 256)
     # A band reaching z^64 starts at k = 256.
     wide = LaurentSymbol([1.0] + [0.0] * 63 + [0.01], 0)
     assert solves_every_column(FiniteQtMatrix(512, wide))
@@ -676,8 +705,7 @@ def test_info_records_the_prediction_and_the_test_that_stopped(form):
     diffs = info["level_diffs"]
     raw = _raw_prediction(diffs)
     assert raw is not None
-    floor = 0.0 if form == "dense" else _CFG.tol_corr * info["nodes"]
-    assert info["predicted_error"] == max(raw, floor) <= _CFG.tol_stop
+    assert info["predicted_error"] == raw <= _CFG.tol_stop
     # Both inputs converge one level before their difference shows it.
     assert diffs[-1] > _CFG.tol_stop
     assert info["stopped_on"] == "prediction"
@@ -708,32 +736,18 @@ def test_pole_near_the_contour_stops_within_tolerance(pole, tol):
 
 
 @pytest.mark.parametrize("f, tol", [(np.sqrt, 5e-13), (np.log, 1e-12)])
-def test_algebra_sum_never_predicts_below_the_compression_floor(
-        f, tol, monkeypatch):
-    # tol_stop just below the floor tol_corr * 2^n of the level where the
-    # bare prediction d_n^2 / d_{n-1} first falls under it.
-    seen = []
-    predict = qtmat.contour._predicted_error
-
-    def spy(diffs, floor):
-        seen.append((len(diffs) + 1, list(diffs), floor))
-        return predict(diffs, floor)
-
-    monkeypatch.setattr(qtmat.contour, "_predicted_error", spy)
-    a = _finite_on_the_algebra_path()
+def test_both_sum_forms_predict_without_a_floor(f, tol):
+    # Both forms sum exactly, so the prediction is the bare
+    # d_n^2 / d_{n-1}, even below tol_corr * 2^n.
     cfg = DEFAULT_CONFIG.updated(tol_stop=tol)
-    got, info = funm_contour(a, f, _CIRCLE, cfg, with_info=True)
-    assert info["level_sum"] == "algebra"
-    held_by_floor = False
-    for n, diffs, floor in seen:
-        assert floor == cfg.tol_corr * 2 ** n
-        raw = _raw_prediction(diffs)
-        if raw is not None:
-            held_by_floor |= raw <= tol < floor
-    assert held_by_floor
-    assert info["predicted_error"] >= cfg.tol_corr * info["nodes"]
-    assert info["stopped_on"] == "difference"
-    assert np.abs(fqt_to_dense(got) - _dense_funm(a, f)).max() <= tol
+    for form, a in (("dense", _finite_i_plus_h2(40)),
+                    ("algebra", _finite_on_the_algebra_path())):
+        got, info = funm_contour(a, f, _CIRCLE, cfg, with_info=True)
+        assert info["level_sum"] == form
+        assert info["predicted_error"] \
+            == _raw_prediction(info["level_diffs"]) \
+            < cfg.tol_corr * info["nodes"]
+        assert np.abs(fqt_to_dense(got) - _dense_funm(a, f)).max() <= tol
 
 
 @pytest.mark.parametrize("f", [np.sqrt, np.log])

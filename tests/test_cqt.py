@@ -184,6 +184,31 @@ def test_inv_certificate_random():
         assert np.abs(resid).max() <= 1e-9
 
 
+def test_inverse_residual_is_the_exact_product_of_sections():
+    # a has a positive exponent (n_plus = 2) and a correction much wider
+    # than tall, so the section of a that holds rows 0..n-1 is wider than
+    # n, and a.corr.q is still inside it.
+    rng = np.random.default_rng(12)
+    a = CqtMatrix(LaurentSymbol([0.3, 0.2, 4.0, 0.5, 0.25], -2),
+                  random_correction(rng, 2, 30, 2, scale=0.1))
+    others = [cqt_inv(a), random_cqt(rng, max_len=6, corr_dim=6)]
+    assert a.symbol.n_plus > 0
+    for b in others:
+        n = _certificate_section(a, b)
+        assert a.corr.q < n
+        got = inverse_residual(a, b)
+        big = n + 40
+        exact = (dense_cqt_oracle(a, big) @ dense_cqt_oracle(b, big))[:n, :n]
+        want = np.abs(exact - np.eye(n)).max()
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+        # The section of the compressed algebra product agrees within the
+        # budget of its compression.
+        prod = finite_section(cqt_mul(a, b), n) - np.eye(n)
+        budget = DEFAULT_CONFIG.tol_corr * max(1.0, cqt_norm(a) * cqt_norm(b))
+        assert abs(np.abs(prod).max() - got) <= budget
+    assert inverse_residual(a, others[0]) <= DEFAULT_CONFIG.tol_stop
+
+
 def test_inv_winding_error():
     with pytest.raises(NonzeroWindingError):
         cqt_inv(CqtMatrix(LaurentSymbol([1.0], 1)))
@@ -241,7 +266,7 @@ def _cqt_inv_inline(a, cfg=DEFAULT_CONFIG):
                          np.abs(cand[:, half - frame:]).max(initial=0.0))
         if frame_mass <= cfg.tol_stop:
             result = CqtMatrix(recip, Correction.from_dense(cand, compress_tol))
-            residual = inverse_residual(a, result, cfg)
+            residual = inverse_residual(a, result)
             if residual <= cfg.tol_stop:
                 return result, {"path": "windowed", "section": n,
                                 "certified_n": _certificate_section(a, result),

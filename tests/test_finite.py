@@ -275,15 +275,28 @@ def _shifted_h10(m, z):
 
 def test_inv_slowly_decaying_corner():
     # The inverse corners of (1.5 + 1i) I - H^10 at m = 150 do not decay
-    # within m // 2, so no window of half the matrix holds them; every
-    # column is solved instead, and a small max_finite_section is ignored.
+    # within m // 2, so no window of half the matrix holds them; the whole
+    # inverse is solved instead, from its first 75 columns as the matrix is
+    # centrosymmetric, and a small max_finite_section is ignored.
     a = _shifted_h10(150, 1.5 + 1j)
     b, info = fqt_inv(a, ToleranceConfig(max_finite_section=64),
                       with_info=True)
-    assert info == {"path": "banded", "columns": 150,
+    assert info == {"path": "banded", "columns": 75,
                     "residual": info["residual"]}
     want = np.linalg.inv(dense_fqt_oracle(a))
     assert np.abs(fqt_to_dense(b) - want).max() < 1e-12
+
+
+def test_inv_of_a_mirrored_matrix_solves_half_its_columns(monkeypatch):
+    # (1.5 + 1i) I - (I + H^10) at m = 200 is centrosymmetric: fqt_inv
+    # solves its first 100 inverse columns and mirrors the others.
+    a = _shifted_h10(200, 0.5 + 1j)
+    b, info = fqt_inv(a, with_info=True)
+    assert info["columns"] == 100 and info["residual"] <= 1e-12
+    monkeypatch.setattr(BandMatrix, "mirrored", False)
+    want, want_info = fqt_inv(a, with_info=True)
+    assert want_info["columns"] == 200
+    assert np.abs(fqt_to_dense(b) - fqt_to_dense(want)).max() <= 1e-13
 
 
 def _band_storage(a, lower, upper):
