@@ -2,8 +2,13 @@
 
 A correction represents the semi-infinite matrix whose leading p x q block
 equals ``u @ v.T`` (plain transpose, also for complex data) and which is zero
-elsewhere.  The factored form is kept small by a compression step based on
-thin QR factorizations and an SVD of the small core.
+elsewhere.  The factored form is kept small by ``corr_compress``: thin QR
+factorizations, an SVD of the small core and a certified trim.  Sums and
+products concatenate factors, so their rank r often exceeds min(p, q); the
+compression then first refactors the block exactly on its short side,
+(I_p, v u^T) when p <= q and (u v^T, I_q) otherwise, and runs a single QR.
+Its results never have rank above min(p, q).  An identity factor is a valid
+stored form like any other.
 
 Dtype rule: both factors share one dtype, float64 when every input is real
 and complex128 otherwise.  Real factors stay real through compression,
@@ -32,7 +37,9 @@ class Correction:
     """Factored correction ``u @ v.T`` with u of shape (p, r), v (q, r).
 
     Both factors are float64 when the inputs are real and complex128
-    otherwise (see the module docstring).
+    otherwise (see the module docstring).  Nothing ties r to p or q, and
+    either factor may be an identity: ``corr_compress`` stores a block as
+    (I_p, v u^T) or (u v^T, I_q) when that is its short side.
     """
 
     def __init__(self, u, v):
@@ -272,43 +279,63 @@ def corr_add(e1, e2, scale2=1.0):
 def corr_compress(e, tol):
     """Reduce rank and support of a correction within a certified budget.
 
-    Pipeline: thin QR of both factors, SVD of the small core, then discard
+    Pipeline: orthonormal bases of both factors' column spaces and the small
+    core between them, u v^T = Q_u C Q_v^T; the SVD of C; then discard
     trailing singular values and trailing rows/columns whose certified
     entrywise-sum contribution stays below ``tol * max(1, scale)`` where the
     scale is the leading singular value (a lower bound for the entrywise-sum
     norm of the correction).
+
+    Short-side rule: when the rank r exceeds min(p, q), as it often does
+    after ``corr_add`` or ``corr_product``, the pair is first refactored
+    exactly as (I_p, v u^T) when p <= q, otherwise (u v^T, I_q).  The
+    identity needs no basis, so one QR runs, of width min(p, q), instead of
+    one per factor.  When the trim then leaves rank > min(p, q) the result
+    takes the same exact refactor (``_short_side``), one matmul and no
+    further QR or SVD, so its rank never exceeds min(p, q).
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     if e.is_zero:
         return e
-    qu, ru = np.linalg.qr(e.u, mode="reduced")
-    qv, rv = np.linalg.qr(e.v, mode="reduced")
-    core = ru @ rv.T
+    p, q = e.p, e.q
+    # u v^T = qu @ core @ qv.T, where None stands for an identity basis.
+    if e.rank <= min(p, q):
+        qu, ru = np.linalg.qr(e.u, mode="reduced")
+        qv, rv = np.linalg.qr(e.v, mode="reduced")
+        core = ru @ rv.T
+    elif p <= q:
+        qu = None
+        qv, rv = np.linalg.qr(e.v @ e.u.T, mode="reduced")
+        core = rv.T
+    else:
+        qu, core = np.linalg.qr(e.u @ e.v.T, mode="reduced")
+        qv = None
     w, s, xh = np.linalg.svd(core, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return Correction.zero()
     budget = tol * max(1.0, float(s[0]))
-    k = _kept_rank(s, e.p, e.q, budget / 2)
+    k = _kept_rank(s, p, q, budget / 2)
     if k == 0:
         return Correction.zero()
-    u = qu @ (w[:, :k] * s[:k])
-    v = qv @ xh[:k].T
-    out = _trim_factors(u, v, budget / 2)
-    if out.rank > min(out.p, out.q):
-        out = _reduce_rank(out)
-    return out
+    u = w[:, :k] * s[:k]
+    v = xh[:k].T
+    out = _trim_factors(u if qu is None else qu @ u,
+                        v if qv is None else qv @ v, budget / 2)
+    return _short_side(out)
 
 
-def _reduce_rank(e):
-    """Lossless rank reduction after support trimming left rank > min(p, q)."""
-    qu, ru = np.linalg.qr(e.u, mode="reduced")
-    qv, rv = np.linalg.qr(e.v, mode="reduced")
-    w, s, xh = np.linalg.svd(ru @ rv.T, full_matrices=False)
-    k = int(np.count_nonzero(s))
-    if k == 0:
-        return Correction.zero()
-    return Correction._owned(qu @ (w[:, :k] * s[:k]), qv @ xh[:k].T)
+def _short_side(e):
+    """e, or when its rank exceeds min(p, q) the same block refactored exactly.
+
+    The refactor is (I_p, v u^T) when p <= q, otherwise (u v^T, I_q): rank
+    min(p, q), an identity in the factors' dtype on the short side.
+    """
+    if e.rank <= min(e.p, e.q):
+        return e
+    if e.p <= e.q:
+        return Correction._owned(np.eye(e.p, dtype=e.u.dtype), e.v @ e.u.T)
+    return Correction._owned(e.u @ e.v.T, np.eye(e.q, dtype=e.v.dtype))
 
 
 def _trim_factors(u, v, budget):

@@ -389,8 +389,9 @@ def fqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
     narrower than 64), or when the symbol has no reciprocal, the whole
     inverse comes from ``BandMatrix.shifted_inverse``, the node-inverse
     routine of the contour engine: on a centrosymmetric band its first
-    ceil(m/2) columns, expanded by ``mirrored_columns``, else every column.
-    It is re-split by ``fqt_from_dense``.  The result is certified on
+    ceil(m/2) columns, expanded by ``mirrored_columns``, else every column,
+    from the LU the corner columns were solved with when there is one.  It
+    is re-split by ``fqt_from_dense``.  The result is certified on
     sampled columns against the identity, through a product with the band;
     a miss of the corner-column branch doubles k, so only a singular or
     uncertifiable matrix fails.  ``cfg.max_finite_section`` is not used.
@@ -418,6 +419,7 @@ def fqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
     cols = _sample_columns(m)
     k = _first_corner_columns(m, band.kl, band.ku)
     recip = None if k is None else _clipped_reciprocal(a.symbol, m, cfg)
+    lu = None
     if recip is not None:
         lu = band.factor()
         while 2 * k < m:
@@ -429,7 +431,7 @@ def fqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
                             "residual": worst}
                     return (result, info) if with_info else result
             k *= 2
-    x, _ = band.shifted_inverse(0.0, cfg, half=True)
+    x, _ = band.shifted_inverse(0.0, cfg, half=True, lu=lu)
     full = x if x.shape[1] == m else mirrored_columns(x, np.arange(m))
     result = fqt_from_dense(full, cfg)
     worst = _certified(band.residual(result.columns(cols), cols), cfg)
@@ -542,7 +544,7 @@ class BandMatrix:
         out[cols, np.arange(len(cols))] -= 1.0
         return float(np.abs(out).max())
 
-    def shifted_inverse(self, shift, cfg, half=False):
+    def shifted_inverse(self, shift, cfg, half=False, lu=None):
         """Columns of (shift I + B)^-1 and their certified residual.
 
         Every column, or with ``half`` on a mirrored band the first
@@ -551,11 +553,13 @@ class BandMatrix:
         The residual is taken on the columns ``fqt_inv`` samples, those
         past h read from their mirrors and multiplied by B itself.  A half
         that misses the certificate gets its other columns solved and is
-        certified whole, so the result has m columns then.  Raises
+        certified whole, so the result has m columns then.  ``lu`` passes
+        ``factor(shift)`` when the caller has it already.  Raises
         SingularMatrixError or CertificateError.
         """
         m = self.m
-        lu = self.factor(shift)
+        if lu is None:
+            lu = self.factor(shift)
         cols = _sample_columns(m)
         h = (m + 1) // 2 if half and self.mirrored else m
         x = lu.solve(np.arange(h))

@@ -475,3 +475,122 @@ def test_construction_copies_caller_arrays_only():
         c.scaled(np.inf)
     with pytest.raises(ValueError):
         corr_add(c, c, np.nan)
+
+
+def _factors(rng, p, q, r, complex_):
+    """Seeded p x r and q x r factors whose columns decay by 0.3 each."""
+    u = rng.standard_normal((p, r)) * 0.3 ** np.arange(r)
+    v = rng.standard_normal((q, r))
+    if complex_:
+        u = u + 1j * rng.standard_normal((p, r)) * 0.3 ** np.arange(r)
+        v = v + 1j * rng.standard_normal((q, r))
+    return u, v
+
+
+def _assert_compressed(u, v, c, tol):
+    """corr_compress's invariants for c = corr_compress(Correction(u, v))."""
+    dense = u @ v.T
+    scale = np.linalg.norm(dense, 2) if dense.size else 0.0
+    err = dense.astype(complex)
+    assert c.p <= err.shape[0] and c.q <= err.shape[1]
+    if not c.is_zero:
+        err[:c.p, :c.q] -= c.u @ c.v.T
+    # The certified entrywise budget, plus rounding of the dense products.
+    assert np.abs(err).sum() <= (tol * max(1.0, scale)
+                                 + 1e-13 * np.abs(dense).sum())
+    assert c.rank <= min(c.p, c.q)
+    if u.dtype == v.dtype == np.float64:
+        assert c.u.dtype == c.v.dtype == np.float64
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("p, q, r", [(5, 9, 14), (11, 6, 17), (10, 8, 4),
+                                     (7, 7, 7), (1, 6, 4), (6, 1, 4)])
+def test_corr_compress_invariants(p, q, r, complex_):
+    rng = np.random.default_rng(100 * p + 10 * q + r)
+    for tol in (0.0, 1e-10, 1e-4):
+        u, v = _factors(rng, p, q, r, complex_)
+        _assert_compressed(u, v, corr_compress(Correction(u, v), tol), tol)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_corr_compress_invariants_on_degenerate_input(complex_):
+    rng = np.random.default_rng(31)
+    u, v = _factors(rng, 6, 9, 3, complex_)
+    cases = [
+        (np.hstack([u, u, u, u]), np.hstack([v, v, v, v])),  # rank 3 of 12
+        (np.zeros((6, 12)), v[:, :1] @ np.ones((1, 12))),  # a zero factor
+        (u[:0], v), (u, v[:0]), (u[:, :0], v[:, :0]),  # zero shapes
+    ]
+    for uu, vv in cases:
+        for tol in (0.0, 1e-10):
+            c = corr_compress(Correction(uu, vv), tol)
+            _assert_compressed(uu, vv, c, tol)
+        # At tol 0 rounding noise may keep rank up to min(p, q).
+        assert c.rank <= 3
+    assert corr_compress(Correction(*cases[1]), 0.0).is_zero
+
+
+def _trimmed_below_rank(rng, p, q, complex_):
+    """Factors whose compression is trimmed to a side shorter than its rank.
+
+    The short side has 3 lines.  Two dense ones span the long side but for
+    its middle entry; the third holds one spike there, of tol / 8 times the
+    leading singular value, which the rank cut keeps and the trim drops as
+    trailing mass.
+    """
+    tol = 1e-6
+    u, v = _factors(rng, 2, max(p, q), 2, complex_)
+    short = np.zeros((3, 3), dtype=u.dtype)
+    short[:2, :2] = u
+    short[2, 2] = tol * np.linalg.norm(u @ v.T, 2) / 8
+    long_ = np.zeros((max(p, q), 3), dtype=u.dtype)
+    long_[:, :2] = v
+    long_[max(p, q) // 2] = (0.0, 0.0, 1.0)
+    u, v = (short, long_) if p <= q else (long_, short)
+    # Each column twice, halved on one side: the same block at rank 6, so
+    # the rank also starts above min(p, q).
+    return np.hstack([u, u]) / 2, np.hstack([v, v]), tol
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("p, q", [(3, 30), (30, 3)])
+def test_corr_compress_refactors_after_the_trim(p, q, complex_):
+    # The trim leaves rank 3 on a short side of 2; the exact refactor that
+    # follows stores that side as an identity in the factors' dtype and
+    # brings the rank down to 2.
+    u, v, tol = _trimmed_below_rank(np.random.default_rng(32), p, q,
+                                    complex_)
+    c = corr_compress(Correction(u, v), tol)
+    _assert_compressed(u, v, c, tol)
+    short = c.u if c.p <= c.q else c.v
+    assert min(c.p, c.q) == c.rank == 2
+    assert short.dtype == c.u.dtype
+    assert np.array_equal(short, np.eye(min(c.p, c.q)))
+
+
+@pytest.mark.parametrize("trimmed", [False, True])
+@pytest.mark.parametrize("p, q, r", [(5, 9, 14), (11, 6, 17), (3, 30, 8),
+                                     (30, 3, 8)])
+def test_corr_compress_runs_one_qr_on_the_long_side(monkeypatch, p, q, r,
+                                                     trimmed):
+    calls = {"qr": [], "svd": []}
+    for name in calls:
+        def recording(a, *args, _name=name, _orig=getattr(np.linalg, name),
+                      **kwargs):
+            calls[_name].append(a.shape)
+            return _orig(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recording)
+    rng = np.random.default_rng(33)
+    tol = 1e-10
+    if trimmed and min(p, q) == 3:
+        u, v, tol = _trimmed_below_rank(rng, p, q, complex_=True)
+    else:
+        u, v = _factors(rng, p, q, r, complex_=True)
+    assert u.shape[1] > min(p, q)
+    c = corr_compress(Correction(u, v), tol)
+    _assert_compressed(u, v, c, tol)
+    # One QR, of the long side's refactored factor (never of the identity),
+    # one SVD of its min(p, q) square triangle, and no second pass.
+    assert calls["qr"] == [(max(p, q), min(p, q))]
+    assert calls["svd"] == [(min(p, q), min(p, q))]

@@ -267,6 +267,29 @@ def test_inv_doubles_k_until_the_corners_decay():
     assert np.abs(fqt_to_dense(b) - want).max() < 1e-12
 
 
+def test_inv_fallback_reuses_the_corner_column_lu(monkeypatch):
+    # Near-zero symbol (1, 2.15 + 0.05i, 1) at m = 1024: the corner-column
+    # passes give up and every column is solved, from the same factoring.
+    calls = []
+    factor = BandMatrix.factor
+
+    def counting(self, shift=0.0):
+        calls.append(shift)
+        return factor(self, shift)
+
+    monkeypatch.setattr(BandMatrix, "factor", counting)
+    m = 1024
+    a = FiniteQtMatrix(m, LaurentSymbol([1.0, 2.15 + 0.05j, 1.0], -1))
+    b, info = fqt_inv(a, with_info=True)
+    assert calls == [0.0]
+    assert info["columns"] == m // 2 and info["residual"] <= 1e-12
+    cols = np.array([0, 3, 100, m // 2, m - 1])
+    rhs = np.zeros((m, cols.size), dtype=complex)
+    rhs[cols, np.arange(cols.size)] = 1.0
+    want = scipy.linalg.solve_banded((1, 1), _band_storage(a, 1, 1), rhs)
+    assert np.abs(b.columns(cols) - want).max() < 1e-12
+
+
 def _shifted_h10(m, z):
     """z I - H^10, a contour node resolvent's input; corners of rank 10."""
     h10 = _laplacian_power(m)
