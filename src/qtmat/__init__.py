@@ -38,14 +38,12 @@ from .errors import (
     QtError,
     RadiusViolationError,
     SingularMatrixError,
-    SingularSectionError,
     SizeMismatchError,
     ZeroOnCircleError,
 )
 from .fileio import parse, read_file, serialize, write_file
 from .finite import (
     FiniteQtMatrix,
-    cross_corner_count,
     fqt_add,
     fqt_from_dense,
     fqt_inv,
@@ -109,7 +107,6 @@ __all__ = [
     "fqt_inv",
     "fqt_to_dense",
     "fqt_from_dense",
-    "cross_corner_count",
     "power_corrections",
     "funm_taylor",
     "funm_laurent",
@@ -131,7 +128,6 @@ __all__ = [
     "RadiusViolationError",
     "SizeMismatchError",
     "SingularMatrixError",
-    "SingularSectionError",
     "OnSpectrumError",
     "EnclosureError",
     "NoConvergenceError",

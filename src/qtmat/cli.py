@@ -10,8 +10,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -43,37 +41,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class BenchRow:
-    case: str
-    time_s: float
-    band: int
-    rows: int
-    cols: int
-    rank: int
-    error: Optional[float] = None
-
-
-_HEADER = ("case", "time", "band", "rows", "columns", "rank", "error")
-
-
-def format_report(rows):
-    table = [_HEADER]
-    for r in rows:
-        err = "-" if r.error is None else f"{r.error:.3e}"
-        table.append((r.case, f"{r.time_s:.3f}", str(r.band), str(r.rows),
-                      str(r.cols), str(r.rank), err))
-    widths = [max(len(row[i]) for row in table) for i in range(len(_HEADER))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-             for row in table]
-    return "\n".join(lines)
-
-
-def _result_row(case, result, elapsed, error=None):
+def _report(case, result, elapsed, error):
+    """The header and the one row that ``funm`` prints, columns aligned."""
     corr = result.corr if isinstance(result, CqtMatrix) else result.corr_tl
-    return BenchRow(case=case, time_s=elapsed,
-                    band=result.symbol.support_len,
-                    rows=corr.p, cols=corr.q, rank=corr.rank, error=error)
+    table = [("case", "time", "band", "rows", "columns", "rank", "error"),
+             (case, f"{elapsed:.3f}", str(result.symbol.support_len),
+              str(corr.p), str(corr.q), str(corr.rank),
+              "-" if error is None else f"{error:.3e}")]
+    widths = [max(len(a), len(b)) for a, b in zip(*table)]
+    return "\n".join("  ".join(cell.ljust(w)
+                               for cell, w in zip(row, widths)).rstrip()
+                     for row in table)
 
 
 def _build_config(args):
@@ -85,15 +63,6 @@ def _build_config(args):
         updates["max_terms"] = args.max_terms
     if getattr(args, "max_levels", None) is not None:
         updates["max_levels"] = args.max_levels
-    # CQT_MAX_SECTION sets max_finite_section, the largest window of the
-    # semi-infinite inverse; finite inverses do not read it.
-    env_cap = os.environ.get("CQT_MAX_SECTION")
-    if env_cap:
-        try:
-            updates["max_finite_section"] = int(env_cap)
-        except ValueError as exc:
-            raise UsageError(f"CQT_MAX_SECTION must be an integer: "
-                             f"{env_cap!r}") from exc
     return cfg.updated(**updates) if updates else cfg
 
 
@@ -201,8 +170,7 @@ def cmd_funm(args):
     error = None
     if args.oracle == "dense":
         error = _dense_oracle(matrix, args.func, result)
-    row = _result_row(os.path.basename(args.output), result, elapsed, error)
-    print(format_report([row]))
+    print(_report(os.path.basename(args.output), result, elapsed, error))
     return EXIT_OK
 
 

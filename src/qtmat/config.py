@@ -15,14 +15,13 @@ class ToleranceConfig:
 
     tol_symbol        relative mass allowed to be dropped from symbol tails
     tol_corr          relative error allowed when compressing corrections
-    tol_stop          stopping tolerance of iterative engines and certificates;
-                      the contour engine stops when it bounds the level
-                      difference or the predicted trapezoidal error (see
-                      ``contour.funm_contour``)
+    tol_stop          two meanings: the stopping rule of the engines (the
+                      contour engine stops when it bounds the level
+                      difference or the predicted trapezoidal error, see
+                      ``contour.funm_contour``), and the bound on the
+                      identity residual that certifies an inverse
+                      (``cqt_inv``, ``fqt_inv``)
     max_terms         cap on the number of series terms
-    max_finite_section largest window of the windowed-inverse loop of the
-                      semi-infinite cqt_inv; the finite fqt_inv has no
-                      window and ignores it
     max_levels        cap on node-doubling levels of the contour engine
     """
 
@@ -30,14 +29,13 @@ class ToleranceConfig:
     tol_corr: float = 1e-14
     tol_stop: float = 1e-12
     max_terms: int = 512
-    max_finite_section: int = 4096
     max_levels: int = 12
 
     def __post_init__(self):
         for name in ("tol_symbol", "tol_corr", "tol_stop"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("max_terms", "max_finite_section", "max_levels"):
+        for name in ("max_terms", "max_levels"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
 

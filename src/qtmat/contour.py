@@ -359,7 +359,7 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
     columns of a centrosymmetric band to the end; False in the algebra
     form), and, from the records of the inverses that run made,
     ``inverse_paths`` (a count per path: "banded" for a finite matrix, in
-    either form, "windowed" for a semi-infinite one, or "scalar"),
+    either form, "factored" for a semi-infinite one, or "scalar"),
     ``inverse_columns`` (a count per number of inverse columns solved for
     a finite node: ceil(m/2) for a mirrored half, m for a full dense
     inverse, or the corner columns of ``fqt_inv``) and

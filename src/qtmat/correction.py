@@ -178,18 +178,6 @@ class Correction:
         """Whether both factors are stored with zero imaginary parts."""
         return not (np.any(self.u.imag) or np.any(self.v.imag))
 
-    def real_part(self):
-        """Exact real part, Re(u v^T) = [Re u, -Im u] [Re v, Im v]^T.
-
-        The rank doubles only when both factors are complex, since
-        otherwise Im u Im v^T vanishes; the result is not compressed and
-        its factors are float64.
-        """
-        if not (np.any(self.u.imag) and np.any(self.v.imag)):
-            return Correction._owned(self.u.real, self.v.real)
-        return Correction._owned(np.hstack([self.u.real, -self.u.imag]),
-                                 np.hstack([self.v.real, self.v.imag]))
-
     def scaled(self, alpha):
         if self.is_zero or alpha == 0:
             return Correction.zero()

@@ -3,7 +3,9 @@
 The product of two Toeplitz operators deviates from Toeplitz form by a
 product of two Hankel matrices built from the symbol tails; all algebra
 operations here track that deviation in factored form and compress it after
-every step.
+every step.  The inverse uses the same rule on the Wiener-Hopf factors of
+the symbol, T(a)^-1 = T(1/a_minus) T(1/a_plus), adds the correction by
+Woodbury's identity and is certified by its residual against the identity.
 """
 
 import numpy as np
@@ -16,14 +18,16 @@ from .correction import (
     corr_add,
     corr_compress,
     corr_product,
+    hankel_product,
 )
-from .errors import CertificateError, NoConvergenceError, SingularSectionError
+from .errors import CertificateError, SingularMatrixError
 from .symbol import (
     LaurentSymbol,
     sym_add,
+    sym_inverse_factors,
     sym_mul,
-    sym_reciprocal,
     sym_scale,
+    sym_split,
     sym_truncate,
     wiener_norms,
 )
@@ -176,94 +180,106 @@ def cqt_mul(a, b, cfg=DEFAULT_CONFIG):
 
 
 def cqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
-    """Inverse in the algebra, certified through finite sections.
+    """Inverse in the algebra, from the Wiener-Hopf factors of the symbol.
 
-    The symbol of the inverse is the reciprocal symbol.  The correction
-    comes from the one windowed-inverse loop: for windows n, 2n, ... up to
-    ``cfg.max_finite_section``, the top-left half of the inverse of the
-    leading n x n section minus T(recip) is a candidate once it has decayed
-    to ``cfg.tol_stop`` on its last tenth of rows and columns, and the
-    first candidate whose product with ``a`` passes the stopping tolerance
-    against the identity on a covering section (``inverse_residual``) is
-    returned.
+    With b_minus = 1/a_minus and b_plus = 1/a_plus from
+    ``sym_inverse_factors``,
 
-    The record's ``path`` is "windowed", or "scalar" for a scalar Toeplitz
-    matrix, which inverts exactly with no section.
+        T(a)^-1 = T(b_minus) T(b_plus)
+                = T(b_minus b_plus) - H(b_minus^-) H(b_plus^+),
+
+    one ``hankel_product`` (Bini, Massei and Robol, "Quasi-Toeplitz matrix
+    arithmetic: a MATLAB toolbox", Numer. Algorithms 81, 2019).  The
+    correction E = U V^T enters by Woodbury's identity,
+
+        (T + U V^T)^-1 = T^-1 - T^-1 U (I + V^T T^-1 U)^-1 V^T T^-1,
+
+    whose r x r capacitance matrix is the only one solved.  The Hankel
+    product and the Woodbury term form one dense block, factored by
+    ``Correction.from_dense`` at ``cfg.tol_corr``.  The result is
+    certified when ``inverse_residual`` is at most ``cfg.tol_stop``.
+
+    The record holds ``path`` ("factored", or "scalar" for a scalar
+    Toeplitz matrix, which inverts exactly), ``certified_n`` (a section of
+    a @ result - I that holds every distinct entry) and ``residual`` (the
+    certified entrywise max).
 
     Raises
     ------
     NonzeroWindingError, ZeroOnCircleError  if the symbol is not invertible
-    SingularSectionError                    if a dense section is singular
-    CertificateError                        if a decayed window misses the
-                                            tolerance without halving the
-                                            last decayed window's residual
-    NoConvergenceError                      if sections exhaust the cap
+    SingularMatrixError                     if the matrix is zero or the
+                                            capacitance matrix is singular
+    CertificateError                        if the residual exceeds
+                                            ``cfg.tol_stop`` (both numbers
+                                            are in the message)
+    NoConvergenceError                      if the symbol's factors do not
+                                            resolve (``sym_inverse_factors``)
     """
     if a.is_zero:
-        raise SingularSectionError("zero matrix is not invertible")
+        raise SingularMatrixError("zero matrix is not invertible")
     # Scalar Toeplitz matrices invert exactly.
     if (a.corr.is_zero and a.symbol.support_len == 1
             and a.symbol.min_deg == 0):
         inv = CqtMatrix(LaurentSymbol.constant(1.0 / a.symbol.coeffs[0]))
-        info = {"path": "scalar", "section": 0, "certified_n": 1,
-                "residual": 0.0}
+        info = {"path": "scalar", "certified_n": 1, "residual": 0.0}
         return (inv, info) if with_info else inv
-    recip = sym_reciprocal(a.symbol, cfg.tol_symbol)
-    band = a.symbol.support_len + recip.support_len
-    n = max(64, 2 * max(a.corr.p, a.corr.q, 1), 4 * a.symbol.support_len)
-    n = 1 << (n - 1).bit_length()
-    compress_tol = max(cfg.tol_corr, cfg.tol_stop / 10)
-    best = np.inf
-    while n <= cfg.max_finite_section:
+    b_minus, b_plus = sym_inverse_factors(a.symbol, cfg.tol_symbol)
+    recip = sym_mul(b_minus, b_plus)
+    hank = hankel_product(sym_split(b_minus)[0], sym_split(b_plus)[2])
+    e = a.corr
+    # The leading n x n block of T(a)^-1 holds T(a)^-1 U and V^T T(a)^-1.
+    n = max(e.p + recip.n_minus, e.q + recip.n_plus, hank.p, hank.q)
+    block = -hank.materialize(n, n)
+    if not e.is_zero:
+        t_inv = toeplitz_section(recip, n) + block
+        x = t_inv[:, :e.p] @ e.u
+        capacitance = np.eye(e.rank) + e.v.T @ x[:e.q]
         try:
-            dense_inv = np.linalg.inv(finite_section(a, n))
+            block -= x @ np.linalg.solve(capacitance, e.v.T @ t_inv[:e.q])
         except np.linalg.LinAlgError as exc:
-            raise SingularSectionError(
-                f"dense {n} x {n} section is singular") from exc
-        half = n // 2
-        cand = dense_inv[:half, :half] - toeplitz_section(recip, half)
-        frame = max(1, half // 10)
-        frame_mass = max(np.abs(cand[half - frame:, :]).max(initial=0.0),
-                         np.abs(cand[:, half - frame:]).max(initial=0.0))
-        if frame_mass <= cfg.tol_stop:
-            result = CqtMatrix(recip, Correction.from_dense(cand, compress_tol))
-            residual = inverse_residual(a, result)
-            if residual <= cfg.tol_stop:
-                info = {"path": "windowed", "section": n,
-                        "certified_n": _certificate_section(a, result),
-                        "residual": residual}
-                return (result, info) if with_info else result
-            # A decayed window that no longer halves the residual has met
-            # the arithmetic's floor; larger windows would not certify.
-            if not residual < best / 2:
-                raise CertificateError(
-                    f"inverse residual {min(best, residual):.2e} exceeds "
-                    f"tolerance {cfg.tol_stop:.2e}")
-            best = residual
-        n *= 2
-    raise NoConvergenceError(
-        "inverse correction did not decay within the section cap; "
-        f"band estimate {band}")
+            raise SingularMatrixError(
+                "capacitance matrix I + V^T T(a)^-1 U is singular") from exc
+    result = CqtMatrix(recip, Correction.from_dense(block, cfg.tol_corr))
+    residual = inverse_residual(a, result)
+    if residual > cfg.tol_stop:
+        raise CertificateError(f"inverse residual {residual:.2e} exceeds "
+                               f"tolerance {cfg.tol_stop:.2e}")
+    info = {"path": "factored", "certified_n": _certificate_section(a, result),
+            "residual": residual}
+    return (result, info) if with_info else result
 
 
 def _certificate_section(a, b):
+    """A section of a @ b - I that holds every distinct entry of it."""
     prod_extent = max(a.corr.p + b.corr.p, a.corr.q + b.corr.q, 1)
     band = a.symbol.support_len + b.symbol.support_len
     return prod_extent + band + 8
 
 
 def inverse_residual(a, b):
-    """Entrywise max of the leading n x n block of a @ b - I.
+    """Entrywise max of a @ b - I over the whole matrix, exact.
 
-    The section n covers both the full correction support of the product
-    and one period of every stored symbol coefficient, so together with the
-    residual of the reciprocal symbol it certifies the whole matrix.  The
-    block is the product of dense sections, exact and uncompressed: row
-    i < n of a has no entry past column i + n_plus, nor past column
-    a.corr.q < n, so its first k = n + n_plus columns hold all of it.
+    Outside its leading rows x cols block, which holds the corrections of
+    both factors and the Hankel product of their Toeplitz parts,
+    a @ b - I is T(ab - 1), whose entries are the coefficients of ab - 1.
+    The block is the product of exact dense sections, uncompressed: row
+    i < rows of a has no entry past column i + n_plus, nor past column
+    a.corr.q, so it is T(a) + E applied to the first k rows of the section
+    of b, one shifted row block per coefficient of a.
     """
-    n = _certificate_section(a, b)
-    k = n + a.symbol.n_plus
-    resid = finite_section(a, k)[:n] @ finite_section(b, k)[:, :n]
-    np.fill_diagonal(resid, resid.diagonal() - 1.0)
-    return float(np.abs(resid).max())
+    rows = max(a.corr.p, b.corr.p + a.symbol.n_minus)
+    cols = max(b.corr.q, a.corr.q + b.symbol.n_plus)
+    symbol = sym_add(sym_mul(a.symbol, b.symbol), LaurentSymbol.constant(-1.0))
+    worst = float(np.abs(symbol.coeffs).max(initial=0.0))
+    if rows == 0 or cols == 0:
+        return worst
+    k = max(rows + a.symbol.n_plus, a.corr.q)
+    right = finite_section(b, max(k, cols))[:k, :cols]
+    block = np.zeros((rows, cols), dtype=np.complex128)
+    for d, c in enumerate(a.symbol.coeffs, a.symbol.min_deg):
+        lo = max(0, -d)
+        block[lo:] += c * right[lo + d:rows + d]
+    if not a.corr.is_zero:
+        block[:a.corr.p] += a.corr.u @ (a.corr.v.T @ right[:a.corr.q])
+    np.fill_diagonal(block, block.diagonal() - 1.0)
+    return max(worst, float(np.abs(block).max()))

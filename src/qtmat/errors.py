@@ -29,10 +29,6 @@ class SingularMatrixError(PreconditionError):
     """A finite matrix required to be invertible is numerically singular."""
 
 
-class SingularSectionError(SingularMatrixError):
-    """A dense finite section used during inversion is numerically singular."""
-
-
 class OnSpectrumError(PreconditionError):
     """Resolvent requested at a point too close to the spectrum indicator."""
 

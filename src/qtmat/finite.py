@@ -84,12 +84,6 @@ class FiniteQtMatrix:
                 and self.symbol.support_len == 1 and self.symbol.min_deg == 0
                 and self.symbol.coeffs[0] == 1.0)
 
-    @property
-    def corners_overlap(self):
-        """True when the two corner supports share at least one entry."""
-        return (self.corr_tl.p + self.corr_br.p > self.m
-                and self.corr_tl.q + self.corr_br.q > self.m)
-
     def add(self, other, cfg=DEFAULT_CONFIG):
         return fqt_add(self, other, cfg)
 
@@ -161,9 +155,9 @@ class FiniteQtMatrix:
 def _add_corner_columns(out, corr, js):
     """Add columns js of the corner u @ v.T to the leading rows of ``out``.
 
-    Each entry is one sum over the rank axis of real products (complex
-    factors go through Re and Im as in ``Correction.real_part``), reduced
-    alone along that axis; so a column comes out the same bits however many
+    Each entry is one sum over the rank axis of real products (for complex
+    factors the real part is [Re u, -Im u] [Re v, Im v]^T and the imaginary
+    part [Re u, Im u] [Im v, Re v]^T), reduced alone along that axis; so a column comes out the same bits however many
     columns are asked with it, which a complex multiply or a BLAS product
     does not promise.
     """
@@ -220,20 +214,6 @@ def fqt_scale(a, alpha):
         return FiniteQtMatrix.zero(a.m)
     return FiniteQtMatrix(a.m, sym_scale(a.symbol, alpha),
                           a.corr_tl.scaled(alpha), a.corr_br.scaled(alpha))
-
-
-def cross_corner_count(a, b):
-    """Number of cross-corner products a product would materialize.
-
-    Counts the pairs (top-left of one factor, bottom-right of the other)
-    whose supports meet across the middle of the matrix.
-    """
-    count = 0
-    if a.corr_tl.q + b.corr_br.p > a.m:
-        count += 1
-    if a.corr_br.q + b.corr_tl.p > a.m:
-        count += 1
-    return count
 
 
 def fqt_mul(a, b, cfg=DEFAULT_CONFIG):
@@ -394,7 +374,7 @@ def fqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
     is re-split by ``fqt_from_dense``.  The result is certified on
     sampled columns against the identity, through a product with the band;
     a miss of the corner-column branch doubles k, so only a singular or
-    uncertifiable matrix fails.  ``cfg.max_finite_section`` is not used.
+    uncertifiable matrix fails.
 
     The info dict has ``path`` ("banded", or "scalar" for a multiple of the
     identity), ``columns`` (inverse columns solved in the certified pass)
@@ -604,15 +584,14 @@ class _BandLU:
 def _clipped_reciprocal(sym, m, cfg):
     """1 / sym with exponents below m in size, or None when it has none.
 
-    Sampled on a doubling grid of unit roots, as ``sym_reciprocal`` does,
-    until the outer half of the coefficients carries at most
+    Sampled on a doubling grid of unit roots, as ``sym_inverse_factors``
+    samples log a, until the outer half of the coefficients carries at most
     ``cfg.tol_symbol`` of their mass or the grid covers 4m, then clipped
     and truncated.  Unlike ``sym_reciprocal`` it certifies nothing: the
     inverse it enters is certified, while that certificate's absolute
-    tolerance cannot be met once ||sym||_W ||1/sym||_W is large, and its
-    grid then grows to its cap before it gives up.  None when the symbol
-    vanishes on the unit circle or winds around 0, where T_m(1/sym) plus
-    corners does not describe the inverse.
+    tolerance cannot be met once ||sym||_W ||1/sym||_W is large.  None
+    when the symbol vanishes on the unit circle or winds around 0, where
+    T_m(1/sym) plus corners does not describe the inverse.
     """
     try:
         if winding_number(sym) != 0:

@@ -17,8 +17,6 @@ ZERO_FLOOR = 1e-13
 # Largest unit-root grid used by adaptive sampling loops.
 _MAX_GRID = 1 << 22
 
-# A reciprocal residual within this many ulps of ||a||_W ||b||_W is rounding.
-_ROUNDING_ULPS = 64
 _EPS = np.finfo(np.float64).eps
 
 # Products up to this size use direct convolution instead of the FFT.
@@ -327,51 +325,98 @@ def winding_number(a):
     raise ZeroOnCircleError("winding number grid refinement exhausted")
 
 
+def sym_inverse_factors(a, tol):
+    """Wiener-Hopf factors of 1/a: (b_minus, b_plus) with b_minus b_plus = 1/a.
+
+    At winding number zero a = a_plus a_minus with a_plus = exp(l_plus) on
+    exponents >= 0 and a_minus = exp(l_minus) on exponents <= 0, where log a
+    = l_plus + l_minus is split at exponent 0 (the constant goes to
+    l_plus).  b_minus = 1/a_minus, with constant term 1, and b_plus =
+    1/a_plus are each truncated at ``tol / 10``.  Then T(a)^-1 =
+    T(b_minus) T(b_plus) (Boettcher and Grudsky, "Spectral Properties of
+    Banded Toeplitz Matrices", SIAM, 2005).
+
+    log a is sampled on a doubling grid of unit roots, along the branch the
+    sample arguments trace, until its coefficients of exponents n/4 to n/2
+    in size (grid n) carry at most tol / 2; an error d in them gives about
+    ||d||_W in a b - 1.  The exponentials are formed once, on that grid.
+    Near a zero of a on the circle that mass meets rounding first, and the
+    loop stops where it no longer falls rather than run to the grid cap.
+
+    Raises
+    ------
+    ZeroOnCircleError, NonzeroWindingError
+    NoConvergenceError  that outer mass stopped falling, within the rounding
+                        of the samples, above tol / 2; or the grid cap was
+                        hit
+    """
+    w = winding_number(a)
+    if w != 0:
+        raise NonzeroWindingError(f"winding number is {w}, expected 0")
+    if a.support_len == 1:
+        return LaurentSymbol.one(), LaurentSymbol.constant(1.0 / a.coeffs[0])
+    floor = ZERO_FLOOR * norm_w(a)
+    n = max(64, 4 * a.coeffs.size)
+    n = 1 << (n - 1).bit_length()
+    last = np.inf
+    while True:
+        if n > _MAX_GRID:
+            raise NoConvergenceError("reciprocal grid refinement exhausted")
+        vals = eval_at_unit_roots(a, n)
+        mags = np.abs(vals)
+        if mags.min() < floor:
+            raise ZeroOnCircleError(
+                "symbol vanishes on the unit circle (sampled)")
+        steps = np.angle(vals[1:] / vals[:-1])
+        # The argument is followed only once no step can skip a turn.
+        if (np.abs(steps).max() < np.pi / 2
+                and abs(np.angle(vals[0] / vals[-1])) < np.pi / 2):
+            arg = np.angle(vals[0]) + np.concatenate(([0.0], np.cumsum(steps)))
+            logs = np.log(mags) + 1j * arg
+            coeffs = np.fft.fft(logs) / n
+            outer = float(np.abs(coeffs[n // 4:3 * n // 4 + 1]).sum())
+            if outer <= tol / 2:
+                break
+            if outer >= last and outer <= n * _EPS * np.abs(logs).max():
+                raise NoConvergenceError(
+                    f"log coefficients of the symbol stopped falling at "
+                    f"{last:.2e} on a grid of {n}, above {tol / 2:.2e}")
+            last = outer
+        n *= 2
+    half = n // 2
+    # Exponent d sits at index d mod n; l_plus keeps 0 <= d < n/2, and
+    # b_minus = 1 / (a b_plus) on the grid.
+    l_plus = np.zeros(n, dtype=np.complex128)
+    l_plus[:half] = coeffs[:half]
+    b_plus = np.exp(-np.fft.ifft(l_plus) * n)
+    b_plus, b_minus = np.fft.fft(np.stack((b_plus, 1.0 / (vals * b_plus)))) / n
+    b_minus = np.concatenate((b_minus[half + 1:], b_minus[:1]))
+    return (sym_truncate(LaurentSymbol(b_minus, 1 - half), tol * 0.1),
+            sym_truncate(LaurentSymbol(b_plus[:half]), tol * 0.1))
+
+
 def sym_reciprocal(a, tol):
     """Finitely supported b with ||a * b - 1||_W <= tol.
 
-    Requires a(z) != 0 on the unit circle and winding number zero.  The
-    reciprocal is sampled at unit roots on a doubling grid and interpolated;
-    the returned candidate is certified against the residual norm.  Once
-    the residual has come down to rounding, eps ||a||_W ||b||_W up to a
-    small factor, and a finer grid raises it past twice its best, the
-    growing grid only adds rounding and the search stops.
+    Requires a(z) != 0 on the unit circle and winding number zero.  b is
+    the exact product of the factors of ``sym_inverse_factors`` and is
+    certified against the residual norm.  Their grid has resolved log a
+    within tol / 2, so a residual above tol is rounding and truncation
+    that a finer grid would not lower; it raises at once.
 
     Raises
     ------
     ZeroOnCircleError, NonzeroWindingError
     NoConvergenceError  the residual stopped decreasing above tol (the
-                        message names the best one) or the grid cap was hit
+                        message names it) or the grid cap was hit
     """
     if a.is_zero:
         raise ZeroOnCircleError("cannot invert the zero symbol")
-    w = winding_number(a)
-    if w != 0:
-        raise NonzeroWindingError(f"winding number is {w}, expected 0")
-    floor = ZERO_FLOOR * norm_w(a)
-    one = LaurentSymbol.one()
-    n = max(16, 4 * a.coeffs.size)
-    n = 1 << (n - 1).bit_length()
-    best = np.inf
-    while n <= _MAX_GRID:
-        vals = eval_at_unit_roots(a, n)
-        if np.min(np.abs(vals)) < floor:
-            raise ZeroOnCircleError(
-                "symbol vanishes on the unit circle (sampled)")
-        ch = np.fft.fft(1.0 / vals) / n
-        half = n // 2
-        coeffs = np.concatenate([ch[half:], ch[:half]])
-        cand = LaurentSymbol(coeffs, -half)
-        cand = sym_truncate(cand, tol * 0.1)
-        residual = norm_w(sym_sub(sym_mul(a, cand), one))
-        if residual <= tol:
-            return cand
-        if residual < best:
-            best = residual
-            rounding = _ROUNDING_ULPS * _EPS * norm_w(a) * norm_w(cand)
-        elif residual > 2 * best and best <= rounding:
-            raise NoConvergenceError(
-                f"reciprocal residual stopped decreasing at {best:.2e}, "
-                f"above tolerance {tol:.2e}")
-        n *= 2
-    raise NoConvergenceError("reciprocal grid refinement exhausted")
+    b_minus, b_plus = sym_inverse_factors(a, tol)
+    b = sym_mul(b_minus, b_plus)
+    residual = norm_w(sym_sub(sym_mul(a, b), LaurentSymbol.one()))
+    if residual > tol:
+        raise NoConvergenceError(
+            f"reciprocal residual stopped decreasing at {residual:.2e}, "
+            f"above tolerance {tol:.2e}")
+    return b

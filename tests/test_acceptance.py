@@ -176,7 +176,9 @@ def test_criterion_06_finite_algebra():
                        a.corr_tl.p, a.corr_tl.q, b.corr_tl.p, b.corr_tl.q,
                        a.corr_br.p, a.corr_br.q, b.corr_br.p, b.corr_br.q)
         if supports < m / 2:
-            assert not p.corners_overlap
+            # The two corner supports share no entry.
+            assert not (p.corr_tl.p + p.corr_br.p > m
+                        and p.corr_tl.q + p.corr_br.q > m)
     # Symmetric inputs keep the two corners equal (the flip relation).
     for _ in range(10):
         m = int(rng.integers(20, 80))

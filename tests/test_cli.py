@@ -142,16 +142,6 @@ def test_cli_reproducible_output(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_env_section_cap_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CQT_MAX_SECTION", "not-an-int")
-    src = tmp_path / "a.cqt"
-    write_file(src, CqtMatrix.zero())
-    code, _, _ = run_cli(capsys, "funm", "--func", "exp", "--method",
-                         "series", "--input", str(src), "--output",
-                         str(tmp_path / "o.cqt"))
-    assert code == 64
-
-
 def test_sine_transform_oracle_identity_case():
     m = 3
     col = sine_transform_oracle(m, lambda lam: lam, 1)
@@ -179,20 +169,6 @@ def test_sine_transform_oracle_vs_dense_eigensolver():
     assert np.abs(got - want).max() < 1e-11
 
 
-def test_env_section_cap_actually_applies(tmp_path, capsys, monkeypatch):
-    # A cap below the smallest section size starves the inverse search.
-    monkeypatch.setenv("CQT_MAX_SECTION", "16")
-    src = tmp_path / "a.cqt"
-    write_file(src, CqtMatrix(LaurentSymbol([1.0, 4.0, 1.0], -1)))
-    coeffs = tmp_path / "f.coeffs"
-    coeffs.write_text("-1 1 0\n")
-    code, _, err = run_cli(capsys, "funm", "--func", f"coeff-file:{coeffs}",
-                           "--method", "laurent", "--input", str(src),
-                           "--output", str(tmp_path / "o.cqt"))
-    assert code == 3
-    assert "no convergence" in err
-
-
 def _without_time(report):
     return [line.split()[:1] + line.split()[2:] for line in report.splitlines()]
 
@@ -217,7 +193,7 @@ def test_funm_info_writes_one_json_line_on_stderr(tmp_path, capsys, method):
     assert err.endswith("\n") and err.count("\n") == 1
     info = json.loads(err)
     if method == "contour":
-        path = "banded" if finite else "windowed"
+        path = "banded" if finite else "factored"
         assert info["inverse_paths"] == {
             path: info["resolvents"] - info["reused"]}
         assert info["inverse_residual_max"] <= 1e-9

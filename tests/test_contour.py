@@ -509,7 +509,7 @@ def test_info_reports_the_inverse_of_every_node_inverted(kind, monkeypatch):
 
     monkeypatch.setattr(type(a), "inv", recording)
     _, info = funm_contour(a, np.sqrt, _CIRCLE, _CFG, with_info=True)
-    path = "banded" if kind == "finite" else "windowed"
+    path = "banded" if kind == "finite" else "factored"
     inverted = info["resolvents"] - info["reused"]
     assert info["inverse_paths"] == {path: inverted} == {path: len(records)}
     worst = info["inverse_residual_max"]

@@ -117,18 +117,6 @@ def test_corr_compress_huge_scale_keeps_rank_without_warning():
     assert c.rank == 3
 
 
-def test_real_part_is_exact_and_uncompressed():
-    rng = np.random.default_rng(14)
-    e = random_correction(rng, 7, 5, 2)
-    re = e.real_part()
-    assert re.is_real and not e.is_real
-    assert re.rank == 2 * e.rank
-    want = dense_correction_oracle(e, 7, 5).real
-    assert np.abs(dense_correction_oracle(re, 7, 5) - want).max() < 1e-14
-    half = Correction(e.u.real, e.v)  # Im u Im v^T vanishes: rank kept
-    assert half.real_part().rank == e.rank
-
-
 def test_abs_sum_norm_simple():
     assert abs_sum_norm(e11()) == 1.0
     assert abs_sum_norm(Correction.zero()) == 0.0
@@ -361,17 +349,6 @@ def test_real_plus_complex_scaled_is_complex_without_warning():
     assert np.abs(dense_correction_oracle(got, 6, 6) - want).max() < 1e-14
 
 
-def test_real_part_has_real_factors():
-    rng = np.random.default_rng(24)
-    both = random_correction(rng, 5, 4, 2)
-    one = Correction(both.u, rng.standard_normal((4, 2)))
-    for e in (both, one, Correction(both.u.real, both.v.real)):
-        got = e.real_part()
-        assert got.u.dtype == got.v.dtype == np.float64
-        want = dense_correction_oracle(e, 5, 4).real
-        assert np.abs(dense_correction_oracle(got, 5, 4) - want).max() < 1e-14
-
-
 def _kept_length_loop(masses, budget):
     n, spent = masses.size, 0.0
     while n > 0 and spent + masses[n - 1] <= budget:
@@ -468,7 +445,7 @@ def test_construction_copies_caller_arrays_only():
     c = Correction(u, v)
     # Results built from fresh arrays are frozen like any other, and still
     # checked for finite entries.
-    for out in (c.scaled(2.0), c.scaled(1j), c.real_part(),
+    for out in (c.scaled(2.0), c.scaled(1j),
                 corr_add(c, c, 0.5), corr_compress(corr_add(c, c), 1e-14)):
         assert not (out.u.flags.writeable or out.v.flags.writeable)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Semi-infinite algebra against dense finite-section oracles."""
 
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ import pytest
 import qtmat.symbol
 from qtmat import (
     DEFAULT_CONFIG,
+    CertificateError,
     Correction,
     CqtMatrix,
     LaurentSymbol,
+    NoConvergenceError,
     NonzeroWindingError,
-    SingularSectionError,
+    SingularMatrixError,
     ZeroOnCircleError,
     cqt_add,
     cqt_inv,
@@ -20,8 +23,6 @@ from qtmat import (
     cqt_norm,
     finite_section,
     qt_norm,
-    sym_reciprocal,
-    toeplitz_section,
 )
 from qtmat.cqt import _certificate_section, inverse_residual
 
@@ -220,10 +221,12 @@ def test_inv_zero_on_circle_error():
 
 
 def test_inv_singular_operator_detected():
-    # I - e1 e1^T has symbol 1 (winding 0) but is not invertible.
+    # I - e1 e1^T has symbol 1 (winding 0) but is not invertible: its
+    # capacitance matrix is exactly 0.  Nor is the zero matrix.
     a = CqtMatrix(LaurentSymbol.one(), Correction.rank_one([-1.0], [1.0]))
-    with pytest.raises(SingularSectionError):
-        cqt_inv(a)
+    for singular in (a, CqtMatrix.zero()):
+        with pytest.raises(SingularMatrixError):
+            cqt_inv(singular)
 
 
 def test_inv_computes_the_winding_number_once(monkeypatch):
@@ -247,35 +250,7 @@ def test_inv_computes_the_winding_number_once(monkeypatch):
     assert len(calls) == 1
 
 
-def _cqt_inv_inline(a, cfg=DEFAULT_CONFIG):
-    """Reference inverse: the window-doubling loop written out in one place.
-
-    Doubles dense leading sections, waits for the candidate correction to
-    decay on its last tenth and certifies it, exactly as ``cqt_inv`` must.
-    """
-    recip = sym_reciprocal(a.symbol, cfg.tol_symbol)
-    n = max(64, 2 * max(a.corr.p, a.corr.q, 1), 4 * a.symbol.support_len)
-    n = 1 << (n - 1).bit_length()
-    compress_tol = max(cfg.tol_corr, cfg.tol_stop / 10)
-    while n <= cfg.max_finite_section:
-        dense_inv = np.linalg.inv(finite_section(a, n))
-        half = n // 2
-        cand = dense_inv[:half, :half] - toeplitz_section(recip, half)
-        frame = max(1, half // 10)
-        frame_mass = max(np.abs(cand[half - frame:, :]).max(initial=0.0),
-                         np.abs(cand[:, half - frame:]).max(initial=0.0))
-        if frame_mass <= cfg.tol_stop:
-            result = CqtMatrix(recip, Correction.from_dense(cand, compress_tol))
-            residual = inverse_residual(a, result)
-            if residual <= cfg.tol_stop:
-                return result, {"path": "windowed", "section": n,
-                                "certified_n": _certificate_section(a, result),
-                                "residual": residual}
-        n *= 2
-    raise AssertionError("reference loop reached the section cap")
-
-
-def test_inv_is_bitwise_the_inline_window_loop():
+def test_inv_matches_the_inverse_of_a_large_dense_section():
     rng = np.random.default_rng(11)
     inputs = []
     for _ in range(6):
@@ -292,19 +267,37 @@ def test_inv_is_bitwise_the_inline_window_loop():
         z = center + 1.1 * (radius + 0.3) * np.exp(1j * rng.uniform(0, 6.3))
         a = CqtMatrix(sym, corr)
         inputs.append(a.identity_like().scale(z).add(a.scale(-1.0)))
-    sections = set()
     for a in inputs:
-        got, got_info = cqt_inv(a, with_info=True)
-        want, want_info = _cqt_inv_inline(a)
-        assert got_info == want_info
-        sections.add(got_info["section"])
-        assert got.symbol.min_deg == want.symbol.min_deg
-        for x, y in ((got.symbol.coeffs, want.symbol.coeffs),
-                     (got.corr.u, want.corr.u), (got.corr.v, want.corr.v)):
-            assert x.shape == y.shape
-            assert np.array_equal(x, y)
+        got, info = cqt_inv(a, with_info=True)
+        want = np.linalg.inv(dense_cqt_oracle(a, 600))[:60, :60]
+        assert np.abs(finite_section(got, 60) - want).max() < 1e-13
+        assert info == {"path": "factored",
+                        "certified_n": _certificate_section(a, got),
+                        "residual": inverse_residual(a, got)}
+        assert info["residual"] <= DEFAULT_CONFIG.tol_stop
         assert not got.corr.is_zero
-    assert len(sections) > 1
+
+
+def test_inv_below_rounding_raises_the_certificate_error_at_once():
+    a = CqtMatrix(LaurentSymbol([0.5, 3.0, 0.3], -1),
+                  Correction.rank_one([0.4, 0.1], [0.2, 0.3]))
+    start = time.perf_counter()
+    with pytest.raises(CertificateError,
+                       match=r"inverse residual \d\.\d\de-1\d exceeds "
+                             r"tolerance 1\.00e-16"):
+        cqt_inv(a, DEFAULT_CONFIG.updated(tol_stop=1e-16))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_inv_stops_once_rounding_holds_the_symbol_factors():
+    # The symbol comes within 0.01 of zero on the unit circle; rounding
+    # stops the log coefficients near 4e-14 on a grid of 4096, above the
+    # budget, and the grid goes no further.
+    a = CqtMatrix(LaurentSymbol([-0.5, 0.81, -0.3], -1))
+    start = time.perf_counter()
+    with pytest.raises(NoConvergenceError, match="stopped falling"):
+        cqt_inv(a)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_finite_section_consistency_ops():

@@ -15,7 +15,6 @@ from qtmat import (
     SizeMismatchError,
     ToleranceConfig,
     cqt_mul,
-    cross_corner_count,
     fqt_add,
     fqt_from_dense,
     fqt_inv,
@@ -73,6 +72,12 @@ def test_mul_random_vs_dense():
         assert np.abs(got - want).max() < 1e-12 * scale
 
 
+def _crossing_corner_pairs(a, b):
+    """Pairs (top-left of one factor, bottom-right of the other) that meet."""
+    return (int(a.corr_tl.q + b.corr_br.p > a.m)
+            + int(a.corr_br.q + b.corr_tl.p > a.m))
+
+
 def test_mul_overlapping_corners_exact():
     # Full-width corners force the cross-corner products to materialize.
     rng = np.random.default_rng(4)
@@ -85,7 +90,7 @@ def test_mul_overlapping_corners_exact():
                            Correction(a.corr_tl.u,
                                       rng.standard_normal((m, a.corr_tl.rank))),
                            a.corr_br)
-        overlaps += cross_corner_count(a, b)
+        overlaps += _crossing_corner_pairs(a, b)
         got = fqt_to_dense(fqt_mul(a, b))
         want = dense_fqt_oracle(a) @ dense_fqt_oracle(b)
         scale = max(1.0, np.abs(want).max())
@@ -100,8 +105,9 @@ def test_mul_corner_disjointness_for_large_m():
         a = random_fqt(rng, m, band=4, corner=8)
         b = random_fqt(rng, m, band=4, corner=8)
         p = fqt_mul(a, b)
-        assert cross_corner_count(a, b) == 0
-        assert not p.corners_overlap
+        assert _crossing_corner_pairs(a, b) == 0
+        assert not (p.corr_tl.p + p.corr_br.p > m
+                    and p.corr_tl.q + p.corr_br.q > m)
         assert p.corr_tl.p + p.corr_br.p <= m
         assert p.corr_tl.q + p.corr_br.q <= m
 
@@ -115,7 +121,7 @@ def test_mul_corners_are_the_semi_infinite_products_bit_for_bit():
         a = random_fqt(rng, 64, band=4, corner=8)
         b = random_fqt(rng, 64, band=4, corner=8)
         got = fqt_mul(a, b)
-        assert cross_corner_count(a, b) == 0
+        assert _crossing_corner_pairs(a, b) == 0
         tl = cqt_mul(CqtMatrix(a.symbol, a.corr_tl),
                      CqtMatrix(b.symbol, b.corr_tl)).corr
         br = cqt_mul(CqtMatrix(sym_reverse(a.symbol), a.corr_br),
@@ -300,10 +306,9 @@ def test_inv_slowly_decaying_corner():
     # The inverse corners of (1.5 + 1i) I - H^10 at m = 150 do not decay
     # within m // 2, so no window of half the matrix holds them; the whole
     # inverse is solved instead, from its first 75 columns as the matrix is
-    # centrosymmetric, and a small max_finite_section is ignored.
+    # centrosymmetric.
     a = _shifted_h10(150, 1.5 + 1j)
-    b, info = fqt_inv(a, ToleranceConfig(max_finite_section=64),
-                      with_info=True)
+    b, info = fqt_inv(a, with_info=True)
     assert info == {"path": "banded", "columns": 75,
                     "residual": info["residual"]}
     want = np.linalg.inv(dense_fqt_oracle(a))

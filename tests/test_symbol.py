@@ -21,6 +21,7 @@ from qtmat import (
 )
 from qtmat.symbol import (
     norm_w,
+    sym_inverse_factors,
     range_samples,
     sym_eval,
     sym_reverse,
@@ -171,6 +172,32 @@ def test_sym_reciprocal_random_property():
         tol = 1e-11
         b = sym_reciprocal(a, tol)
         assert norm_w(sym_sub(sym_mul(a, b), LaurentSymbol.one())) <= tol
+
+
+def test_inverse_factors_are_one_sided_and_invert_the_symbol():
+    # The residual stays within the budgets: tol / 2 for the grid, and
+    # tol / 10 of its own norm for each factor's truncation, which a times
+    # the other factor can amplify by at most ||a||_W times that factor's.
+    rng = np.random.default_rng(29)
+    tol = 1e-13
+    for _ in range(15):
+        a = random_invertible_symbol(rng)
+        b_minus, b_plus = sym_inverse_factors(a, tol)
+        assert b_minus.max_deg == 0 and b_minus.coeff(0) == pytest.approx(1.0)
+        assert b_plus.min_deg == 0
+        b = sym_mul(b_minus, b_plus)
+        budget = tol / 2 + 2 * tol / 10 * norm_w(a) * max(
+            1.0, norm_w(b_minus)) * max(1.0, norm_w(b_plus))
+        assert norm_w(sym_sub(sym_mul(a, b), LaurentSymbol.one())) <= budget
+
+
+def test_inverse_factors_stop_where_rounding_holds_the_grid():
+    # 0.81 - (0.5 / z + 0.3 z) comes within 0.01 of zero on the circle; its
+    # log coefficients stop falling near 4e-14, above the budget of 5e-15.
+    start = time.perf_counter()
+    with pytest.raises(NoConvergenceError, match="stopped falling"):
+        sym_inverse_factors(LaurentSymbol([-0.5, 0.81, -0.3], -1), 1e-14)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_winding_simple():
