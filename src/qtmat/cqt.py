@@ -249,26 +249,31 @@ def cqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
     return (result, info) if with_info else result
 
 
+def _residual_block(a, b):
+    """Leading block of a @ b - I outside which it is T(ab - 1)."""
+    return (max(a.corr.p, b.corr.p + a.symbol.n_minus),
+            max(b.corr.q, a.corr.q + b.symbol.n_plus))
+
+
 def _certificate_section(a, b):
-    """A section of a @ b - I that holds every distinct entry of it."""
-    prod_extent = max(a.corr.p + b.corr.p, a.corr.q + b.corr.q, 1)
-    band = a.symbol.support_len + b.symbol.support_len
-    return prod_extent + band + 8
+    """Leading section of a @ b - I that holds all its distinct entries."""
+    # The block inverse_residual reads, and past it an entry of each
+    # coefficient of ab - 1: its entrywise max is the residual.
+    rows, cols = _residual_block(a, b)
+    return max(rows, cols) + a.symbol.support_len + b.symbol.support_len + 1
 
 
 def inverse_residual(a, b):
     """Entrywise max of a @ b - I over the whole matrix, exact.
 
-    Outside its leading rows x cols block, which holds the corrections of
-    both factors and the Hankel product of their Toeplitz parts,
-    a @ b - I is T(ab - 1), whose entries are the coefficients of ab - 1.
-    The block is the product of exact dense sections, uncompressed: row
-    i < rows of a has no entry past column i + n_plus, nor past column
+    The rows x cols block of ``_residual_block`` holds both factors'
+    corrections and the Hankel product of their Toeplitz parts; the
+    coefficients of ab - 1 hold every other entry.  The block is exact:
+    row i < rows of a has no entry past column i + n_plus, nor past column
     a.corr.q, so it is T(a) + E applied to the first k rows of the section
     of b, one shifted row block per coefficient of a.
     """
-    rows = max(a.corr.p, b.corr.p + a.symbol.n_minus)
-    cols = max(b.corr.q, a.corr.q + b.symbol.n_plus)
+    rows, cols = _residual_block(a, b)
     symbol = sym_add(sym_mul(a.symbol, b.symbol), LaurentSymbol.constant(-1.0))
     worst = float(np.abs(symbol.coeffs).max(initial=0.0))
     if rows == 0 or cols == 0:

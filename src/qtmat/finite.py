@@ -157,9 +157,9 @@ def _add_corner_columns(out, corr, js):
 
     Each entry is one sum over the rank axis of real products (for complex
     factors the real part is [Re u, -Im u] [Re v, Im v]^T and the imaginary
-    part [Re u, Im u] [Im v, Re v]^T), reduced alone along that axis; so a column comes out the same bits however many
-    columns are asked with it, which a complex multiply or a BLAS product
-    does not promise.
+    part [Re u, Im u] [Im v, Re v]^T), reduced alone along that axis; so
+    a column comes out the same bits however many columns are asked with
+    it, which a complex multiply or a BLAS product does not promise.
     """
     sel = np.flatnonzero(js < corr.q)
     if sel.size == 0:

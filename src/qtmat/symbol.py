@@ -325,43 +325,23 @@ def winding_number(a):
     raise ZeroOnCircleError("winding number grid refinement exhausted")
 
 
-def sym_inverse_factors(a, tol):
-    """Wiener-Hopf factors of 1/a: (b_minus, b_plus) with b_minus b_plus = 1/a.
+def _log_samples(a, tol):
+    """Samples of a, coefficients of log a and their outer mass, one grid.
 
-    At winding number zero a = a_plus a_minus with a_plus = exp(l_plus) on
-    exponents >= 0 and a_minus = exp(l_minus) on exponents <= 0, where log a
-    = l_plus + l_minus is split at exponent 0 (the constant goes to
-    l_plus).  b_minus = 1/a_minus, with constant term 1, and b_plus =
-    1/a_plus are each truncated at ``tol / 10``.  Then T(a)^-1 =
-    T(b_minus) T(b_plus) (Boettcher and Grudsky, "Spectral Properties of
-    Banded Toeplitz Matrices", SIAM, 2005).
-
-    log a is sampled on a doubling grid of unit roots, along the branch the
-    sample arguments trace, until its coefficients of exponents n/4 to n/2
-    in size (grid n) carry at most tol / 2; an error d in them gives about
-    ||d||_W in a b - 1.  The exponentials are formed once, on that grid.
-    Near a zero of a on the circle that mass meets rounding first, and the
-    loop stops where it no longer falls rather than run to the grid cap.
-
-    Raises
-    ------
-    ZeroOnCircleError, NonzeroWindingError
-    NoConvergenceError  that outer mass stopped falling, within the rounding
-                        of the samples, above tol / 2; or the grid cap was
-                        hit
+    The package's one unit-root loop for 1/a: log a is sampled on a doubling
+    grid, along the branch the sample arguments trace, until the outer mass
+    (exponents n/4 to n/2 in size, grid n) is at most tol / 2 or stops
+    falling within rounding, n eps max |log a|.  Coefficient d sits at index
+    d mod n.  Raises ZeroOnCircleError, NonzeroWindingError, or at the grid
+    cap NoConvergenceError.
     """
     w = winding_number(a)
     if w != 0:
         raise NonzeroWindingError(f"winding number is {w}, expected 0")
-    if a.support_len == 1:
-        return LaurentSymbol.one(), LaurentSymbol.constant(1.0 / a.coeffs[0])
     floor = ZERO_FLOOR * norm_w(a)
-    n = max(64, 4 * a.coeffs.size)
-    n = 1 << (n - 1).bit_length()
+    n = 1 << (max(64, 4 * a.coeffs.size) - 1).bit_length()
     last = np.inf
-    while True:
-        if n > _MAX_GRID:
-            raise NoConvergenceError("reciprocal grid refinement exhausted")
+    while n <= _MAX_GRID:
         vals = eval_at_unit_roots(a, n)
         mags = np.abs(vals)
         if mags.min() < floor:
@@ -375,17 +355,38 @@ def sym_inverse_factors(a, tol):
             logs = np.log(mags) + 1j * arg
             coeffs = np.fft.fft(logs) / n
             outer = float(np.abs(coeffs[n // 4:3 * n // 4 + 1]).sum())
-            if outer <= tol / 2:
-                break
-            if outer >= last and outer <= n * _EPS * np.abs(logs).max():
-                raise NoConvergenceError(
-                    f"log coefficients of the symbol stopped falling at "
-                    f"{last:.2e} on a grid of {n}, above {tol / 2:.2e}")
+            if outer <= tol / 2 or (
+                    outer >= last and outer <= n * _EPS * np.abs(logs).max()):
+                return vals, coeffs, outer
             last = outer
         n *= 2
-    half = n // 2
-    # Exponent d sits at index d mod n; l_plus keeps 0 <= d < n/2, and
-    # b_minus = 1 / (a b_plus) on the grid.
+    raise NoConvergenceError("reciprocal grid refinement exhausted")
+
+
+def sym_inverse_factors(a, tol):
+    """Wiener-Hopf factors of 1/a: (b_minus, b_plus) with b_minus b_plus = 1/a.
+
+    At winding number zero a = a_plus a_minus with a_plus = exp(l_plus) on
+    exponents >= 0 and a_minus = exp(l_minus) on exponents <= 0, where log a
+    = l_plus + l_minus is split at exponent 0 (the constant goes to
+    l_plus).  b_minus = 1/a_minus, with constant term 1, and b_plus =
+    1/a_plus are each truncated at ``tol / 10``.  Then T(a)^-1 =
+    T(b_minus) T(b_plus) (Boettcher and Grudsky, "Spectral Properties of
+    Banded Toeplitz Matrices", SIAM, 2005).  log a comes from
+    ``_log_samples``; an error d in it gives about ||d||_W in a b - 1.  A
+    rounding plateau of its outer mass up to tol is left to the caller's
+    certificate; above tol, where the factors would carry rounding noise
+    over half of a large grid, NoConvergenceError is raised at once.  The
+    other errors are those of ``_log_samples``.
+    """
+    if a.support_len == 1 and a.min_deg == 0:
+        return LaurentSymbol.one(), LaurentSymbol.constant(1.0 / a.coeffs[0])
+    vals, coeffs, outer = _log_samples(a, tol)
+    if outer > tol:
+        raise NoConvergenceError(f"log coefficients of the symbol stopped "
+                                 f"falling at {outer:.2e}, above {tol:.2e}")
+    n, half = vals.size, vals.size // 2
+    # l_plus keeps exponents 0 to n/2 - 1; b_minus = 1 / (a b_plus) on grid.
     l_plus = np.zeros(n, dtype=np.complex128)
     l_plus[:half] = coeffs[:half]
     b_plus = np.exp(-np.fft.ifft(l_plus) * n)
@@ -398,25 +399,31 @@ def sym_inverse_factors(a, tol):
 def sym_reciprocal(a, tol):
     """Finitely supported b with ||a * b - 1||_W <= tol.
 
-    Requires a(z) != 0 on the unit circle and winding number zero.  b is
-    the exact product of the factors of ``sym_inverse_factors`` and is
-    certified against the residual norm.  Their grid has resolved log a
-    within tol / 2, so a residual above tol is rounding and truncation
-    that a finer grid would not lower; it raises at once.
+    Requires a(z) != 0 on the unit circle and winding number zero.  1/a is
+    sampled by ``_log_samples`` at tol / 2, as its tail outweighs that of
+    log a, and interpolated on the sub-grids of that grid, coarsest (least
+    rounding) first; the first that certifies, truncated at tol / 10, is b.
 
     Raises
     ------
     ZeroOnCircleError, NonzeroWindingError
     NoConvergenceError  the residual stopped decreasing above tol (the
-                        message names it) or the grid cap was hit
+                        message names the best one) or the grid cap was hit
     """
     if a.is_zero:
         raise ZeroOnCircleError("cannot invert the zero symbol")
-    b_minus, b_plus = sym_inverse_factors(a, tol)
-    b = sym_mul(b_minus, b_plus)
-    residual = norm_w(sym_sub(sym_mul(a, b), LaurentSymbol.one()))
-    if residual > tol:
-        raise NoConvergenceError(
-            f"reciprocal residual stopped decreasing at {residual:.2e}, "
-            f"above tolerance {tol:.2e}")
-    return b
+    vals, _, _ = _log_samples(a, tol / 2)
+    m = 1 << (max(16, 4 * a.coeffs.size) - 1).bit_length()
+    best = np.inf
+    while m <= vals.size:
+        ch = np.fft.fft(1.0 / vals[::vals.size // m]) / m
+        b = LaurentSymbol(np.roll(ch, m // 2), -(m // 2))
+        b = sym_truncate(b, tol * 0.1)
+        residual = norm_w(sym_sub(sym_mul(a, b), LaurentSymbol.one()))
+        if residual <= tol:
+            return b
+        best = min(best, residual)
+        m *= 2
+    raise NoConvergenceError(
+        f"reciprocal residual stopped decreasing at {best:.2e}, "
+        f"above tolerance {tol:.2e}")

@@ -291,13 +291,41 @@ def test_inv_below_rounding_raises_the_certificate_error_at_once():
 
 def test_inv_stops_once_rounding_holds_the_symbol_factors():
     # The symbol comes within 0.01 of zero on the unit circle; rounding
-    # stops the log coefficients near 4e-14 on a grid of 4096, above the
-    # budget, and the grid goes no further.
+    # stops the log coefficients near 6e-14 on a grid of 8192, above
+    # tol_symbol, and the grid goes no further.
     a = CqtMatrix(LaurentSymbol([-0.5, 0.81, -0.3], -1))
     start = time.perf_counter()
     with pytest.raises(NoConvergenceError, match="stopped falling"):
         cqt_inv(a)
     assert time.perf_counter() - start < 0.1
+
+
+def test_inv_and_reciprocal_certify_symbols_near_rounding():
+    # Symbols whose centre exceeds the off-centre mass by 2-30 % need grids
+    # of up to 4096 at tol_symbol = 1e-14, where rounding can hold the
+    # outer log mass above tol_symbol / 2; draw 34 stops there at 7.6e-15.
+    # Every draw is certified except 49, which no grid resolves: the
+    # residual of 1/a bottoms out at 2.8e-14 and its log mass at 1.5e-14.
+    rng = np.random.default_rng(7)
+    for draw in range(60):
+        n_minus, n_plus = rng.integers(1, 4, 2)
+        c = (rng.standard_normal(n_minus + n_plus + 1)
+             + 1j * rng.standard_normal(n_minus + n_plus + 1))
+        off = np.abs(c).sum() - abs(c[n_minus])
+        c[n_minus] = ((1 + rng.uniform(0.02, 0.3)) * off
+                      * np.exp(1j * rng.uniform(0, 6.28)))
+        sym = LaurentSymbol(c, -n_minus)
+        u, v = (0.2 * (rng.standard_normal((p, 2))
+                       + 1j * rng.standard_normal((p, 2))) for p in (4, 3))
+        if draw == 49:
+            continue
+        b = qtmat.symbol.sym_reciprocal(sym, 1e-14)
+        residual = qtmat.symbol.sym_sub(qtmat.symbol.sym_mul(sym, b),
+                                        LaurentSymbol.one())
+        assert qtmat.symbol.norm_w(residual) <= 1e-14
+        a = CqtMatrix(sym, Correction(u, v))
+        got, info = cqt_inv(a, with_info=True)
+        assert info["residual"] == inverse_residual(a, got) <= 1e-12
 
 
 def test_finite_section_consistency_ops():

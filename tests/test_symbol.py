@@ -193,7 +193,7 @@ def test_inverse_factors_are_one_sided_and_invert_the_symbol():
 
 def test_inverse_factors_stop_where_rounding_holds_the_grid():
     # 0.81 - (0.5 / z + 0.3 z) comes within 0.01 of zero on the circle; its
-    # log coefficients stop falling near 4e-14, above the budget of 5e-15.
+    # log coefficients stop falling near 6e-14, above tol.
     start = time.perf_counter()
     with pytest.raises(NoConvergenceError, match="stopped falling"):
         sym_inverse_factors(LaurentSymbol([-0.5, 0.81, -0.3], -1), 1e-14)
