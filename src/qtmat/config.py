@@ -8,13 +8,25 @@ from dataclasses import dataclass, replace
 # the evaluation or summation order keeps true mirrors off by a few.
 MIRROR_ULPS = 16
 
+# Compression keeps no singular value at or below this many ulps of the
+# largest one (``correction._truncated_rank``): the SVD's own backward error
+# is a small multiple of eps times the largest value, so smaller values are
+# rounding noise the factorization cannot resolve (Golub and Van Loan,
+# "Matrix Computations", 4th ed., section 8.6).
+ROUNDING_ULPS = 8
+
 
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Knobs controlling truncation, compression and iteration stopping.
 
     tol_symbol        relative mass allowed to be dropped from symbol tails
-    tol_corr          relative error allowed when compressing corrections
+    tol_corr          relative error allowed when compressing corrections,
+                      plus a rounding allowance: compression also drops the
+                      singular values within ROUNDING_ULPS ulps of the
+                      largest, so below ROUNDING_ULPS * eps (about 1.8e-15)
+                      that floor, not tol_corr, governs the kept ranks of
+                      corrections of norm 1 or more
     tol_stop          two meanings: the stopping rule of the engines (the
                       contour engine stops when it bounds the level
                       difference or the predicted trapezoidal error, see

@@ -10,6 +10,17 @@ compression then first refactors the block exactly on its short side,
 Its results never have rank above min(p, q).  An identity factor is a valid
 stored form like any other.
 
+Certificate: every SVD truncation here (``corr_compress`` and both
+branches of ``Correction.from_dense``, through ``_truncated_rank``) keeps
+the singular values the budget rule needs, an entrywise sum within its
+share of ``tol``, but none at or below the rounding floor
+ROUNDING_ULPS * eps * s_0 (``config.ROUNDING_ULPS``, s_0 the largest
+value), which the SVD cannot resolve.  So the certified error is the
+``tol`` budget plus a rounding allowance, at most sqrt(p q) times the
+2-norm of the values under the floor.  Where the budget is at most the
+floor, as in ``corr_compress`` at tol < ROUNDING_ULPS * eps (about 1.8e-15)
+and s_0 >= 1, the floor governs: it drops every value the budget would.
+
 Dtype rule: both factors share one dtype, float64 when every input is real
 and complex128 otherwise.  Real factors stay real through compression,
 scaling by a real number and sums with other real corrections, so real
@@ -21,11 +32,17 @@ imaginary parts are zero stay complex.
 import functools
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
+from .config import ROUNDING_ULPS
 from .symbol import sym_reverse, sym_split
 
 # Dense materialization above this many entries falls back to row blocks.
 _DENSE_BLOCK_ENTRIES = 1 << 21
+
+# Singular values at or below this multiple of the largest are rounding
+# noise, never kept (``_truncated_rank``).
+_ROUNDING_FLOOR = ROUNDING_ULPS * np.finfo(np.float64).eps
 
 # Columns of the first Gaussian sketch in Correction.from_dense, and the
 # seed that fixes its entries.
@@ -109,6 +126,12 @@ class Correction:
         miss costs a full SVD on top, K itself goes through a full SVD
         truncated within half the budget.  G depends only on its shape, so
         equal blocks give equal factors bit for bit.
+
+        Either SVD truncation keeps no value under the rounding floor
+        (``_truncated_rank``): the certificate is the budget plus the
+        rounding allowance of the module docstring, and the floor governs
+        where the budget is at most ROUNDING_ULPS * eps times the largest
+        singular value of K.
         """
         block = np.atleast_2d(np.asarray(block))
         if block.size == 0:
@@ -139,11 +162,11 @@ class Correction:
             core = basis.conj().T @ kept
             if np.abs(kept - basis @ core).sum() <= budget / 4:
                 w, s, xh = np.linalg.svd(core, full_matrices=False)
-                k = _kept_rank(s, p, q, budget / 4)
+                k = _truncated_rank(s, p, q, budget / 4)
                 return cls._owned((basis @ w[:, :k]) * s[:k], xh[:k].T)
             width *= 2
         w, s, xh = np.linalg.svd(kept, full_matrices=False)
-        k = _kept_rank(s, p, q, budget / 2)
+        k = _truncated_rank(s, p, q, budget / 2)
         return cls._owned(w[:, :k] * s[:k], xh[:k].T)
 
     @property
@@ -227,6 +250,21 @@ def _kept_rank(s, p, q, budget):
     return int(np.count_nonzero(np.sqrt(p * q) * tail > budget))
 
 
+def _truncated_rank(s, p, q, budget):
+    """Kept rank of every SVD truncation: the budget rule's, above the floor.
+
+    At most ``_kept_rank(s, p, q, budget)`` values, and none at or below
+    ROUNDING_ULPS * eps * s[0], where the SVD no longer resolves them.  The
+    part that the floor alone drops has an entrywise sum of at most
+    sqrt(p q) times the 2-norm of its values: the rounding allowance on top
+    of ``budget``.
+    """
+    k = _kept_rank(s, p, q, budget)
+    if k == 0:
+        return 0
+    return min(k, int(np.count_nonzero(s[:k] > _ROUNDING_FLOOR * s[0])))
+
+
 def abs_sum_norm(e):
     """Entrywise absolute sum of the correction block."""
     if e.is_zero:
@@ -272,7 +310,12 @@ def corr_compress(e, tol):
     trailing singular values and trailing rows/columns whose certified
     entrywise-sum contribution stays below ``tol * max(1, scale)`` where the
     scale is the leading singular value (a lower bound for the entrywise-sum
-    norm of the correction).
+    norm of the correction), half of it for each cut.  The singular value
+    cut keeps none under the rounding floor (``_truncated_rank``), so the
+    certified error is that budget plus the rounding allowance of the
+    module docstring.  Below tol = ROUNDING_ULPS * eps (about 1.8e-15) the
+    floor governs the rank of every correction with s_0 >= 1, and at tol 0
+    the result keeps exactly the values above it.
 
     Short-side rule: when the rank r exceeds min(p, q), as it often does
     after ``corr_add`` or ``corr_product``, the pair is first refactored
@@ -303,7 +346,7 @@ def corr_compress(e, tol):
     if s.size == 0 or s[0] == 0.0:
         return Correction.zero()
     budget = tol * max(1.0, float(s[0]))
-    k = _kept_rank(s, p, q, budget / 2)
+    k = _truncated_rank(s, p, q, budget / 2)
     if k == 0:
         return Correction.zero()
     u = w[:, :k] * s[:k]
@@ -378,10 +421,12 @@ def hankel_product(a_minus, b_plus, clip=None):
 def toeplitz_times_factor(sym, factor, row_cap=None):
     """Columns of T(a) @ U for a tall factor U.
 
-    Row i of the result is sum_k a_k U[i + k], a correlation of each column
-    with the symbol; the support grows downward by the number of negative
-    exponents of the symbol.  ``row_cap`` clips the output rows (finite
-    sections).
+    Row i of the result is sum_k a_k U[i + k]: with d the lowest exponent
+    and t coefficients, rows i + d .. i + d + t - 1 of U (zero outside U),
+    one window of a zero-padded copy, times the coefficients.  One batched
+    product over all windows serves every column.  The support grows
+    downward by the number of negative exponents of the symbol.
+    ``row_cap`` clips the output rows (finite sections).
     """
     factor = np.asarray(factor, dtype=np.complex128)
     p, r = factor.shape
@@ -394,18 +439,18 @@ def toeplitz_times_factor(sym, factor, row_cap=None):
         out_rows = min(out_rows, row_cap)
     if out_rows <= 0:
         return np.zeros((0, 0), dtype=np.complex128)
-    rev = sym.coeffs[::-1]
-    out = np.zeros((out_rows, r), dtype=np.complex128)
-    offset = d + t - 1
-    conv_len = t + p - 1
-    lo = max(0, -offset)
-    hi = min(out_rows, conv_len - offset)
-    if lo >= hi:
-        return out
-    for k in range(r):
-        conv = np.convolve(rev, factor[:, k])
-        out[lo:hi, k] = conv[lo + offset:hi + offset]
-    return out
+    # padded[j] = U[j + d], so window i is padded[i:i + t], a t x r view.
+    # as_strided costs a third of sliding_window_view per call, and this
+    # runs tens of thousands of times per series.
+    padded = np.zeros((out_rows + t - 1, r), dtype=np.complex128)
+    lo = max(0, -d)
+    hi = min(padded.shape[0], p - d)
+    if lo < hi:
+        padded[lo:hi] = factor[lo + d:hi + d]
+    row, col = padded.strides
+    windows = as_strided(padded, (out_rows, t, r), (row, row, col),
+                         writeable=False)
+    return sym.coeffs @ windows
 
 
 def corr_times_toeplitz(e, sym, col_cap=None):

@@ -232,12 +232,13 @@ def funm_taylor(matrix, f, cfg=DEFAULT_CONFIG, with_info=False):
     for functions whose spectrum-based contour representation applies
     instead, use ``funm_contour``.
 
-    With ``with_info`` the result comes with ``terms`` and
-    ``tail_estimate``, the largest quantity the stopping rule compared with
-    ``cfg.tol_stop`` on its last three terms (the term bound
-    |f_k| max(1, ||A||)^k, or the fitted geometric tail where that bound
-    was not below the tolerance), so below the tolerance; 0 for a
-    polynomial.
+    With ``with_info`` the result comes with ``terms``, ``tail_estimate``,
+    the largest quantity the stopping rule compared with ``cfg.tol_stop``
+    on its last three terms (the term bound |f_k| max(1, ||A||)^k, or the
+    fitted geometric tail where that bound was not below the tolerance), so
+    below the tolerance; 0 for a polynomial; and ``ranks``, the
+    (p, q, rank) of each stored correction of the result, in the order of
+    ``corrections``.
 
     Raises
     ------
@@ -259,7 +260,7 @@ def funm_taylor(matrix, f, cfg=DEFAULT_CONFIG, with_info=False):
     if with_info:
         # A polynomial is summed exactly: nothing is left in its tail.
         tail = 0.0 if f.degree is not None else max(rule.checked)
-        return total, {"terms": reached, "tail_estimate": tail}
+        return total, _record(total, reached, tail)
     return total
 
 
@@ -272,10 +273,11 @@ def funm_laurent(matrix, f, cfg=DEFAULT_CONFIG, with_info=False):
     ||A^{-1}|| below the reciprocal of the inner radius, and the sampled
     symbol values inside the annulus.
 
-    With ``with_info`` the result comes with ``terms`` and
-    ``tail_estimate``, the fitted geometric tails of both sides summed:
-    the positive one on ||A|| and R_f, the negative one on ||A^{-1}|| and
-    1/r_f (unbounded when r_f = 0); 0 for a Laurent polynomial.
+    With ``with_info`` the result comes with ``terms``, ``tail_estimate``,
+    the fitted geometric tails of both sides summed: the positive one on
+    ||A|| and R_f, the negative one on ||A^{-1}|| and 1/r_f (unbounded when
+    r_f = 0); 0 for a Laurent polynomial; and ``ranks`` as in
+    ``funm_taylor``.
     """
     if f.annulus is None:
         raise ValueError("power series require funm_taylor")
@@ -309,8 +311,14 @@ def funm_laurent(matrix, f, cfg=DEFAULT_CONFIG, with_info=False):
         tail = 0.0 if exact else (
             _tail_estimate(pos, reached, nrm, big_r)
             + _tail_estimate(neg, reached, inv_nrm, inner))
-        return total, {"terms": reached, "tail_estimate": tail}
+        return total, _record(total, reached, tail)
     return total
+
+
+def _record(total, terms, tail):
+    """The ``with_info`` record of a series result."""
+    return {"terms": terms, "tail_estimate": tail,
+            "ranks": [(c.p, c.q, c.rank) for c in total.corrections]}
 
 
 def _sum_terms(matrix, inv, f, degree, rules, cfg):

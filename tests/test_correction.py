@@ -13,6 +13,7 @@ from qtmat import (
     corr_compress,
     hankel_product,
 )
+from qtmat.config import ROUNDING_ULPS
 from qtmat.correction import (
     _kept_length,
     _kept_rank,
@@ -503,9 +504,43 @@ def test_corr_compress_invariants_on_degenerate_input(complex_):
         for tol in (0.0, 1e-10):
             c = corr_compress(Correction(uu, vv), tol)
             _assert_compressed(uu, vv, c, tol)
-        # At tol 0 rounding noise may keep rank up to min(p, q).
-        assert c.rank <= 3
+            assert c.rank <= 3
+    # Rounding noise is not kept as rank, not even at tol 0.
+    assert corr_compress(Correction(*cases[0]), 0.0).rank == 3
     assert corr_compress(Correction(*cases[1]), 0.0).is_zero
+
+
+_FLOOR = ROUNDING_ULPS * np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_compression_drops_a_rounding_plateau(complex_):
+    # A 90 x 90 block: 20 singular values from 1 down to 1e-3, then 70 at
+    # 1e-16 of the largest.  The budget rule alone keeps the plateau, whose
+    # certified sum sqrt(pq) ||tail|| reads about 7.5e-14; the floor drops
+    # it at any tol.
+    rng = np.random.default_rng(41)
+    s = np.concatenate([np.logspace(0, -3, 20), np.full(70, 1e-16)])
+    x = rng.standard_normal((90, 180))
+    if complex_:
+        x = x + 1j * rng.standard_normal((90, 180))
+    u = np.linalg.qr(x[:, :90])[0] * s
+    v = np.linalg.qr(x[:, 90:])[0]
+    for tol in (0.0, 1e-14):
+        assert corr_compress(Correction(u, v), tol).rank == 20
+    assert Correction.from_dense(u @ v.T, 0.0).rank == 20
+
+
+@pytest.mark.parametrize("above, kept", [(1.01, 2), (1.0, 1), (0.5, 1)])
+def test_compression_keeps_values_just_above_the_floor(above, kept):
+    # Diagonal factors, so the QR and the SVD give the values exactly: one
+    # a hair above ROUNDING_ULPS eps s_0 is kept, one at it is dropped.
+    s = np.array([1.0, above * _FLOOR])
+    u = np.zeros((12, 2))
+    u[[0, 1], [0, 1]] = s
+    v = np.eye(12)[:, :2]
+    assert corr_compress(Correction(u, v), 0.0).rank == kept
+    assert Correction.from_dense(u @ v.T, 0.0).rank == kept
 
 
 def _trimmed_below_rank(rng, p, q, complex_):

@@ -19,6 +19,7 @@ from qtmat import (
     bound_correction_toeplitz,
     cqt_inv,
     finite_section,
+    fqt_to_dense,
     funm_laurent,
     funm_taylor,
     parse,
@@ -26,6 +27,7 @@ from qtmat import (
     serialize,
     wiener_norms,
 )
+from qtmat.oracles import _laplacian_power
 from qtmat.symbol import eval_at_unit_roots
 
 from tests.support import (
@@ -283,7 +285,9 @@ def test_power_series_and_laurent_share_the_term_loop():
     want, want_info = funm_laurent(
         a, SeriesSpec.laurent_polynomial(dict(enumerate(c))), with_info=True)
     # Both sum the polynomial exactly, so neither has a tail to estimate.
-    assert got_info == want_info == {"terms": 4, "tail_estimate": 0.0}
+    assert got_info == want_info == {
+        "terms": 4, "tail_estimate": 0.0,
+        "ranks": [(got.corr.p, got.corr.q, got.corr.rank)]}
     assert not got.corr.is_zero
     for x, y in ((got.corr.u, want.corr.u), (got.corr.v, want.corr.v)):
         assert x.shape == y.shape
@@ -395,3 +399,15 @@ def test_taylor_tail_estimate_is_what_the_stopping_rule_compared():
     a = CqtMatrix(LaurentSymbol(np.ones(10), -1))
     _, info = funm_taylor(a, SeriesSpec.exp(), with_info=True)
     assert 0.0 < info["tail_estimate"] <= DEFAULT_CONFIG.tol_stop
+
+
+def test_taylor_exp_of_h10_keeps_no_rounding_noise_as_rank():
+    # The corner singular values of exp(H^10) at m = 710 sit at 1-2e-16 of
+    # the largest from the 16th on: rounding noise, which the compression
+    # must not keep as rank, nor let into the result.
+    a = _laplacian_power(710)
+    got, info = funm_taylor(a, SeriesSpec.exp(), with_info=True)
+    assert info["ranks"] == [(c.p, c.q, c.rank) for c in got.corrections]
+    assert got.corr_tl.rank <= 20
+    want = scipy.linalg.expm(fqt_to_dense(a).real)
+    assert np.abs(fqt_to_dense(got) - want).max() <= 1e-14 * np.abs(want).max()
