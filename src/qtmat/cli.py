@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _report(case, result, elapsed, error):
     """The header and the one row that ``funm`` prints, columns aligned."""
-    corr = result.corr if isinstance(result, CqtMatrix) else result.corr_tl
+    corr = result.corrections[0]
     table = [("case", "time", "band", "rows", "columns", "rank", "error"),
              (case, f"{elapsed:.3f}", str(result.symbol.support_len),
               str(corr.p), str(corr.q), str(corr.rank),

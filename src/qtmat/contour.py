@@ -168,8 +168,9 @@ def resolvent(matrix, z, cfg=DEFAULT_CONFIG):
     zI - A is -A with z added to its symbol, so the corrections of A are
     negated, not recompressed.  The inverse's record goes to the list a
     ``funm_contour`` run collects, if any.  Inversion failures (vanishing
-    or winding symbol, singular sections) are reported as OnSpectrumError
-    carrying the offending point.
+    or winding symbol, a singular capacitance matrix in ``cqt_inv`` or a
+    singular band factorization in ``fqt_inv``, unresolved symbol factors)
+    are reported as OnSpectrumError carrying the offending point.
     """
     negated = matrix.scale(-1.0)
     shifted = negated.with_symbol(sym_truncate(

@@ -10,8 +10,8 @@ compression then first refactors the block exactly on its short side,
 Its results never have rank above min(p, q).  An identity factor is a valid
 stored form like any other.
 
-Certificate: every SVD truncation here (``corr_compress`` and both
-branches of ``Correction.from_dense``, through ``_truncated_rank``) keeps
+Certificate: every SVD truncation here (``corr_compress`` and
+``Correction.from_dense``, through ``_truncated_rank``) keeps
 the singular values the budget rule needs, an entrywise sum within its
 share of ``tol``, but none at or below the rounding floor
 ROUNDING_ULPS * eps * s_0 (``config.ROUNDING_ULPS``, s_0 the largest
@@ -29,8 +29,6 @@ complex.  The rule goes by dtype, not by value: complex factors whose
 imaginary parts are zero stay complex.
 """
 
-import functools
-
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -43,11 +41,6 @@ _DENSE_BLOCK_ENTRIES = 1 << 21
 # Singular values at or below this multiple of the largest are rounding
 # noise, never kept (``_truncated_rank``).
 _ROUNDING_FLOOR = ROUNDING_ULPS * np.finfo(np.float64).eps
-
-# Columns of the first Gaussian sketch in Correction.from_dense, and the
-# seed that fixes its entries.
-_SKETCH_WIDTH = 16
-_SKETCH_SEED = 20110601
 
 
 class Correction:
@@ -95,15 +88,6 @@ class Correction:
         return cls(np.reshape(u, (-1, 1)), np.reshape(v, (-1, 1)))
 
     @classmethod
-    def unit(cls, i, j):
-        """Correction with a single 1 at (row i, col j), zero-based."""
-        u = np.zeros((i + 1, 1))
-        v = np.zeros((j + 1, 1))
-        u[i, 0] = 1.0
-        v[j, 0] = 1.0
-        return cls._owned(u, v)
-
-    @classmethod
     def from_dense(cls, block, tol, scale=None, keep=None, mags=None):
         """Factor a dense block into a compressed correction.
 
@@ -117,17 +101,8 @@ class Correction:
         then cut out and masked.  ``mags`` passes |block| when the caller
         has it already.
 
-        The factoring is a randomized range finder (Halko, Martinsson and
-        Tropp, SIAM Review 53(2), 2011): an orthonormal basis Q of K @ G for
-        a fixed Gaussian G of 16 columns, doubled until the exact entrywise
-        sum of K - Q Q^H K is within a quarter of the budget; then the SVD of
-        the small Q^H K, truncated within another quarter.  Once the sketch
-        would be wider than half of min(p, q), where it saves little and a
-        miss costs a full SVD on top, K itself goes through a full SVD
-        truncated within half the budget.  G depends only on its shape, so
-        equal blocks give equal factors bit for bit.
-
-        Either SVD truncation keeps no value under the rounding floor
+        The factoring is one SVD of K, truncated within the other half of
+        the budget.  The truncation keeps no value under the rounding floor
         (``_truncated_rank``): the certificate is the budget plus the
         rounding allowance of the module docstring, and the floor governs
         where the budget is at most ROUNDING_ULPS * eps times the largest
@@ -156,15 +131,6 @@ class Correction:
             kept = np.ascontiguousarray(block[:p, :q])
         else:
             kept = np.where(keep[:p, :q], block[:p, :q], 0.0)
-        width = _SKETCH_WIDTH
-        while 2 * width <= min(p, q):
-            basis = np.linalg.qr(kept @ _gaussian(q, width))[0]
-            core = basis.conj().T @ kept
-            if np.abs(kept - basis @ core).sum() <= budget / 4:
-                w, s, xh = np.linalg.svd(core, full_matrices=False)
-                k = _truncated_rank(s, p, q, budget / 4)
-                return cls._owned((basis @ w[:, :k]) * s[:k], xh[:k].T)
-            width *= 2
         w, s, xh = np.linalg.svd(kept, full_matrices=False)
         k = _truncated_rank(s, p, q, budget / 2)
         return cls._owned(w[:, :k] * s[:k], xh[:k].T)
@@ -208,14 +174,6 @@ class Correction:
 
     def __repr__(self):
         return f"Correction(p={self.p}, q={self.q}, rank={self.rank})"
-
-
-@functools.lru_cache(maxsize=16)
-def _gaussian(n, width):
-    """Read-only n x width standard Gaussian matrix, fixed for its shape."""
-    g = np.random.default_rng(_SKETCH_SEED).standard_normal((n, width))
-    g.setflags(write=False)
-    return g
 
 
 def _frozen(x, dtype, copy):

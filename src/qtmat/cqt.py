@@ -6,6 +6,11 @@ operations here track that deviation in factored form and compress it after
 every step.  The inverse uses the same rule on the Wiener-Hopf factors of
 the symbol, T(a)^-1 = T(1/a_minus) T(1/a_plus), adds the correction by
 Woodbury's identity and is certified by its residual against the identity.
+
+``QtMatrix``, the base of ``CqtMatrix`` and ``finite.FiniteQtMatrix``,
+computes the protocol members from a symbol and a tuple of corrections.
+Both modules' algebra functions share the add rule and the shortcuts of
+the product and the inverse defined here.
 """
 
 import numpy as np
@@ -19,6 +24,7 @@ from .correction import (
     corr_compress,
     corr_product,
     hankel_product,
+    toeplitz_times_factor,
 )
 from .errors import CertificateError, SingularMatrixError
 from .symbol import (
@@ -33,7 +39,61 @@ from .symbol import (
 )
 
 
-class CqtMatrix:
+class QtMatrix:
+    """Algebra protocol shared by ``CqtMatrix`` and ``FiniteQtMatrix``.
+
+    A subclass stores ``symbol`` and provides ``corrections`` (the stored
+    corrections, in constructor order), ``with_parts`` (a matrix of its
+    class and size from a symbol and corrections, missing ones zero) and
+    ``add``, ``mul`` and ``inv``; everything here is computed from those.
+    The function-engine modules rely only on this protocol.
+    """
+
+    @classmethod
+    def zero(cls, *size):
+        """The zero matrix; ``size`` is the finite class's m."""
+        return cls(*size, LaurentSymbol.zero())
+
+    @classmethod
+    def identity(cls, *size):
+        """The identity; ``size`` is the finite class's m."""
+        return cls(*size, LaurentSymbol.one())
+
+    @property
+    def is_zero(self):
+        return self.symbol.is_zero and all(c.is_zero
+                                           for c in self.corrections)
+
+    @property
+    def is_identity(self):
+        return _scalar(self) == 1.0
+
+    @property
+    def is_real(self):
+        return self.symbol.is_real and all(c.is_real
+                                           for c in self.corrections)
+
+    def norm_cqt(self):
+        return cqt_norm(self)
+
+    def scale(self, alpha):
+        return self.with_parts(sym_scale(self.symbol, alpha),
+                               [c.scaled(alpha) for c in self.corrections])
+
+    def identity_like(self):
+        return self.with_parts(LaurentSymbol.one(), ())
+
+    def with_symbol(self, symbol):
+        return self.with_parts(symbol, self.corrections)
+
+    def __add__(self, other):
+        return self.add(other)
+
+    def __matmul__(self, other):
+        return self.mul(other)
+
+
+class CqtMatrix(QtMatrix):
     """Pair (symbol, correction) representing T(a) + E."""
 
     def __init__(self, symbol, corr=None):
@@ -42,26 +102,15 @@ class CqtMatrix:
         self.symbol = symbol
         self.corr = Correction.zero() if corr is None else corr
 
-    @classmethod
-    def zero(cls):
-        return cls(LaurentSymbol.zero())
-
-    @classmethod
-    def identity(cls):
-        return cls(LaurentSymbol.one())
-
     @property
-    def is_zero(self):
-        return self.symbol.is_zero and self.corr.is_zero
+    def corrections(self):
+        """The stored corrections, in constructor order."""
+        return (self.corr,)
 
-    @property
-    def is_identity(self):
-        return (self.corr.is_zero and self.symbol.support_len == 1
-                and self.symbol.min_deg == 0
-                and self.symbol.coeffs[0] == 1.0)
+    def with_parts(self, symbol, corrections):
+        """A matrix of this class from a symbol and corrections."""
+        return CqtMatrix(symbol, *corrections)
 
-    # Algebra methods shared with the finite class; the function-engine
-    # modules rely only on these.
     def add(self, other, cfg=DEFAULT_CONFIG):
         return cqt_add(self, other, cfg)
 
@@ -71,46 +120,66 @@ class CqtMatrix:
     def inv(self, cfg=DEFAULT_CONFIG, with_info=False):
         return cqt_inv(self, cfg, with_info)
 
-    def scale(self, alpha):
-        return CqtMatrix(sym_scale(self.symbol, alpha),
-                         self.corr.scaled(alpha))
-
-    @property
-    def is_real(self):
-        return self.symbol.is_real and self.corr.is_real
-
-    def norm_cqt(self):
-        return cqt_norm(self)
-
-    def identity_like(self):
-        return CqtMatrix.identity()
-
-    def with_symbol(self, symbol):
-        return CqtMatrix(symbol, self.corr)
-
-    @property
-    def corrections(self):
-        """The stored corrections, in constructor order."""
-        return (self.corr,)
-
-    def with_parts(self, symbol, corrections):
-        """A matrix of this class and size from a symbol and corrections."""
-        return CqtMatrix(symbol, *corrections)
-
-    def __add__(self, other):
-        return cqt_add(self, other, DEFAULT_CONFIG)
-
-    def __matmul__(self, other):
-        return cqt_mul(self, other, DEFAULT_CONFIG)
-
     def __repr__(self):
         return f"CqtMatrix(symbol={self.symbol!r}, corr={self.corr!r})"
 
 
+def _scalar(a):
+    """c when a is c I (constant symbol c, no correction), else None."""
+    sym = a.symbol
+    if (sym.support_len == 1 and sym.min_deg == 0
+            and all(c.is_zero for c in a.corrections)):
+        return sym.coeffs[0]
+    return None
+
+
+def _add_parts(a, b, cfg):
+    """Add rule of both classes: symbols and paired corrections sum."""
+    if a.is_zero:
+        return b
+    if b.is_zero:
+        return a
+    sym = sym_truncate(sym_add(a.symbol, b.symbol), cfg.tol_symbol)
+    return a.with_parts(sym, [corr_compress(corr_add(e, f), cfg.tol_corr)
+                              for e, f in zip(a.corrections, b.corrections)])
+
+
+def _trivial_product(a, b):
+    """a @ b when a factor is zero or the identity, else None."""
+    if a.is_zero or b.is_zero:
+        return a.with_parts(LaurentSymbol.zero(), ())
+    if a.is_identity:
+        return b
+    if b.is_identity:
+        return a
+    return None
+
+
+def _scalar_inverse(a):
+    """(1/c) I when a is c I, else None; SingularMatrixError when a = 0."""
+    if a.is_zero:
+        raise SingularMatrixError("zero matrix is not invertible")
+    c = _scalar(a)
+    return None if c is None else a.with_parts(
+        LaurentSymbol.constant(1.0 / c), ())
+
+
+def _certified(worst, cfg):
+    """The inverse residual worst, or CertificateError past tol_stop."""
+    if worst > cfg.tol_stop:
+        raise CertificateError(
+            f"inverse residual {worst:.2e} exceeds tolerance "
+            f"{cfg.tol_stop:.2e}")
+    return worst
+
+
 def cqt_norm(a):
-    """||a||_W + ||a'||_W + entrywise sum of the correction."""
+    """||a||_W + ||a'||_W + entrywise sum of each correction, in order."""
     nw, nw1 = wiener_norms(a.symbol)
-    return nw + nw1 + abs_sum_norm(a.corr)
+    total = nw + nw1
+    for c in a.corrections:
+        total += abs_sum_norm(c)
+    return total
 
 
 def qt_norm(a):
@@ -150,13 +219,7 @@ def finite_section(a, n):
 
 def cqt_add(a, b, cfg=DEFAULT_CONFIG):
     """Sum in the algebra; symbol and correction add, then get compressed."""
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
-    sym = sym_truncate(sym_add(a.symbol, b.symbol), cfg.tol_symbol)
-    corr = corr_compress(corr_add(a.corr, b.corr), cfg.tol_corr)
-    return CqtMatrix(sym, corr)
+    return _add_parts(a, b, cfg)
 
 
 def cqt_mul(a, b, cfg=DEFAULT_CONFIG):
@@ -167,12 +230,9 @@ def cqt_mul(a, b, cfg=DEFAULT_CONFIG):
     deviation of the two Toeplitz parts together with the cross terms
     involving the input corrections, in factored form.
     """
-    if a.is_zero or b.is_zero:
-        return CqtMatrix.zero()
-    if a.is_identity:
-        return b
-    if b.is_identity:
-        return a
+    short = _trivial_product(a, b)
+    if short is not None:
+        return short
     return CqtMatrix(
         sym_truncate(sym_mul(a.symbol, b.symbol), cfg.tol_symbol),
         corr_compress(corr_product(a.symbol, a.corr, b.symbol, b.corr),
@@ -215,12 +275,8 @@ def cqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
     NoConvergenceError                      if the symbol's factors do not
                                             resolve (``sym_inverse_factors``)
     """
-    if a.is_zero:
-        raise SingularMatrixError("zero matrix is not invertible")
-    # Scalar Toeplitz matrices invert exactly.
-    if (a.corr.is_zero and a.symbol.support_len == 1
-            and a.symbol.min_deg == 0):
-        inv = CqtMatrix(LaurentSymbol.constant(1.0 / a.symbol.coeffs[0]))
+    inv = _scalar_inverse(a)
+    if inv is not None:
         info = {"path": "scalar", "certified_n": 1, "residual": 0.0}
         return (inv, info) if with_info else inv
     b_minus, b_plus = sym_inverse_factors(a.symbol, cfg.tol_symbol)
@@ -240,10 +296,7 @@ def cqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
             raise SingularMatrixError(
                 "capacitance matrix I + V^T T(a)^-1 U is singular") from exc
     result = CqtMatrix(recip, Correction.from_dense(block, cfg.tol_corr))
-    residual = inverse_residual(a, result)
-    if residual > cfg.tol_stop:
-        raise CertificateError(f"inverse residual {residual:.2e} exceeds "
-                               f"tolerance {cfg.tol_stop:.2e}")
+    residual = _certified(inverse_residual(a, result), cfg)
     info = {"path": "factored", "certified_n": _certificate_section(a, result),
             "residual": residual}
     return (result, info) if with_info else result
@@ -271,7 +324,7 @@ def inverse_residual(a, b):
     coefficients of ab - 1 hold every other entry.  The block is exact:
     row i < rows of a has no entry past column i + n_plus, nor past column
     a.corr.q, so it is T(a) + E applied to the first k rows of the section
-    of b, one shifted row block per coefficient of a.
+    of b, T(a) applied by ``toeplitz_times_factor``.
     """
     rows, cols = _residual_block(a, b)
     symbol = sym_add(sym_mul(a.symbol, b.symbol), LaurentSymbol.constant(-1.0))
@@ -280,10 +333,10 @@ def inverse_residual(a, b):
         return worst
     k = max(rows + a.symbol.n_plus, a.corr.q)
     right = finite_section(b, max(k, cols))[:k, :cols]
-    block = np.zeros((rows, cols), dtype=np.complex128)
-    for d, c in enumerate(a.symbol.coeffs, a.symbol.min_deg):
-        lo = max(0, -d)
-        block[lo:] += c * right[lo + d:rows + d]
+    if a.symbol.is_zero:
+        block = np.zeros((rows, cols), dtype=np.complex128)
+    else:
+        block = toeplitz_times_factor(a.symbol, right, row_cap=rows)
     if not a.corr.is_zero:
         block[:a.corr.p] += a.corr.u @ (a.corr.v.T @ right[:a.corr.q])
     np.fill_diagonal(block, block.diagonal() - 1.0)

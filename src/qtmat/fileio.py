@@ -42,15 +42,13 @@ def serialize(x):
     """Serialize a CqtMatrix or FiniteQtMatrix to text."""
     if isinstance(x, CqtMatrix):
         lines = [f"{_TAG} {_VERSION} semi"]
-        corrections = (x.corr,)
     elif isinstance(x, FiniteQtMatrix):
         lines = [f"{_TAG} {_VERSION} finite {x.m}"]
-        corrections = (x.corr_tl, x.corr_br)
     else:
         raise TypeError(f"cannot serialize {type(x).__name__}")
     lines.append(f"symbol {x.symbol.min_deg} {x.symbol.coeffs.size}")
     _emit_block(lines, x.symbol.coeffs[:, None])
-    for corr in corrections:
+    for corr in x.corrections:
         lines.append(f"correction {corr.p} {corr.q} {corr.rank}")
         _emit_block(lines, corr.u)
         _emit_block(lines, corr.v)

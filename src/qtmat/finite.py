@@ -4,7 +4,9 @@ A matrix is stored as a banded Toeplitz part plus a top-left correction and
 a bottom-right correction.  The bottom-right one is kept in flipped
 coordinates (as the top-left correction of J A J, with J the anti-identity)
 so both corners share the same factored representation and compression; the
-flip is applied only when materializing.
+flip is applied only when materializing.  The protocol members, the add
+rule and the shortcuts of the product and the inverse are those of the
+semi-infinite class (``cqt.QtMatrix``).
 """
 
 import functools
@@ -16,34 +18,34 @@ from scipy.linalg import get_lapack_funcs
 from .config import DEFAULT_CONFIG, MIRROR_ULPS
 from .correction import (
     Correction,
-    abs_sum_norm,
     corr_add,
     corr_compress,
     corr_product,
     corr_times_corr,
 )
-from .cqt import _gather, toeplitz_section
-from .errors import (
-    CertificateError,
-    SingularMatrixError,
-    SizeMismatchError,
-    ZeroOnCircleError,
+from .cqt import (
+    QtMatrix,
+    _add_parts,
+    _certified,
+    _gather,
+    _scalar_inverse,
+    _trivial_product,
+    toeplitz_section,
 )
+from .errors import SingularMatrixError, SizeMismatchError, ZeroOnCircleError
 from .symbol import (
     LaurentSymbol,
     eval_at_unit_roots,
-    sym_add,
     sym_clip,
     sym_mul,
     sym_reverse,
-    sym_scale,
     sym_truncate,
     wiener_norms,
     winding_number,
 )
 
 
-class FiniteQtMatrix:
+class FiniteQtMatrix(QtMatrix):
     """Size m, banded symbol, corrections corr_tl and corr_br (flipped)."""
 
     def __init__(self, m, symbol, corr_tl=None, corr_br=None):
@@ -65,24 +67,19 @@ class FiniteQtMatrix:
         self.corr_tl = corr_tl
         self.corr_br = corr_br
 
-    @classmethod
-    def zero(cls, m):
-        return cls(m, LaurentSymbol.zero())
-
-    @classmethod
-    def identity(cls, m):
-        return cls(m, LaurentSymbol.one())
-
     @property
-    def is_zero(self):
-        return (self.symbol.is_zero and self.corr_tl.is_zero
-                and self.corr_br.is_zero)
+    def corrections(self):
+        """The stored corrections, in constructor order."""
+        return (self.corr_tl, self.corr_br)
 
-    @property
-    def is_identity(self):
-        return (self.corr_tl.is_zero and self.corr_br.is_zero
-                and self.symbol.support_len == 1 and self.symbol.min_deg == 0
-                and self.symbol.coeffs[0] == 1.0)
+    def with_parts(self, symbol, corrections):
+        """A matrix of this class and size from a symbol and corrections."""
+        return FiniteQtMatrix(self.m, symbol, *corrections)
+
+    def with_symbol(self, symbol):
+        """The same corners under a symbol clipped to the band range."""
+        return self.with_parts(sym_clip(symbol, self.m - 1),
+                               self.corrections)
 
     def add(self, other, cfg=DEFAULT_CONFIG):
         return fqt_add(self, other, cfg)
@@ -92,35 +89,6 @@ class FiniteQtMatrix:
 
     def inv(self, cfg=DEFAULT_CONFIG, with_info=False):
         return fqt_inv(self, cfg, with_info)
-
-    def scale(self, alpha):
-        return fqt_scale(self, alpha)
-
-    @property
-    def is_real(self):
-        return (self.symbol.is_real and self.corr_tl.is_real
-                and self.corr_br.is_real)
-
-    def norm_cqt(self):
-        nw, nw1 = wiener_norms(self.symbol)
-        return nw + nw1 + abs_sum_norm(self.corr_tl) \
-            + abs_sum_norm(self.corr_br)
-
-    def identity_like(self):
-        return FiniteQtMatrix.identity(self.m)
-
-    def with_symbol(self, symbol):
-        return FiniteQtMatrix(self.m, sym_clip(symbol, self.m - 1),
-                              self.corr_tl, self.corr_br)
-
-    @property
-    def corrections(self):
-        """The stored corrections, in constructor order."""
-        return (self.corr_tl, self.corr_br)
-
-    def with_parts(self, symbol, corrections):
-        """A matrix of this class and size from a symbol and corrections."""
-        return FiniteQtMatrix(self.m, symbol, *corrections)
 
     def columns(self, js):
         """Dense columns js (zero-based), m x len(js), without materializing.
@@ -140,12 +108,6 @@ class FiniteQtMatrix:
     def column(self, j):
         """Dense column j (zero-based) without materializing the matrix."""
         return self.columns([j])[:, 0]
-
-    def __add__(self, other):
-        return fqt_add(self, other, DEFAULT_CONFIG)
-
-    def __matmul__(self, other):
-        return fqt_mul(self, other, DEFAULT_CONFIG)
 
     def __repr__(self):
         return (f"FiniteQtMatrix(m={self.m}, symbol={self.symbol!r}, "
@@ -198,22 +160,14 @@ def fqt_to_dense(a):
 
 
 def fqt_add(a, b, cfg=DEFAULT_CONFIG):
+    """Sum of two matrices of one size; each corner adds on its own."""
     _check_sizes(a, b)
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
-    sym = sym_truncate(sym_add(a.symbol, b.symbol), cfg.tol_symbol)
-    tl = corr_compress(corr_add(a.corr_tl, b.corr_tl), cfg.tol_corr)
-    br = corr_compress(corr_add(a.corr_br, b.corr_br), cfg.tol_corr)
-    return FiniteQtMatrix(a.m, sym, tl, br)
+    return _add_parts(a, b, cfg)
 
 
 def fqt_scale(a, alpha):
-    if alpha == 0:
-        return FiniteQtMatrix.zero(a.m)
-    return FiniteQtMatrix(a.m, sym_scale(a.symbol, alpha),
-                          a.corr_tl.scaled(alpha), a.corr_br.scaled(alpha))
+    """alpha times a (``a.scale(alpha)``)."""
+    return a.scale(alpha)
 
 
 def fqt_mul(a, b, cfg=DEFAULT_CONFIG):
@@ -228,12 +182,9 @@ def fqt_mul(a, b, cfg=DEFAULT_CONFIG):
     embedded by ``_unflipped`` as a top-left correction spanning m.
     """
     _check_sizes(a, b)
-    if a.is_zero or b.is_zero:
-        return FiniteQtMatrix.zero(a.m)
-    if a.is_identity:
-        return b
-    if b.is_identity:
-        return a
+    short = _trivial_product(a, b)
+    if short is not None:
+        return short
     m = a.m
     c = sym_clip(sym_mul(a.symbol, b.symbol), m - 1)
     tl = corr_product(a.symbol, a.corr_tl, b.symbol, b.corr_tl, m)
@@ -386,15 +337,11 @@ def fqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
     CertificateError      the full inverse misses ``cfg.tol_stop`` on the
                           identity; the message names both numbers
     """
-    m = a.m
-    if a.is_zero:
-        raise SingularMatrixError("zero matrix is not invertible")
-    if (a.corr_tl.is_zero and a.corr_br.is_zero
-            and a.symbol.support_len == 1 and a.symbol.min_deg == 0):
-        inv = FiniteQtMatrix(
-            m, LaurentSymbol.constant(1.0 / a.symbol.coeffs[0]))
+    inv = _scalar_inverse(a)
+    if inv is not None:
         return (inv, {"path": "scalar", "residual": 0.0}) \
             if with_info else inv
+    m = a.m
     band = BandMatrix(a)
     cols = _sample_columns(m)
     k = _first_corner_columns(m, band.kl, band.ku)
@@ -439,15 +386,6 @@ def _band_widths(a):
     m, sym, tl, br = a.m, a.symbol, a.corr_tl, a.corr_br
     return (min(m - 1, max(sym.n_minus, tl.p - 1, br.q - 1)),
             min(m - 1, max(sym.n_plus, tl.q - 1, br.p - 1)))
-
-
-def _certified(worst, cfg):
-    """The residual worst, or CertificateError when it misses tol_stop."""
-    if worst > cfg.tol_stop:
-        raise CertificateError(
-            f"inverse residual {worst:.2e} exceeds tolerance "
-            f"{cfg.tol_stop:.2e}")
-    return worst
 
 
 class BandMatrix:

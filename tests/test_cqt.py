@@ -21,6 +21,7 @@ from qtmat import (
     cqt_inv,
     cqt_mul,
     cqt_norm,
+    FiniteQtMatrix,
     finite_section,
     qt_norm,
 )
@@ -353,6 +354,38 @@ def test_scale_and_matmul_operators():
     b = random_cqt(rng)
     assert np.abs(finite_section(a @ b, 20)
                   - finite_section(cqt_mul(a, b), 20)).max() == 0.0
+
+
+@pytest.mark.parametrize("cls, size",
+                         [(CqtMatrix, ()), (FiniteQtMatrix, (7,))])
+def test_scalar_inverse_and_zero_of_both_classes(cls, size):
+    c = 2.5 - 0.5j
+    inv, info = cls.identity(*size).scale(c).inv(with_info=True)
+    assert type(inv) is cls and info["path"] == "scalar"
+    assert inv.symbol.min_deg == 0 and inv.symbol.coeffs.tolist() == [1 / c]
+    assert all(e.is_zero for e in inv.corrections)
+    with pytest.raises(SingularMatrixError):
+        cls.zero(*size).inv()
+
+
+def test_both_classes_agree_on_the_shared_members():
+    rng = np.random.default_rng(31)
+    real = Correction(rng.standard_normal((4, 2)), rng.standard_normal((3, 2)))
+    cases = [(LaurentSymbol.zero(), None), (LaurentSymbol.one(), None),
+             (LaurentSymbol.zero(), real),
+             (LaurentSymbol([0.5, 2.0, -1.0], -1), real),
+             (LaurentSymbol([0.5, 2.0, -1.0], -1),
+              random_correction(rng, 5, 6, 2)),
+             (LaurentSymbol([1j, 1.0], 0), None)]
+    for sym, corr in cases:
+        semi = CqtMatrix(sym, corr)
+        fin = FiniteQtMatrix(12, sym, corr)
+        for name in ("is_zero", "is_identity", "is_real"):
+            assert getattr(semi, name) == getattr(fin, name), (sym, name)
+        assert semi.norm_cqt() == fin.norm_cqt()
+        assert semi.scale(0).is_zero and fin.scale(0).is_zero
+    assert CqtMatrix(LaurentSymbol.one()).is_identity
+    assert not CqtMatrix(LaurentSymbol.one(), real).is_identity
 
 
 def test_tolerance_config_validation():
