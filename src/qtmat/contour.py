@@ -195,7 +195,8 @@ _inverse_records = contextvars.ContextVar("inverse_records", default=None)
 def _inverse_summary(records):
     """Counts per inverse path and per solved column count, worst residual.
 
-    Semi-infinite inverses solve no columns and count in the paths only.
+    Inverses by Wiener-Hopf factors ("factored") solve no columns and
+    count in the paths only.
     """
     paths, columns = {}, {}
     for rec in records:
@@ -359,11 +360,13 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
     or "algebra"), ``mirrored`` (whether the dense sums kept the half
     columns of a centrosymmetric band to the end; False in the algebra
     form), and, from the records of the inverses that run made,
-    ``inverse_paths`` (a count per path: "banded" for a finite matrix, in
-    either form, "factored" for a semi-infinite one, or "scalar"),
+    ``inverse_paths`` (a count per path: "banded" for a finite node
+    inverse solved on its band, in the dense form or where ``fqt_inv``
+    falls back to it, "factored" for a semi-infinite one or a larger
+    finite one by Widom's formula, or "scalar"),
     ``inverse_columns`` (a count per number of inverse columns solved for
     a finite node: ceil(m/2) for a mirrored half, m for a full dense
-    inverse, or the corner columns of ``fqt_inv``) and
+    inverse) and
     ``inverse_residual_max`` (None when every node came from the slot).
 
     Parameters

@@ -183,9 +183,9 @@ def cqt_norm(a):
 
 
 def qt_norm(a):
-    """||a||_W + entrywise sum of the correction (derivative term dropped)."""
+    """||a||_W + entrywise sum of each correction (derivative term dropped)."""
     nw, _ = wiener_norms(a.symbol)
-    return nw + abs_sum_norm(a.corr)
+    return nw + sum(abs_sum_norm(c) for c in a.corrections)
 
 
 def toeplitz_section(sym, n):
@@ -258,6 +258,9 @@ def cqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
     product and the Woodbury term form one dense block, factored by
     ``Correction.from_dense`` at ``cfg.tol_corr``.  The result is
     certified when ``inverse_residual`` is at most ``cfg.tol_stop``.
+
+    ``finite.fqt_inv`` inverts a large finite matrix from two such
+    inverses, one per corner (Widom's formula).
 
     The record holds ``path`` ("factored", or "scalar" for a scalar
     Toeplitz matrix, which inverts exactly), ``certified_n`` (a section of

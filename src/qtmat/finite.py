@@ -7,6 +7,10 @@ so both corners share the same factored representation and compression; the
 flip is applied only when materializing.  The protocol members, the add
 rule and the shortcuts of the product and the inverse are those of the
 semi-infinite class (``cqt.QtMatrix``).
+
+A large matrix is inverted by two semi-infinite inverses (``cqt_inv``),
+one per corner, by Widom's formula; a small one, or one the formula does
+not certify, is solved on its band in every column.
 """
 
 import functools
@@ -24,24 +28,30 @@ from .correction import (
     corr_times_corr,
 )
 from .cqt import (
+    CqtMatrix,
     QtMatrix,
     _add_parts,
     _certified,
     _gather,
     _scalar_inverse,
     _trivial_product,
+    cqt_inv,
     toeplitz_section,
 )
-from .errors import SingularMatrixError, SizeMismatchError, ZeroOnCircleError
+from .errors import (
+    NoConvergenceError,
+    NonzeroWindingError,
+    SingularMatrixError,
+    SizeMismatchError,
+    ZeroOnCircleError,
+)
 from .symbol import (
     LaurentSymbol,
-    eval_at_unit_roots,
     sym_clip,
     sym_mul,
     sym_reverse,
     sym_truncate,
     wiener_norms,
-    winding_number,
 )
 
 
@@ -306,30 +316,32 @@ def _sample_columns(m):
 
 
 def fqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
-    """Inverse of a finite quasi-Toeplitz matrix through one banded LU.
+    """Inverse of a finite quasi-Toeplitz matrix.
 
-    The matrix is laid out in LAPACK band storage from its symbol and corner
-    factors, the band widened to enclose both corners, and factored once
-    (``?gbtrf``).  The first and last k columns of the inverse are then
-    solved (``?gbtrs``), k doubling from max(128, twice the band widths),
-    until the columns beyond each trimmed corner match T_m(r), r the
-    reciprocal symbol clipped to the matrix: inverses of band matrices
-    decay away from the diagonal (Demko, Moss and Smith, Math. Comp. 43,
-    1984).  The result is T_m(r) plus the two corners.  When 2k >= m for
-    the first k (``solves_every_column``; always so for m <= 256 and a band
-    narrower than 64), or when the symbol has no reciprocal, the whole
-    inverse comes from ``BandMatrix.shifted_inverse``, the node-inverse
-    routine of the contour engine: on a centrosymmetric band its first
-    ceil(m/2) columns, expanded by ``mirrored_columns``, else every column,
-    from the LU the corner columns were solved with when there is one.  It
-    is re-split by ``fqt_from_dense``.  The result is certified on
-    sampled columns against the identity, through a product with the band;
-    a miss of the corner-column branch doubles k, so only a singular or
-    uncertifiable matrix fails.
+    Unless ``solves_every_column``, two ``cqt_inv`` calls give it by
+    Widom's formula (Boettcher and Grudsky, "Toeplitz Matrices, Asymptotic
+    Linear Algebra, and Functional Analysis", Birkhaeuser, 2000), with an
+    error that decays with m, a~ the reversed symbol and W_m = J P_m:
 
-    The info dict has ``path`` ("banded", or "scalar" for a multiple of the
-    identity), ``columns`` (inverse columns solved in the certified pass)
-    and ``residual``.
+        T_m(a)^-1 ~ T_m(1/a) + P_m (T(a)^-1 - T(1/a)) P_m
+                             + W_m (T(a~)^-1 - T(1/a~)) W_m.
+
+    The corners are the corrections of the inverses of T(a) plus the
+    top-left corner and of T(a~) plus the flipped bottom-right one, which
+    is thus stored flipped already; 1/a, as ``cqt_inv`` gives it, is
+    clipped to the matrix.  When ``cqt_inv`` raises, a corner exceeds
+    m // 2 rows or columns, or the result misses the certificate, the
+    inverse is solved on the band instead, enclosing both corners, by the
+    contour engine's node-inverse routine ``BandMatrix.shifted_inverse``
+    (one ``?gbtrf``, then every column, or the first ceil(m/2) of a
+    centrosymmetric band), and re-split by ``fqt_from_dense``.  Either
+    result is certified on sampled columns against the identity, through a
+    product with the band.
+
+    The info dict has ``path`` ("factored" for Widom's formula, "banded"
+    for the band solve, which adds ``columns``, the inverse columns solved
+    in the certified pass, or "scalar" for a multiple of the identity) and
+    ``residual``.
 
     Raises
     ------
@@ -344,21 +356,13 @@ def fqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
     m = a.m
     band = BandMatrix(a)
     cols = _sample_columns(m)
-    k = _first_corner_columns(m, band.kl, band.ku)
-    recip = None if k is None else _clipped_reciprocal(a.symbol, m, cfg)
-    lu = None
-    if recip is not None:
-        lu = band.factor()
-        while 2 * k < m:
-            result = _from_corner_columns(lu, recip, k, cfg)
-            if result is not None:
-                worst = band.residual(result.columns(cols), cols)
-                if worst <= cfg.tol_stop:
-                    info = {"path": "banded", "columns": 2 * k,
-                            "residual": worst}
-                    return (result, info) if with_info else result
-            k *= 2
-    x, _ = band.shifted_inverse(0.0, cfg, half=True, lu=lu)
+    result = None if solves_every_column(a) else _widom_inverse(a, cfg)
+    if result is not None:
+        worst = band.residual(result.columns(cols), cols)
+        if worst <= cfg.tol_stop:
+            info = {"path": "factored", "residual": worst}
+            return (result, info) if with_info else result
+    x, _ = band.shifted_inverse(0.0, cfg, half=True)
     full = x if x.shape[1] == m else mirrored_columns(x, np.arange(m))
     result = fqt_from_dense(full, cfg)
     worst = _certified(band.residual(result.columns(cols), cols), cfg)
@@ -366,19 +370,29 @@ def fqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
     return (result, info) if with_info else result
 
 
+def _widom_inverse(a, cfg):
+    """Widom's T_m(1/a) plus two semi-infinite corners, None where unfit."""
+    try:
+        tl = cqt_inv(CqtMatrix(a.symbol, a.corr_tl), cfg)
+        br = cqt_inv(CqtMatrix(sym_reverse(a.symbol), a.corr_br), cfg)
+    except (ZeroOnCircleError, NonzeroWindingError, SingularMatrixError,
+            NoConvergenceError):
+        return None
+    m = a.m
+    if max(tl.corr.p, tl.corr.q, br.corr.p, br.corr.q) > m // 2:
+        return None
+    return FiniteQtMatrix(m, sym_clip(tl.symbol, m - 1), tl.corr, br.corr)
+
+
 def solves_every_column(a):
-    """Whether ``fqt_inv`` solves every column of an inverse of a's size.
+    """Whether ``fqt_inv`` solves every column without trying Widom's formula.
 
-    That is 2k >= m for its first corner-column count k, which depends
-    only on m and the band widths, so a shift z I - a gets the same answer.
+    That is m <= 2 max(128, 2^b), 2^b the least power of two above 2w + 1
+    for the wider band width w: m <= 256 for a band narrower than 64.  A
+    shift z I - a has the same m and widths, so the same answer.
     """
-    return _first_corner_columns(a.m, *_band_widths(a)) is None
-
-
-def _first_corner_columns(m, kl, ku):
-    """k of the first corner-column pass, None when 2k >= m."""
-    k = max(128, 1 << (2 * max(kl, ku) + 1).bit_length())
-    return None if 2 * k >= m else k
+    width = max(_band_widths(a))
+    return a.m <= 2 * max(128, 1 << (2 * width + 1).bit_length())
 
 
 def _band_widths(a):
@@ -462,7 +476,7 @@ class BandMatrix:
         out[cols, np.arange(len(cols))] -= 1.0
         return float(np.abs(out).max())
 
-    def shifted_inverse(self, shift, cfg, half=False, lu=None):
+    def shifted_inverse(self, shift, cfg, half=False):
         """Columns of (shift I + B)^-1 and their certified residual.
 
         Every column, or with ``half`` on a mirrored band the first
@@ -471,13 +485,11 @@ class BandMatrix:
         The residual is taken on the columns ``fqt_inv`` samples, those
         past h read from their mirrors and multiplied by B itself.  A half
         that misses the certificate gets its other columns solved and is
-        certified whole, so the result has m columns then.  ``lu`` passes
-        ``factor(shift)`` when the caller has it already.  Raises
+        certified whole, so the result has m columns then.  Raises
         SingularMatrixError or CertificateError.
         """
         m = self.m
-        if lu is None:
-            lu = self.factor(shift)
+        lu = self.factor(shift)
         cols = _sample_columns(m)
         h = (m + 1) // 2 if half and self.mirrored else m
         x = lu.solve(np.arange(h))
@@ -517,55 +529,3 @@ class _BandLU:
         x, _ = self._gbtrs(self.lu, self.kl, self.ku, rhs, self.piv,
                            overwrite_b=1)
         return x
-
-
-def _clipped_reciprocal(sym, m, cfg):
-    """1 / sym with exponents below m in size, or None when it has none.
-
-    Sampled on a doubling grid of unit roots, as ``sym_inverse_factors``
-    samples log a, until the outer half of the coefficients carries at most
-    ``cfg.tol_symbol`` of their mass or the grid covers 4m, then clipped
-    and truncated.  Unlike ``sym_reciprocal`` it certifies nothing: the
-    inverse it enters is certified, while that certificate's absolute
-    tolerance cannot be met once ||sym||_W ||1/sym||_W is large.  None
-    when the symbol vanishes on the unit circle or winds around 0, where
-    T_m(1/sym) plus corners does not describe the inverse.
-    """
-    try:
-        if winding_number(sym) != 0:
-            return None
-    except ZeroOnCircleError:
-        return None
-    n = 1 << (max(64, 4 * sym.support_len) - 1).bit_length()
-    while True:
-        coeffs = np.fft.fft(1.0 / eval_at_unit_roots(sym, n)) / n
-        # The coefficient of exponent d sits at index d mod n.
-        coeffs = np.concatenate([coeffs[n // 2:], coeffs[:n // 2]])
-        mags = np.abs(coeffs)
-        outer = mags[:n // 4].sum() + mags[3 * n // 4:].sum()
-        if outer <= cfg.tol_symbol * mags.sum() or n >= 4 * m:
-            break
-        n *= 2
-    recip = sym_clip(LaurentSymbol(coeffs, -(n // 2)), m - 1)
-    return sym_truncate(recip, 0.1 * cfg.tol_symbol)
-
-
-def _from_corner_columns(lu, recip, k, cfg):
-    """T_m(recip) plus corners cut from the first and last k columns.
-
-    Returns None unless both trimmed corners end within k // 2 columns,
-    that is unless the solved columns beyond them match T_m(recip).  Each
-    corner is budgeted, as in ``fqt_from_dense``, against the entry mass of
-    the inverse columns it is cut from.
-    """
-    m = lu.m
-    js = np.concatenate([np.arange(k), np.arange(m - k, m)])
-    cols = lu.solve(js)
-    dev = cols - _gather(recip, js - np.arange(m)[:, None])
-    tl = Correction.from_dense(dev[:, :k], cfg.tol_corr,
-                               scale=float(np.abs(cols[:, :k]).sum()))
-    br = Correction.from_dense(dev[::-1, ::-1][:, :k], cfg.tol_corr,
-                               scale=float(np.abs(cols[:, k:]).sum()))
-    if max(tl.q, br.q) > k // 2:
-        return None
-    return FiniteQtMatrix(m, recip, tl, br)

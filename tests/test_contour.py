@@ -161,8 +161,9 @@ def _finite_i_plus_h2(m, symbol=None):
     return a
 
 
-# Past 2 * 128 the node inverses take fqt_inv's corner columns, so the
-# level sums stay in the algebra and node resolvents go through the slot.
+# Past 2 * 128 fqt_inv takes the node inverses from two semi-infinite ones
+# (Widom's formula), so the level sums stay in the algebra and node
+# resolvents go through the slot.
 _ALGEBRA_M = 257
 
 
@@ -509,9 +510,10 @@ def test_info_reports_the_inverse_of_every_node_inverted(kind, monkeypatch):
 
     monkeypatch.setattr(type(a), "inv", recording)
     _, info = funm_contour(a, np.sqrt, _CIRCLE, _CFG, with_info=True)
-    path = "banded" if kind == "finite" else "factored"
+    # Both classes invert from the Wiener-Hopf factors of the symbol.
     inverted = info["resolvents"] - info["reused"]
-    assert info["inverse_paths"] == {path: inverted} == {path: len(records)}
+    assert info["inverse_paths"] == {"factored": inverted} \
+        == {"factored": len(records)}
     worst = info["inverse_residual_max"]
     assert worst == max(rec["residual"] for rec in records)
     assert 0.0 < worst <= _CFG.tol_stop
@@ -535,7 +537,7 @@ def test_finite_inverses_need_no_dense_inverse(monkeypatch):
         a = _finite_i_plus_h2(m)
         r, info = a.identity_like().scale(z).add(a.scale(-1.0)).inv(
             with_info=True)
-        assert info["path"] == "banded"
+        assert info["path"] == ("banded" if m == 40 else "factored")
         if m == 40:
             assert np.abs(fqt_to_dense(r) - want_small).max() < 1e-12
     slot = qtmat.contour._NodeResolvents()
@@ -608,16 +610,20 @@ def test_dense_split_keeps_no_more_than_the_algebra_sum():
 def test_the_engine_sums_densely_where_fqt_inv_solves_every_column():
     z = 1.5 + 1j
     cfg = DEFAULT_CONFIG.updated(tol_stop=1e-6)
-    # Bands narrower than 64 start at k = 128 corner columns.  Below that
-    # fqt_inv solves the whole inverse, of I + H^2 from its mirrored half.
+    # Up to m = 256 for bands narrower than 64 fqt_inv solves the whole
+    # inverse, of I + H^2 from its mirrored half; past it Widom's formula.
     for m, form in ((256, "dense"), (257, "algebra")):
         a = _finite_i_plus_h2(m)
         _, info = funm_contour(a, np.sqrt, _CIRCLE, cfg, with_info=True)
         assert info["level_sum"] == form
         _, inv_info = a.identity_like().scale(z).add(a.scale(-1.0)).inv(
             cfg, with_info=True)
-        assert inv_info["columns"] == (m // 2 if form == "dense" else 256)
-    # A band reaching z^64 starts at k = 256.
+        if form == "dense":
+            assert inv_info["path"] == "banded"
+            assert inv_info["columns"] == m // 2
+        else:
+            assert inv_info["path"] == "factored"
+    # A band reaching z^64 is solved whole up to m = 512.
     wide = LaurentSymbol([1.0] + [0.0] * 63 + [0.01], 0)
     assert solves_every_column(FiniteQtMatrix(512, wide))
     assert not solves_every_column(FiniteQtMatrix(513, wide))

@@ -383,6 +383,7 @@ def test_both_classes_agree_on_the_shared_members():
         for name in ("is_zero", "is_identity", "is_real"):
             assert getattr(semi, name) == getattr(fin, name), (sym, name)
         assert semi.norm_cqt() == fin.norm_cqt()
+        assert qt_norm(semi) == qt_norm(fin)
         assert semi.scale(0).is_zero and fin.scale(0).is_zero
     assert CqtMatrix(LaurentSymbol.one()).is_identity
     assert not CqtMatrix(LaurentSymbol.one(), real).is_identity

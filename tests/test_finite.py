@@ -237,9 +237,12 @@ def _banded_input(rng, m):
 def test_inv_matches_the_dense_inverse(m):
     a = _banded_input(np.random.default_rng(m), m)
     b, info = fqt_inv(a, with_info=True)
-    assert info["path"] == "banded"
-    # Up to 256 every column is solved; beyond, only 128 at each end.
-    assert info["columns"] == (m if m <= 256 else 256)
+    # Up to 256 every column is solved; beyond, two semi-infinite inverses
+    # give the inverse by Widom's formula, and no column is solved.
+    if m <= 256:
+        assert info["path"] == "banded" and info["columns"] == m
+    else:
+        assert info["path"] == "factored" and "columns" not in info
     assert info["residual"] <= DEFAULT_CONFIG.tol_stop
     want = np.linalg.inv(dense_fqt_oracle(a))
     assert np.abs(fqt_to_dense(b) - want).max() < 1e-12
@@ -247,35 +250,36 @@ def test_inv_matches_the_dense_inverse(m):
 
 @pytest.mark.parametrize("m", [300, 400])
 def test_inv_long_reciprocal_band(m):
-    # The reciprocal symbol has 70 coefficients, so the corner columns are
-    # read against a long band.
+    # The reciprocal symbol has 70 coefficients, so Widom's formula keeps
+    # a long band.
     a = FiniteQtMatrix(m, LaurentSymbol([1.0, 2.5 + 0.3j, 0.6], -1),
                        Correction([[0.5, 0.1], [0.2, -0.3], [0.1, 0.05]],
                                   [[0.4, 0.2], [0.1, 0.3]]),
                        Correction.rank_one([0.3, 0.1], [0.4]))
     b, info = fqt_inv(a, with_info=True)
-    assert info["columns"] == 256 and info["residual"] <= 1e-12
+    assert info["path"] == "factored" and info["residual"] <= 1e-12
     assert b.symbol.support_len >= 70
     want = np.linalg.inv(dense_fqt_oracle(a))
     assert np.abs(fqt_to_dense(b) - want).max() < 1e-12
 
 
-def test_inv_doubles_k_until_the_corners_decay():
+def test_inv_of_a_near_zero_symbol_keeps_its_wide_corners():
     # Near-zero symbol (1, 2.2 + 0.05i, 1): both corners of the inverse are
-    # about 72 columns wide, past half of the first 128, so k doubles once.
+    # about 78 columns wide, and Widom's formula holds them.
     m = 700
     a = _banded_input(np.random.default_rng(m), m)
     a = FiniteQtMatrix(m, LaurentSymbol([1.0, 2.2 + 0.05j, 1.0], -1),
                        a.corr_tl, a.corr_br)
     b, info = fqt_inv(a, with_info=True)
-    assert info["columns"] == 512
+    assert info["path"] == "factored"
+    assert min(b.corr_tl.q, b.corr_br.q) > 64
     want = np.linalg.inv(dense_fqt_oracle(a))
     assert np.abs(fqt_to_dense(b) - want).max() < 1e-12
 
 
-def test_inv_fallback_reuses_the_corner_column_lu(monkeypatch):
-    # Near-zero symbol (1, 2.15 + 0.05i, 1) at m = 1024: the corner-column
-    # passes give up and every column is solved, from the same factoring.
+def test_inv_of_a_near_zero_symbol_factors_no_band(monkeypatch):
+    # Near-zero symbol (1, 2.15 + 0.05i, 1) at m = 1024: Widom's formula
+    # holds its inverse, so the band is never factored.
     calls = []
     factor = BandMatrix.factor
 
@@ -287,8 +291,8 @@ def test_inv_fallback_reuses_the_corner_column_lu(monkeypatch):
     m = 1024
     a = FiniteQtMatrix(m, LaurentSymbol([1.0, 2.15 + 0.05j, 1.0], -1))
     b, info = fqt_inv(a, with_info=True)
-    assert calls == [0.0]
-    assert info["columns"] == m // 2 and info["residual"] <= 1e-12
+    assert calls == []
+    assert info["path"] == "factored" and info["residual"] <= 1e-12
     cols = np.array([0, 3, 100, m // 2, m - 1])
     rhs = np.zeros((m, cols.size), dtype=complex)
     rhs[cols, np.arange(cols.size)] = 1.0
@@ -346,13 +350,25 @@ def test_inv_large_m_against_solve_banded():
     m = 8192
     a = _banded_input(np.random.default_rng(3), m)
     b, info = fqt_inv(a, with_info=True)
-    assert info["columns"] == 256
+    assert info["path"] == "factored"
     cols = np.array([0, 1, 5, 40, 127, 128, 500, m // 2, m - 300, m - 129,
                      m - 128, m - 9, m - 1])
     rhs = np.zeros((m, cols.size))
     rhs[cols, np.arange(cols.size)] = 1.0
     want = scipy.linalg.solve_banded((8, 8), _band_storage(a, 8, 8), rhs)
     assert np.abs(b.columns(cols) - want).max() < 1e-12
+
+
+def test_inv_falls_back_to_the_band_where_the_symbol_vanishes():
+    # z + 1/z vanishes at +-i, so cqt_inv raises and the m = 300 inverse is
+    # solved on the band, in the first half of its columns as the band is
+    # centrosymmetric.
+    m = 300
+    a = FiniteQtMatrix(m, LaurentSymbol([1.0, 0.0, 1.0], -1))
+    b, info = fqt_inv(a, with_info=True)
+    assert info["path"] == "banded" and info["columns"] == m // 2
+    want = np.linalg.inv(dense_fqt_oracle(a))
+    assert np.abs(fqt_to_dense(b) - want).max() < 1e-12
 
 
 def test_inv_singular_corner():

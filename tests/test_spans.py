@@ -10,11 +10,16 @@ import qtmat
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
-def test_tracer_installs_and_uninstalls():
-    # install() looks up every traced name and fails on one that is gone.
+def _load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_tracer_installs_and_uninstalls():
+    # install() looks up every traced name and fails on one that is gone.
+    spans = _load_spans()
     taylor, qr = qtmat.funm_taylor, np.linalg.qr
     tracer = spans.Tracer()
     try:
@@ -23,3 +28,24 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert qtmat.funm_taylor is taylor and np.linalg.qr is qr
+
+
+def test_tracer_sees_the_finite_inverse_call_the_semi_infinite_one():
+    # At m = 300 fqt_inv takes Widom's formula: two cqt_inv calls, each a
+    # span of its own inside the fqt_inv span.
+    spans = _load_spans()
+    a = qtmat.FiniteQtMatrix(300, qtmat.LaurentSymbol([1.0, 3.0, 0.5], -1))
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        qtmat.fqt_inv(a)
+    finally:
+        tracer.uninstall()
+    stats = tracer.function_stats()
+    assert stats["finite.fqt_inv"][0] == 1
+    assert stats["cqt.cqt_inv"][0] == 2
+    inner = tracer.names.index("cqt.cqt_inv")
+    outer = tracer.names.index("finite.fqt_inv")
+    ids = np.frombuffer(tracer.name_ids, dtype=np.int32)
+    parents = np.frombuffer(tracer.parents, dtype=np.int32)
+    assert (ids[parents[ids == inner]] == outer).all()
