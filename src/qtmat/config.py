@@ -33,7 +33,8 @@ class ToleranceConfig:
                       ``contour.funm_contour``), and the bound on the
                       identity residual that certifies an inverse
                       (``cqt_inv``, ``fqt_inv``)
-    max_terms         cap on the number of series terms
+    max_terms         cap on the number of series terms, per side of a
+                      Laurent series
     max_levels        cap on node-doubling levels of the contour engine
     """
 

@@ -508,7 +508,9 @@ class _AlgebraSum:
         else:
             self.reused += 1
         term = sym_scale(r.symbol, coef)
-        self.sym = sym_add(self.sym, term.real_part() if paired else term)
+        if paired:  # Re T(a): the real parts of the coefficients
+            term = LaurentSymbol(term.coeffs.real, term.min_deg)
+        self.sym = sym_add(self.sym, term)
         self.mass += abs(coef) * norm_w(r.symbol)
         for i, c in enumerate(r.corrections):
             if c.is_zero:

@@ -1,10 +1,14 @@
 """Matrix functions from truncated power and Laurent series.
 
-Both engines accumulate sum_i f_i A^i (with f_{-i} A^{-i} for a Laurent
-series) in one term loop, directly in the algebra, which keeps the
-correction part in factored, compressed form at every step, and finally
-refresh the Toeplitz part by evaluating the scalar function on the symbol
-at unit roots and interpolating.  The same code drives semi-infinite and finite
+Each engine first fixes the last term of each side of its series from the
+coefficients and the norm alone (``_series_side``: the positive side on
+||A||, the negative one on ||A^{-1}||), so a series that does not converge
+within the term cap fails before any product is formed.  Then one term
+loop (``_sum_series``) accumulates sum_i f_i A^i (with f_{-i} A^{-i} for a
+Laurent series) directly in the algebra, which keeps the correction part
+in factored, compressed form at every step, and finally refreshes the
+Toeplitz part by evaluating the scalar function on the symbol at unit
+roots and interpolating.  The same code drives semi-infinite and finite
 matrices through the shared algebra methods (add, mul, inv, scale, norms).
 """
 
@@ -113,8 +117,6 @@ class SeriesSpec:
 
 
 def _exp_coeff(i):
-    if i < 0:
-        return 0.0
     try:
         return 1.0 / math.factorial(i)
     except OverflowError:
@@ -129,8 +131,6 @@ def _log1p_coeff(i):
 
 def _sqrt1p_coeff(i):
     # Binomial series of (1 + x)^(1/2).
-    if i < 0:
-        return 0.0
     c = 1.0
     for j in range(1, i + 1):
         c *= (0.5 - (j - 1)) / j
@@ -192,37 +192,40 @@ def _tail_estimate(coeffs, k, nrm, radius):
     return best
 
 
-class _TermRule:
-    """Stopping rule requiring three consecutive negligible terms.
+def _series_side(f, sign, degree, nrm, radius, cfg):
+    """One side of a series: [f_{sign k} for k = 0..K] and its tail.
 
-    A term counts as negligible when |f_k| max(1, ||A||)^k drops below the
-    stopping tolerance, or when the fitted geometric tail of the remaining
-    series is already below it.  ``checked`` keeps the quantity compared
-    with the tolerance on each of the last three terms: the term bound, or
-    the fitted tail where the term bound was not below it.
+    The positive side holds f_0 at index 0, the negative side 0.  An exact
+    side (``degree`` given) ends at K = ``degree`` with tail 0.  Otherwise
+    K ends the first three consecutive negligible terms: a term is
+    negligible when its bound |f_k| max(1, nrm)^k, or else the fitted
+    geometric tail past it (on ``radius``), is below ``cfg.tol_stop``; an
+    exact zero counts as negligible.  The tail is the largest quantity
+    compared on those three terms.  NoConvergenceError past
+    ``cfg.max_terms``.
     """
-
-    def __init__(self, nrm, radius, tol):
-        self.nrm = nrm
-        self.radius = radius
-        self.tol = tol
-        self.log_scale = math.log(max(1.0, nrm))
-        self.consecutive = 0
-        self.checked = []
-
-    def done(self, coeffs, k):
+    coeffs = [complex(f.coeff(0)) if sign > 0 else 0.0 + 0.0j]
+    if degree is not None:
+        coeffs += [complex(f.coeff(sign * k)) for k in range(1, degree + 1)]
+        return coeffs, 0.0
+    log_scale = math.log(max(1.0, nrm))
+    checked = []
+    for k in range(1, cfg.max_terms + 1):
+        coeffs.append(complex(f.coeff(sign * k)))
         fk = abs(coeffs[k])
         if fk == 0.0:
-            small, checked = True, 0.0
+            small, bound = True, 0.0
         else:
-            log_term = math.log(fk) + k * self.log_scale
-            small = log_term < math.log(self.tol)
-            checked = math.exp(log_term) if small else _tail_estimate(
-                coeffs, k, self.nrm, self.radius)
-            small = small or checked < self.tol
-        self.checked = self.checked[-2:] + [checked]
-        self.consecutive = self.consecutive + 1 if small else 0
-        return self.consecutive >= 3
+            log_term = math.log(fk) + k * log_scale
+            small = log_term < math.log(cfg.tol_stop)
+            bound = math.exp(log_term) if small else _tail_estimate(
+                coeffs, k, nrm, radius)
+            small = small or bound < cfg.tol_stop
+        checked = checked[-2:] + [bound] if small else []
+        if len(checked) == 3:
+            return coeffs, max(checked)
+    raise NoConvergenceError(
+        f"series did not converge within {cfg.max_terms} terms")
 
 
 def funm_taylor(matrix, f, cfg=DEFAULT_CONFIG, with_info=False):
@@ -243,7 +246,8 @@ def funm_taylor(matrix, f, cfg=DEFAULT_CONFIG, with_info=False):
     Raises
     ------
     RadiusViolationError  norm hypothesis ||A|| < radius fails
-    NoConvergenceError    term cap reached before the stopping rule fired
+    NoConvergenceError    term cap reached before the stopping rule fired;
+                          raised before the first product
     """
     if f.annulus is not None:
         raise ValueError("Laurent series require funm_laurent")
@@ -252,32 +256,25 @@ def funm_taylor(matrix, f, cfg=DEFAULT_CONFIG, with_info=False):
         raise RadiusViolationError(
             f"series norm hypothesis violated: ||A|| = {nrm:.6g} is not "
             f"below the radius of analyticity {f.radius:.6g}")
-    rule = _TermRule(nrm, f.radius, cfg.tol_stop)
-    total, pos, _, reached = _sum_terms(matrix, None, f, f.degree, (rule,),
-                                        cfg)
-    total = _refresh_symbol(total, matrix.symbol,
-                            f.scalar or _partial_scalar(pos), cfg)
-    if with_info:
-        # A polynomial is summed exactly: nothing is left in its tail.
-        tail = 0.0 if f.degree is not None else max(rule.checked)
-        return total, _record(total, reached, tail)
-    return total
+    pos, tail = _series_side(f, 1, f.degree, nrm, f.radius, cfg)
+    return _sum_series(matrix, None, pos, (), tail, f.scalar, cfg, with_info)
 
 
 def funm_laurent(matrix, f, cfg=DEFAULT_CONFIG, with_info=False):
     """f(A) for a Laurent series f analytic on an annulus.
 
     Computes the inverse once and then sums
-    f_0 I + sum_{i>=1} (f_i A^i + f_{-i} A^{-i}) with a symmetric stopping
-    rule on both tails.  Preconditions: ||A|| below the outer radius,
+    f_0 I + sum_{i>=1} (f_i A^i + f_{-i} A^{-i}).  Each side stops on its
+    own rule, the positive one on ||A|| and R_f, the negative one on
+    ||A^{-1}|| and 1/r_f (unbounded when r_f = 0), and the shorter side is
+    padded with zeros.  Preconditions: ||A|| below the outer radius,
     ||A^{-1}|| below the reciprocal of the inner radius, and the sampled
     symbol values inside the annulus.
 
-    With ``with_info`` the result comes with ``terms``, ``tail_estimate``,
-    the fitted geometric tails of both sides summed: the positive one on
-    ||A|| and R_f, the negative one on ||A^{-1}|| and 1/r_f (unbounded when
-    r_f = 0); 0 for a Laurent polynomial; and ``ranks`` as in
-    ``funm_taylor``.
+    With ``with_info`` the result comes with ``terms``, the longer side's
+    last index; ``tail_estimate``, the fitted geometric tails past each
+    side's last term summed, 0 for a side of known degree; and ``ranks`` as
+    in ``funm_taylor``.
     """
     if f.annulus is None:
         raise ValueError("power series require funm_taylor")
@@ -300,63 +297,45 @@ def funm_laurent(matrix, f, cfg=DEFAULT_CONFIG, with_info=False):
         raise RadiusViolationError(
             "sampled symbol values leave the annulus of analyticity")
     inner = math.inf if r_f == 0 else 1.0 / r_f
-    rules = (_TermRule(nrm, big_r, cfg.tol_stop),
-             _TermRule(inv_nrm, inner, cfg.tol_stop))
-    exact = f.degree is not None and f.neg_degree is not None
-    degree = max(f.degree, f.neg_degree) if exact else None
-    total, pos, neg, reached = _sum_terms(matrix, inv, f, degree, rules, cfg)
-    scalar = f.scalar or _partial_scalar(pos, neg if need_inverse else ())
-    total = _refresh_symbol(total, matrix.symbol, scalar, cfg)
-    if with_info:
-        tail = 0.0 if exact else (
-            _tail_estimate(pos, reached, nrm, big_r)
-            + _tail_estimate(neg, reached, inv_nrm, inner))
-        return total, _record(total, reached, tail)
-    return total
+    pos, _ = _series_side(f, 1, f.degree, nrm, big_r, cfg)
+    neg, _ = ((), 0.0) if inv is None else _series_side(
+        f, -1, f.neg_degree, inv_nrm, inner, cfg)
+    tail = 0.0
+    if f.degree is None:
+        tail += _tail_estimate(pos, len(pos) - 1, nrm, big_r)
+    if f.neg_degree is None:
+        tail += _tail_estimate(neg, len(neg) - 1, inv_nrm, inner)
+    return _sum_series(matrix, inv, pos, neg, tail, f.scalar, cfg, with_info)
 
 
-def _record(total, terms, tail):
-    """The ``with_info`` record of a series result."""
-    return {"terms": terms, "tail_estimate": tail,
-            "ranks": [(c.p, c.q, c.rank) for c in total.corrections]}
-
-
-def _sum_terms(matrix, inv, f, degree, rules, cfg):
+def _sum_series(matrix, inv, pos, neg, tail, scalar, cfg, with_info):
     """The one series term loop: f_0 I + sum_k (f_k A^k + f_{-k} A^{-k}).
 
-    Negative powers are taken only when ``inv`` (A^{-1}) is given.  An exact
-    series stops at ``degree``; otherwise the loop stops at the first k
-    where every rule is done, checked in order (the first on the positive,
-    the second on the negative coefficients), so a later rule is consulted
-    only once the earlier ones have fired; NoConvergenceError past
-    ``cfg.max_terms``.  Returns the sum, both coefficient lists (f_k and
-    f_{-k} at index k) and the last term index.
+    ``pos`` and ``neg`` hold f_k and f_{-k} at index k; ``neg`` is empty
+    when ``inv`` (A^{-1}) is not given.  Term k adds f_k A^k, then
+    f_{-k} A^{-k}, each skipped when zero; a side past its last index
+    counts as zero and forms no more powers.  Then the symbol is refreshed
+    with ``scalar``, or the partial sum's own map when it is None, and
+    with ``with_info`` the record of ``funm_taylor`` comes along.
     """
-    pos = [complex(f.coeff(0))]
-    neg = [0.0 + 0.0j]
+    terms = max(len(pos), len(neg)) - 1
     total = matrix.identity_like().scale(pos[0])
-    ppow, mpow = matrix, inv
-    for k in range(1, (cfg.max_terms if degree is None else degree) + 1):
-        if k > 1:
-            ppow = ppow.mul(matrix, cfg)
-            if inv is not None:
-                mpow = mpow.mul(inv, cfg)
-        pos.append(complex(f.coeff(k)))
-        neg.append(complex(f.coeff(-k)) if inv is not None else 0.0 + 0.0j)
-        if pos[k] != 0:
-            total = total.add(ppow.scale(pos[k]), cfg)
-        if neg[k] != 0:
-            total = total.add(mpow.scale(neg[k]), cfg)
-        if degree is None and all(rule.done(coeffs, k) for rule, coeffs
-                                  in zip(rules, (pos, neg))):
-            return total, pos, neg, k
-    if degree is None:
-        raise NoConvergenceError(
-            f"series did not converge within {cfg.max_terms} terms")
-    return total, pos, neg, degree
+    powers = [matrix, inv]
+    for k in range(1, terms + 1):
+        for i, (base, coeffs) in enumerate(((matrix, pos), (inv, neg))):
+            if k < len(coeffs):
+                powers[i] = powers[i].mul(base, cfg) if k > 1 else base
+                if coeffs[k] != 0:
+                    total = total.add(powers[i].scale(coeffs[k]), cfg)
+    total = _refresh_symbol(total, matrix.symbol,
+                            scalar or _partial_scalar(pos, neg), cfg)
+    if not with_info:
+        return total
+    return total, {"terms": terms, "tail_estimate": tail,
+                   "ranks": [(c.p, c.q, c.rank) for c in total.corrections]}
 
 
-def _partial_scalar(pos, neg=()):
+def _partial_scalar(pos, neg):
     """Scalar map of the partial sum; no 1/x without a negative part."""
     ps = np.asarray(pos, dtype=np.complex128)[::-1]
     ns = np.asarray(neg, dtype=np.complex128)[::-1]

@@ -66,10 +66,6 @@ class LaurentSymbol:
     def is_real(self):
         return not np.any(self.coeffs.imag)
 
-    def real_part(self):
-        """Symbol of Re T(a): the real parts of the coefficients."""
-        return LaurentSymbol(self.coeffs.real, self.min_deg)
-
     @property
     def support_len(self):
         return int(self.coeffs.size)

@@ -12,6 +12,7 @@ from qtmat import (
     DEFAULT_CONFIG,
     FiniteQtMatrix,
     LaurentSymbol,
+    NoConvergenceError,
     RadiusViolationError,
     SeriesSpec,
     abs_sum_norm,
@@ -411,3 +412,37 @@ def test_taylor_exp_of_h10_keeps_no_rounding_noise_as_rank():
     assert got.corr_tl.rank <= 20
     want = scipy.linalg.expm(fqt_to_dense(a).real)
     assert np.abs(fqt_to_dense(got) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _geometric_input():
+    # T(0.2/z + 1 + 0.3z) + [0.1, 0.2]^T [0.3, 0.1], and f_k = 0.25^k for
+    # k >= 0, analytic on |z| < 4.
+    a = CqtMatrix(LaurentSymbol([0.2, 1.0, 0.3], -1),
+                  Correction([[0.1], [0.2]], [[0.3], [0.1]]))
+    return a, lambda i: 0.25 ** i if i >= 0 else 0.0
+
+
+def test_each_laurent_side_stops_on_its_own_rule():
+    # The negative side is zero, so its rule fires at once, and the Laurent
+    # engine sums the terms of the power series engine in the same order.
+    a, coeff = _geometric_input()
+    got, got_info = funm_taylor(a, SeriesSpec(coeff=coeff, radius=4.0),
+                                with_info=True)
+    want, want_info = funm_laurent(a, SeriesSpec.laurent(coeff, 0.1, 4.0),
+                                   with_info=True)
+    assert got_info["terms"] == want_info["terms"] > 3
+    assert len(got.corrections) == len(want.corrections)
+    for x, y in zip(got.corrections, want.corrections):
+        assert np.array_equal(x.u, y.u) and np.array_equal(x.v, y.v)
+
+
+@pytest.mark.parametrize("engine", ["taylor", "laurent"])
+def test_series_names_the_term_cap_it_did_not_converge_within(engine):
+    a, coeff = _geometric_input()
+    cfg = DEFAULT_CONFIG.updated(max_terms=10)
+    with pytest.raises(NoConvergenceError,
+                       match=r"^series did not converge within 10 terms$"):
+        if engine == "taylor":
+            funm_taylor(a, SeriesSpec(coeff=coeff, radius=4.0), cfg)
+        else:
+            funm_laurent(a, SeriesSpec.laurent(coeff, 0.1, 4.0), cfg)

@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import qtmat
 
@@ -49,3 +50,22 @@ def test_tracer_sees_the_finite_inverse_call_the_semi_infinite_one():
     ids = np.frombuffer(tracer.name_ids, dtype=np.int32)
     parents = np.frombuffer(tracer.parents, dtype=np.int32)
     assert (ids[parents[ids == inner]] == outer).all()
+
+
+def test_a_series_past_its_term_cap_raises_before_the_first_product():
+    # exp of the Hessenberg band T(z^-1 + 1 + ... + z^8), ||A|| = 10, needs
+    # far more than 20 terms; the coefficients alone say so.
+    spans = _load_spans()
+    a = qtmat.CqtMatrix(qtmat.LaurentSymbol(np.ones(10), -1))
+    cfg = qtmat.DEFAULT_CONFIG.updated(max_terms=20)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        with pytest.raises(qtmat.NoConvergenceError):
+            qtmat.funm_taylor(a, qtmat.SeriesSpec.exp(), cfg)
+    finally:
+        tracer.uninstall()
+    stats = tracer.function_stats()
+    assert stats["series.funm_taylor"][0] == stats["series.funm_taylor"][3] \
+        == 1
+    assert stats.get("cqt.cqt_mul", (0,))[0] == 0
