@@ -23,10 +23,19 @@ and s_0 >= 1, the floor governs: it drops every value the budget would.
 
 Dtype rule: both factors share one dtype, float64 when every input is real
 and complex128 otherwise.  Real factors stay real through compression,
-scaling by a real number and sums with other real corrections, so real
-data runs real QR and SVD; a complex operand or scale makes the result
-complex.  The rule goes by dtype, not by value: complex factors whose
-imaginary parts are zero stay complex.
+scaling by a real number, sums with other real corrections and products
+with real symbols (``hankel_product``, ``toeplitz_times_factor``), so real
+data runs real QR and SVD; a complex operand, symbol or scale makes the
+result complex.  The rule goes by dtype, not by value: complex factors
+whose imaginary parts are zero stay complex.  It is the rule of
+``symbol.LaurentSymbol`` too.
+
+Validation: ``Correction(u, v)`` copies the caller's arrays and checks that
+every entry is finite.  Values this module makes from checked ones are
+built by ``Correction._owned`` without that scan; a non-finite value is
+still refused where it can first appear, a non-finite scale factor and the
+compressed core of ``corr_compress`` (and the entry mass of a block given
+to ``Correction.from_dense``).
 """
 
 import numpy as np
@@ -53,16 +62,19 @@ class Correction:
     """
 
     def __init__(self, u, v):
-        self._store(np.atleast_2d(np.asarray(u)), np.atleast_2d(np.asarray(v)),
-                    copy=True)
+        u, v = np.atleast_2d(np.asarray(u)), np.atleast_2d(np.asarray(v))
+        if not (np.isfinite(u).all() and np.isfinite(v).all()):
+            raise ValueError("correction factors must be finite")
+        self._store(u, v, copy=True)
 
     @classmethod
     def _owned(cls, u, v):
         """Correction over factors this module has just made.
 
-        They must be 2-D arrays, and are frozen in place instead of copied
-        (a non-contiguous view or another dtype is still copied).  Arrays a
-        caller may hold go through ``Correction(u, v)``, which always copies.
+        They must be 2-D arrays of finite entries, and are frozen in place
+        instead of copied or scanned (a non-contiguous view or another
+        dtype is still copied).  Arrays a caller may hold go through
+        ``Correction(u, v)``, which always copies and checks.
         """
         out = cls.__new__(cls)
         out._store(u, v, copy=False)
@@ -74,8 +86,6 @@ class Correction:
         dtype = np.result_type(u.dtype, v.dtype, np.float64)
         if u.shape[0] == 0 or v.shape[0] == 0 or u.shape[1] == 0:
             u = v = np.zeros((0, 0), dtype=dtype)
-        if not (np.isfinite(u).all() and np.isfinite(v).all()):
-            raise ValueError("correction factors must be finite")
         self.u = _frozen(u, dtype, copy)
         self.v = _frozen(v, dtype, copy)
 
@@ -116,6 +126,8 @@ class Correction:
         if keep is not None:
             mags = np.where(keep, mags, 0.0)
         total = float(mags.sum())
+        if not np.isfinite(total):
+            raise ValueError("correction block must be finite")
         if total == 0.0:
             return cls.zero()
         budget = tol * max(1.0, total if scale is None else scale)
@@ -155,7 +167,7 @@ class Correction:
         """Dense (rows x cols) leading block of the correction."""
         rows = self.p if rows is None else rows
         cols = self.q if cols is None else cols
-        out = np.zeros((rows, cols), dtype=np.complex128)
+        out = np.zeros((rows, cols), dtype=self.u.dtype)
         if not self.is_zero:
             rp = min(self.p, rows)
             cq = min(self.q, cols)
@@ -165,12 +177,13 @@ class Correction:
     @property
     def is_real(self):
         """Whether both factors are stored with zero imaginary parts."""
-        return not (np.any(self.u.imag) or np.any(self.v.imag))
+        return not (np.iscomplexobj(self.u)
+                    and (np.any(self.u.imag) or np.any(self.v.imag)))
 
     def scaled(self, alpha):
         if self.is_zero or alpha == 0:
             return Correction.zero()
-        return Correction._owned(self.u * alpha, self.v)
+        return Correction._owned(self.u * _finite_scale(alpha), self.v)
 
     def __repr__(self):
         return f"Correction(p={self.p}, q={self.q}, rank={self.rank})"
@@ -187,6 +200,13 @@ def _frozen(x, dtype, copy):
         x = x.astype(dtype)
     x.setflags(write=False)
     return x
+
+
+def _finite_scale(alpha):
+    """alpha, or ValueError when it is not finite."""
+    if not np.isfinite(alpha):
+        raise ValueError("scale factor must be finite")
+    return alpha
 
 
 def _kept_length(masses, budget):
@@ -254,7 +274,7 @@ def corr_add(e1, e2, scale2=1.0):
     u = np.zeros((p, e1.rank + e2.rank), dtype=dtype)
     v = np.zeros((q, e1.rank + e2.rank), dtype=dtype)
     u[:e1.p, :e1.rank] = e1.u
-    u[:e2.p, e1.rank:] = e2.u * scale2
+    u[:e2.p, e1.rank:] = e2.u * _finite_scale(scale2)
     v[:e1.q, :e1.rank] = e1.v
     v[:e2.q, e1.rank:] = e2.v
     return Correction._owned(u, v)
@@ -300,6 +320,8 @@ def corr_compress(e, tol):
     else:
         qu, core = np.linalg.qr(e.u @ e.v.T, mode="reduced")
         qv = None
+    if not np.isfinite(core).all():
+        raise ValueError("compressed correction core must be finite")
     w, s, xh = np.linalg.svd(core, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return Correction.zero()
@@ -362,9 +384,9 @@ def hankel_product(a_minus, b_plus, clip=None):
         raise ValueError("hankel_product expects one-sided split symbols")
     ka = a_minus.max_deg
     kb = b_plus.max_deg
-    cm = np.zeros(ka, dtype=np.complex128)
+    cm = np.zeros(ka, dtype=a_minus.coeffs.dtype)
     cm[a_minus.min_deg - 1:ka] = a_minus.coeffs
-    cp = np.zeros(kb, dtype=np.complex128)
+    cp = np.zeros(kb, dtype=b_plus.coeffs.dtype)
     cp[b_plus.min_deg - 1:kb] = b_plus.coeffs
     cap = min(ka, kb) if clip is None else min(ka, kb, clip)
     rows = ka if clip is None else min(ka, clip)
@@ -384,23 +406,24 @@ def toeplitz_times_factor(sym, factor, row_cap=None):
     one window of a zero-padded copy, times the coefficients.  One batched
     product over all windows serves every column.  The support grows
     downward by the number of negative exponents of the symbol.
-    ``row_cap`` clips the output rows (finite sections).
+    ``row_cap`` clips the output rows (finite sections).  The result is
+    real when the symbol and the factor are.
     """
-    factor = np.asarray(factor, dtype=np.complex128)
+    dtype = np.result_type(sym.coeffs, factor)
     p, r = factor.shape
     if sym.is_zero or p == 0 or r == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
+        return np.zeros((0, 0), dtype=dtype)
     d = sym.min_deg
     t = sym.coeffs.size
     out_rows = p + max(0, -d)
     if row_cap is not None:
         out_rows = min(out_rows, row_cap)
     if out_rows <= 0:
-        return np.zeros((0, 0), dtype=np.complex128)
+        return np.zeros((0, 0), dtype=dtype)
     # padded[j] = U[j + d], so window i is padded[i:i + t], a t x r view.
     # as_strided costs a third of sliding_window_view per call, and this
     # runs tens of thousands of times per series.
-    padded = np.zeros((out_rows + t - 1, r), dtype=np.complex128)
+    padded = np.zeros((out_rows + t - 1, r), dtype=dtype)
     lo = max(0, -d)
     hi = min(padded.shape[0], p - d)
     if lo < hi:

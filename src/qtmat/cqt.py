@@ -73,6 +73,12 @@ class QtMatrix:
         return self.symbol.is_real and all(c.is_real
                                            for c in self.corrections)
 
+    @property
+    def dtype(self):
+        """float64 when the symbol and every correction are stored real."""
+        return np.result_type(self.symbol.coeffs,
+                              *(c.u for c in self.corrections))
+
     def norm_cqt(self):
         return cqt_norm(self)
 
@@ -189,16 +195,17 @@ def qt_norm(a):
 
 
 def toeplitz_section(sym, n):
-    """Dense leading n x n block of T(a)."""
+    """Dense leading n x n block of T(a), in the symbol's dtype."""
     if sym.is_zero:
-        return np.zeros((n, n), dtype=np.complex128)
+        return np.zeros((n, n), dtype=sym.coeffs.dtype)
     col = _gather(sym, -np.arange(n))
     row = _gather(sym, np.arange(n))
     return scipy.linalg.toeplitz(col, row)
 
 
 def _gather(sym, exps):
-    out = np.zeros(exps.shape, dtype=np.complex128)
+    """Coefficient of each exponent in ``exps`` (0 outside the support)."""
+    out = np.zeros(exps.shape, dtype=sym.coeffs.dtype)
     idx = exps - sym.min_deg
     mask = (idx >= 0) & (idx < sym.coeffs.size)
     out[mask] = sym.coeffs[idx[mask]]
@@ -209,7 +216,7 @@ def finite_section(a, n):
     """Dense leading n x n block of the represented matrix."""
     if n < 1:
         raise ValueError("section size must be at least 1")
-    out = toeplitz_section(a.symbol, n)
+    out = toeplitz_section(a.symbol, n).astype(a.dtype, copy=False)
     if not a.corr.is_zero:
         rp = min(a.corr.p, n)
         cq = min(a.corr.q, n)
@@ -294,7 +301,8 @@ def cqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
         x = t_inv[:, :e.p] @ e.u
         capacitance = np.eye(e.rank) + e.v.T @ x[:e.q]
         try:
-            block -= x @ np.linalg.solve(capacitance, e.v.T @ t_inv[:e.q])
+            block = block - x @ np.linalg.solve(capacitance,
+                                                e.v.T @ t_inv[:e.q])
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(
                 "capacitance matrix I + V^T T(a)^-1 U is singular") from exc
@@ -336,10 +344,12 @@ def inverse_residual(a, b):
         return worst
     k = max(rows + a.symbol.n_plus, a.corr.q)
     right = finite_section(b, max(k, cols))[:k, :cols]
+    dtype = np.result_type(a.dtype, right)
     if a.symbol.is_zero:
-        block = np.zeros((rows, cols), dtype=np.complex128)
+        block = np.zeros((rows, cols), dtype=dtype)
     else:
-        block = toeplitz_times_factor(a.symbol, right, row_cap=rows)
+        block = toeplitz_times_factor(a.symbol, right, row_cap=rows).astype(
+            dtype, copy=False)
     if not a.corr.is_zero:
         block[:a.corr.p] += a.corr.u @ (a.corr.v.T @ right[:a.corr.q])
     np.fill_diagonal(block, block.diagonal() - 1.0)

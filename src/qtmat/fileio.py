@@ -12,6 +12,13 @@ round trip is exact on IEEE doubles)::
 
 Finite matrices carry two correction blocks: top-left first, then the
 bottom-right one in flipped coordinates.
+
+Dtype rule: the text stores every value as a re/im pair, and a real value
+is written with the imaginary field ``0``, so real and complex storage of
+the same values give the same text.  ``parse`` returns a matrix stored
+real (float64 symbol and factors) when every imaginary field of the file
+is +0, and complex128 throughout otherwise; a ``-0`` field keeps it
+complex, so the text round-trips byte for byte.
 """
 
 import numpy as np
@@ -27,15 +34,20 @@ _VERSION = 1
 
 
 def _emit_block(lines, block):
-    """Append one line per row of a complex block: each entry's re/im pair.
+    """Append one line per row of a block: each entry's re/im pair.
 
-    One ``%.17g`` template formats the interleaved float row; ``%`` and
-    ``format`` share one float-to-text routine, so the digits are those of
-    ``f"{x:.17g}"``.
+    One ``%.17g`` template formats the interleaved float row of a complex
+    block, and a ``%.17g 0`` one per entry the row of a real block, the
+    text a complex copy would give; ``%`` and ``format`` share one
+    float-to-text routine, so the digits are those of ``f"{x:.17g}"``.
     """
-    pairs = np.ascontiguousarray(block, dtype=np.complex128).view(np.float64)
-    template = " ".join(["%.17g"] * pairs.shape[1])
-    lines.extend(template % tuple(row) for row in pairs.tolist())
+    if np.iscomplexobj(block):
+        block = np.ascontiguousarray(block).view(np.float64)
+        entry = "%.17g"
+    else:
+        entry = "%.17g 0"
+    template = " ".join([entry] * block.shape[1])
+    lines.extend(template % tuple(row) for row in block.tolist())
 
 
 def serialize(x):
@@ -95,7 +107,7 @@ def _read_header(reader, word, names):
 
 
 def _read_block(reader, rows, cols, what, number_what=None):
-    """A complex rows x cols block, one line of 2 * cols re/im fields a row.
+    """A rows x 2 cols block of floats, one line of re/im fields a row.
 
     Each line converts in one step.  A wrong field count names ``what``; a
     field that is not a number is named with its line as ``number_what``,
@@ -111,7 +123,7 @@ def _read_block(reader, rows, cols, what, number_what=None):
             raise MalformedFileError(
                 f"line {reader.pos}: bad number for {number_what or what}: "
                 f"{bad!r}") from None
-    return out.view(np.complex128)
+    return out
 
 
 def _is_number(field):
@@ -123,6 +135,7 @@ def _is_number(field):
 
 
 def _parse_correction(reader):
+    """The (left, right) factor blocks of a correction, None when empty."""
     p, q, r = _read_header(reader, "correction", ("correction rows",
                                                   "correction cols",
                                                   "correction rank"))
@@ -132,15 +145,28 @@ def _parse_correction(reader):
         if (p, q, r) != (0, 0, 0):
             raise MalformedFileError(
                 f"line {reader.pos}: empty correction must be 0 0 0")
-        return Correction.zero()
-    return Correction(_read_block(reader, p, r, "correction left factor"),
-                      _read_block(reader, q, r, "correction right factor"))
+        return None
+    return (_read_block(reader, p, r, "correction left factor"),
+            _read_block(reader, q, r, "correction right factor"))
+
+
+def _imaginary_fields_set(block):
+    """Whether any imaginary field of a re/im block is other than +0."""
+    imag = block[:, 1::2]
+    return bool(np.any(imag) or np.signbit(imag).any())
+
+
+def _values(block, real):
+    """The real fields of a re/im block, or its complex values."""
+    return block[:, ::2] if real else block.view(np.complex128)
 
 
 def parse(text):
     """Parse serialized text back into a matrix.
 
     Validates structure and re-canonicalizes (symbol trim, factor shapes).
+    The matrix is stored real when every imaginary field is +0 (see the
+    module docstring).
 
     Raises
     ------
@@ -168,11 +194,15 @@ def parse(text):
     if count < 0:
         raise MalformedFileError(f"line {reader.pos}: negative count")
     coeffs = _read_block(reader, count, 1, "symbol coefficient", "coefficient")
-    sym = LaurentSymbol(coeffs[:, 0], min_deg)
-    corrections = [_parse_correction(reader)
-                   for _ in range(1 if m is None else 2)]
+    factors = [_parse_correction(reader) for _ in range(1 if m is None else 2)]
     if not reader.done():
         raise MalformedFileError(f"line {reader.pos + 1}: trailing content")
+    blocks = [coeffs] + [b for pair in factors if pair for b in pair]
+    real = not any(_imaginary_fields_set(b) for b in blocks)
+    sym = LaurentSymbol(_values(coeffs, real)[:, 0], min_deg)
+    corrections = [Correction.zero() if pair is None
+                   else Correction(*(_values(b, real) for b in pair))
+                   for pair in factors]
     if m is None:
         return CqtMatrix(sym, *corrections)
     try:

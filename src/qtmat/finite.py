@@ -110,7 +110,8 @@ class FiniteQtMatrix(QtMatrix):
         js = np.asarray(js, dtype=int).reshape(-1)
         if js.size and not (0 <= js.min() and js.max() < m):
             raise IndexError("column index out of range")
-        cols = _gather(self.symbol, js - np.arange(m)[:, None])
+        cols = _gather(self.symbol, js - np.arange(m)[:, None]).astype(
+            self.dtype, copy=False)
         _add_corner_columns(cols, self.corr_tl, js)
         _add_corner_columns(cols[::-1], self.corr_br, m - 1 - js)
         return cols
@@ -160,7 +161,7 @@ def _check_sizes(a, b):
 def fqt_to_dense(a):
     """Dense m x m materialization."""
     m = a.m
-    out = toeplitz_section(a.symbol, m)
+    out = toeplitz_section(a.symbol, m).astype(a.dtype, copy=False)
     if not a.corr_tl.is_zero:
         out[:a.corr_tl.p, :a.corr_tl.q] += a.corr_tl.materialize()
     if not a.corr_br.is_zero:
@@ -211,8 +212,8 @@ def fqt_mul(a, b, cfg=DEFAULT_CONFIG):
 
 def _unflipped(corr, m):
     """A flipped bottom-right corner as a top-left correction (p = q = m)."""
-    u = np.zeros((m, corr.rank), dtype=np.complex128)
-    v = np.zeros((m, corr.rank), dtype=np.complex128)
+    u = np.zeros((m, corr.rank), dtype=corr.u.dtype)
+    v = np.zeros((m, corr.rank), dtype=corr.v.dtype)
     u[m - corr.p:] = corr.u[::-1]
     v[m - corr.q:] = corr.v[::-1]
     return Correction._owned(u, v)
@@ -228,7 +229,7 @@ def fqt_from_dense(dense, cfg=DEFAULT_CONFIG, mass=None):
     Each corner is budgeted ``cfg.tol_corr`` times ``mass``, by default the
     entry mass of the whole matrix; a caller that has summed the matrix from
     parts passes the parts' total mass, the scale their own splits would
-    have spent.  A real input gives real corner factors.
+    have spent.  A real input gives a real symbol and real corner factors.
     """
     dense = np.asarray(dense)
     dense = dense.astype(np.complex128 if np.iscomplexobj(dense)
@@ -240,7 +241,7 @@ def fqt_from_dense(dense, cfg=DEFAULT_CONFIG, mass=None):
     sym = _diagonal_symbol(dense, float(mags.max(initial=0.0)), cfg)
     if sym is None:
         return FiniteQtMatrix.zero(m)
-    resid = dense - _toeplitz_like(sym, dense)
+    resid = dense - toeplitz_section(sym, m)
     # Entries with i + j <= m - 1 go to the top-left corner, the others to
     # the bottom-right one, read in flipped coordinates from reversed views
     # of the residual and of its one magnitude pass; only each corner's
@@ -265,15 +266,16 @@ def fqt_split_norm(dense, cfg=DEFAULT_CONFIG):
     compressed factors, so nothing is factored.
     """
     dense = np.asarray(dense)
+    m = dense.shape[0]
     sym = _diagonal_symbol(dense, float(np.abs(dense).max(initial=0.0)), cfg)
     if sym is None:
         return 0.0
     nw, nw1 = wiener_norms(sym)
-    return nw + nw1 + float(np.abs(dense - _toeplitz_like(sym, dense)).sum())
+    return nw + nw1 + float(np.abs(dense - toeplitz_section(sym, m)).sum())
 
 
 def _diagonal_symbol(dense, scale, cfg):
-    """Middle entry of each diagonal, as a symbol.
+    """Middle entry of each diagonal, as a symbol of the matrix's dtype.
 
     ``scale`` is the largest entry size; entries up to half of
     ``cfg.tol_corr`` times max(1, scale) are dropped.  None for the zero
@@ -287,15 +289,9 @@ def _diagonal_symbol(dense, scale, cfg):
     d = np.arange(-(m - 1), m)
     mid = (m - np.abs(d) - 1) // 2
     vals = dense[mid + np.maximum(-d, 0), mid + np.maximum(d, 0)]
-    coeffs = np.zeros(2 * m - 1, dtype=np.complex128)
+    coeffs = np.zeros(2 * m - 1, dtype=np.result_type(dense, np.float64))
     coeffs[d + m - 1] = np.where(np.abs(vals) > coeff_floor, vals, 0.0)
     return LaurentSymbol(coeffs, -(m - 1))
-
-
-def _toeplitz_like(sym, dense):
-    """T_m(sym), real when ``dense`` is (its symbol then is)."""
-    section = toeplitz_section(sym, dense.shape[0])
-    return section if np.iscomplexobj(dense) else section.real
 
 
 @functools.lru_cache(maxsize=1)
@@ -371,15 +367,21 @@ def fqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
 
 
 def _widom_inverse(a, cfg):
-    """Widom's T_m(1/a) plus two semi-infinite corners, None where unfit."""
+    """Widom's T_m(1/a) plus two semi-infinite corners, None where unfit.
+
+    A corner past m // 2 rows or columns is unfit; the top-left one is
+    checked before the bottom-right one is computed.
+    """
+    m = a.m
     try:
         tl = cqt_inv(CqtMatrix(a.symbol, a.corr_tl), cfg)
+        if max(tl.corr.p, tl.corr.q) > m // 2:
+            return None
         br = cqt_inv(CqtMatrix(sym_reverse(a.symbol), a.corr_br), cfg)
     except (ZeroOnCircleError, NonzeroWindingError, SingularMatrixError,
             NoConvergenceError):
         return None
-    m = a.m
-    if max(tl.corr.p, tl.corr.q, br.corr.p, br.corr.q) > m // 2:
+    if max(br.corr.p, br.corr.q) > m // 2:
         return None
     return FiniteQtMatrix(m, sym_clip(tl.symbol, m - 1), tl.corr, br.corr)
 
@@ -413,7 +415,7 @@ class BandMatrix:
     def __init__(self, a):
         m, sym, tl, br = a.m, a.symbol, a.corr_tl, a.corr_br
         kl, ku = _band_widths(a)
-        band = np.zeros((kl + ku + 1, m), dtype=np.complex128, order="F")
+        band = np.zeros((kl + ku + 1, m), dtype=a.dtype, order="F")
         for d, c in zip(range(sym.min_deg, sym.max_deg + 1), sym.coeffs):
             band[ku - d, max(d, 0):m + min(d, 0)] = c
         if not tl.is_zero:
@@ -428,7 +430,7 @@ class BandMatrix:
         r, j = np.indices(band.shape)
         i = r - ku + j
         inside = (0 <= i) & (i < m)
-        self._rows = np.zeros((m, kl + ku + 1), dtype=np.complex128)
+        self._rows = np.zeros((m, kl + ku + 1), dtype=band.dtype)
         self._rows[i[inside], kl + ku - r[inside]] = band[inside]
 
     @functools.cached_property
@@ -452,7 +454,8 @@ class BandMatrix:
         """
         kl, ku, m = self.kl, self.ku, self.m
         # ?gbtrf wants kl more rows on top for the fill-in.
-        ab = np.zeros((2 * kl + ku + 1, m), dtype=np.complex128, order="F")
+        ab = np.zeros((2 * kl + ku + 1, m),
+                      dtype=np.result_type(self.band, shift), order="F")
         ab[kl:] = self.band
         ab[kl + ku] += shift
         gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
@@ -469,7 +472,8 @@ class BandMatrix:
         x: one batched product over all columns.
         """
         m, kl, width = self.m, self.kl, self._rows.shape[1]
-        padded = np.zeros((m + width - 1, x.shape[1]), dtype=np.complex128)
+        padded = np.zeros((m + width - 1, x.shape[1]),
+                          dtype=np.result_type(x, self._rows))
         padded[kl:kl + m] = x
         windows = sliding_window_view(padded, width, axis=0)
         out = shift * x + (windows @ self._rows[:, :, None])[:, :, 0]
@@ -524,7 +528,7 @@ class _BandLU:
 
     def solve(self, js):
         """Columns js of the inverse, m x len(js) (``?gbtrs``)."""
-        rhs = np.zeros((self.m, len(js)), dtype=np.complex128, order="F")
+        rhs = np.zeros((self.m, len(js)), dtype=self.lu.dtype, order="F")
         rhs[js, np.arange(len(js))] = 1.0
         x, _ = self._gbtrs(self.lu, self.kl, self.ku, rhs, self.piv,
                            overwrite_b=1)

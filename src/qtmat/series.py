@@ -174,22 +174,19 @@ def _tail_estimate(coeffs, k, nrm, radius):
     mags = np.abs(np.asarray(coeffs))
     base = max(nrm, 1e-300)
     if math.isinf(radius):
-        candidates = [base * f for f in _RADIUS_FACTORS]
+        rho = base * np.array(_RADIUS_FACTORS)
     else:
-        candidates = [base + (radius - base) * t for t in (0.25, 0.5, 0.75, 0.9)]
-        candidates = [c for c in candidates if c > base]
-    best = math.inf
-    idx = np.arange(mags.size)
-    for rho in candidates:
-        with np.errstate(over="ignore"):
-            gamma = float(np.max(mags * rho ** idx))
-        if not math.isfinite(gamma):
-            continue
-        lam = nrm / rho
-        if lam >= 1.0:
-            continue
-        best = min(best, gamma * lam ** (k + 1) / (1.0 - lam))
-    return best
+        rho = base + (radius - base) * np.array((0.25, 0.5, 0.75, 0.9))
+        rho = rho[rho > base]
+    # One row per candidate radius: gamma, lambda and the geometric tail.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = np.max(mags * rho[:, None] ** np.arange(mags.size), axis=1)
+    lam = nrm / rho
+    fit = np.isfinite(gamma) & (lam < 1.0)
+    if not fit.any():
+        return math.inf
+    lam = lam[fit]
+    return float(np.min(gamma[fit] * lam ** (k + 1) / (1.0 - lam)))
 
 
 def _series_side(f, sign, degree, nrm, radius, cfg):
@@ -317,7 +314,15 @@ def _sum_series(matrix, inv, pos, neg, tail, scalar, cfg, with_info):
     counts as zero and forms no more powers.  Then the symbol is refreshed
     with ``scalar``, or the partial sum's own map when it is None, and
     with ``with_info`` the record of ``funm_taylor`` comes along.
+
+    Real in, real out: when A is stored real and every f_k is real, f maps
+    reals to reals, so the coefficients are summed as floats (the powers
+    and the sum stay real) and the refreshed symbol keeps its real part.
     """
+    real = matrix.dtype == np.float64 and not any(
+        c.imag for c in (*pos, *neg))
+    if real:
+        pos, neg = [c.real for c in pos], [c.real for c in neg]
     terms = max(len(pos), len(neg)) - 1
     total = matrix.identity_like().scale(pos[0])
     powers = [matrix, inv]
@@ -328,7 +333,7 @@ def _sum_series(matrix, inv, pos, neg, tail, scalar, cfg, with_info):
                 if coeffs[k] != 0:
                     total = total.add(powers[i].scale(coeffs[k]), cfg)
     total = _refresh_symbol(total, matrix.symbol,
-                            scalar or _partial_scalar(pos, neg), cfg)
+                            scalar or _partial_scalar(pos, neg), cfg, real)
     if not with_info:
         return total
     return total, {"terms": terms, "tail_estimate": tail,
@@ -348,12 +353,14 @@ def _partial_scalar(pos, neg):
     return scalar
 
 
-def _refresh_symbol(total, arg_symbol, scalar, cfg):
+def _refresh_symbol(total, arg_symbol, scalar, cfg, real):
     """Replace the symbol of the accumulated sum by interp(f(a(w))).
 
     Samples the argument symbol at unit roots, applies the scalar map and
     interpolates back on a grid that doubles until the coefficient mass near
-    the wrap-around boundary is negligible.
+    the wrap-around boundary is negligible.  With ``real`` (a real symbol
+    and a map taking reals to reals) the coefficients are real in exact
+    arithmetic, and only their real parts are kept.
     """
     span = max(8, total.symbol.support_len, arg_symbol.support_len)
     n = 1 << (4 * span - 1).bit_length()
@@ -372,6 +379,8 @@ def _refresh_symbol(total, arg_symbol, scalar, cfg):
         edge_mass = float(np.abs(arranged[:edge]).sum()
                           + np.abs(arranged[-edge:]).sum())
         if edge_mass <= cfg.tol_symbol * max(1.0, total_mass):
+            if real:
+                arranged = arranged.real
             sym = sym_truncate(LaurentSymbol(arranged, lo), cfg.tol_symbol)
             return total.with_symbol(sym)
         n *= 2

@@ -4,6 +4,13 @@ A symbol a(z) = sum_i a_i z^i generates the semi-infinite Toeplitz matrix
 T(a) with entry a_{j-i} at position (i, j).  Only finitely many coefficients
 are stored, so the Wiener norm sum_i |a_i| is always finite.  Values are
 immutable and every function in this module is pure.
+
+Dtype rule, as for ``correction.Correction``: coefficients are stored as
+float64 when they are given real and as complex128 otherwise, and every
+function here returns real coefficients for real operands (a real scale
+factor counts as real).  The rule goes by dtype, not by value: complex
+coefficients whose imaginary parts are zero stay complex.  Values on the
+unit circle (``eval_at_unit_roots``) are complex either way.
 """
 
 import numpy as np
@@ -31,7 +38,9 @@ class LaurentSymbol:
     """
 
     def __init__(self, coeffs, min_deg=0):
-        arr = np.atleast_1d(np.asarray(coeffs, dtype=np.complex128))
+        arr = np.atleast_1d(np.asarray(coeffs))
+        arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64,
+                         copy=False)
         if arr.ndim != 1:
             raise ValueError("coefficients must form a one-dimensional sequence")
         nz = np.flatnonzero(arr)
@@ -45,6 +54,20 @@ class LaurentSymbol:
         arr.setflags(write=False)
         self.coeffs = arr
         self.min_deg = min_deg
+
+    @classmethod
+    def _trimmed(cls, coeffs, min_deg):
+        """Symbol over a 1-D float64 or complex128 array this module made.
+
+        Its first and last entries must be nonzero, or it is empty; it is
+        frozen in place instead of trimmed and copied.  Arrays a caller may
+        hold go through ``LaurentSymbol(coeffs, min_deg)``.
+        """
+        out = cls.__new__(cls)
+        coeffs.setflags(write=False)
+        out.coeffs = coeffs
+        out.min_deg = int(min_deg) if coeffs.size else 0
+        return out
 
     @classmethod
     def zero(cls):
@@ -64,7 +87,8 @@ class LaurentSymbol:
 
     @property
     def is_real(self):
-        return not np.any(self.coeffs.imag)
+        """Whether the coefficients have zero imaginary parts."""
+        return not (np.iscomplexobj(self.coeffs) and np.any(self.coeffs.imag))
 
     @property
     def support_len(self):
@@ -117,6 +141,17 @@ def wiener_norms(a):
     return float(mags.sum()), float((exps * mags).sum())
 
 
+def _canonical(coeffs, min_deg):
+    """Symbol over a fresh array or a view of stored coefficients.
+
+    Frozen in place when both ends are nonzero, which is all this costs to
+    check; otherwise trimmed by the constructor.
+    """
+    if coeffs.size == 0 or (coeffs[0] != 0 and coeffs[-1] != 0):
+        return LaurentSymbol._trimmed(coeffs, min_deg)
+    return LaurentSymbol(coeffs, min_deg)
+
+
 def sym_add(a, b):
     """Coefficientwise sum of two symbols."""
     if a.is_zero:
@@ -125,17 +160,17 @@ def sym_add(a, b):
         return a
     lo = min(a.min_deg, b.min_deg)
     hi = max(a.max_deg, b.max_deg)
-    buf = np.zeros(hi - lo + 1, dtype=np.complex128)
+    buf = np.zeros(hi - lo + 1, dtype=np.result_type(a.coeffs, b.coeffs))
     buf[a.min_deg - lo:a.min_deg - lo + a.coeffs.size] += a.coeffs
     buf[b.min_deg - lo:b.min_deg - lo + b.coeffs.size] += b.coeffs
-    return LaurentSymbol(buf, lo)
+    return _canonical(buf, lo)
 
 
 def sym_scale(a, alpha):
-    """Symbol scaled by a complex factor."""
+    """Symbol scaled by a real or complex factor."""
     if a.is_zero or alpha == 0:
         return LaurentSymbol.zero()
-    return LaurentSymbol(a.coeffs * alpha, a.min_deg)
+    return _canonical(a.coeffs * alpha, a.min_deg)
 
 
 def sym_sub(a, b):
@@ -157,10 +192,12 @@ def sym_mul(a, b):
         coeffs = np.convolve(a.coeffs, b.coeffs)
     else:
         n = 1 << (out_len - 1).bit_length()
-        fa = np.fft.fft(a.coeffs, n)
-        fb = np.fft.fft(b.coeffs, n)
-        coeffs = np.fft.ifft(fa * fb)[:out_len]
-    return LaurentSymbol(coeffs, a.min_deg + b.min_deg)
+        if np.iscomplexobj(a.coeffs) or np.iscomplexobj(b.coeffs):
+            fft, ifft = np.fft.fft, np.fft.ifft
+        else:
+            fft, ifft = np.fft.rfft, np.fft.irfft
+        coeffs = ifft(fft(a.coeffs, n) * fft(b.coeffs, n), n)[:out_len]
+    return _canonical(coeffs, a.min_deg + b.min_deg)
 
 
 def sym_eval(a, z):
@@ -218,13 +255,13 @@ def sym_split(a):
         return LaurentSymbol.zero(), a0, LaurentSymbol.zero()
     start_plus = max(0, 1 - a.min_deg)
     if start_plus < a.coeffs.size:
-        a_plus = LaurentSymbol(a.coeffs[start_plus:], a.min_deg + start_plus)
+        a_plus = _canonical(a.coeffs[start_plus:], a.min_deg + start_plus)
     else:
         a_plus = LaurentSymbol.zero()
     end_minus = min(a.coeffs.size, -a.min_deg)
     if end_minus > 0:
         neg = a.coeffs[:end_minus]
-        a_minus = LaurentSymbol(neg[::-1], -(a.min_deg + end_minus - 1))
+        a_minus = _canonical(neg[::-1], -(a.min_deg + end_minus - 1))
     else:
         a_minus = LaurentSymbol.zero()
     return a_minus, a0, a_plus
@@ -234,7 +271,7 @@ def sym_reverse(a):
     """Symbol of the transposed Toeplitz matrix: coefficients of a(1/z)."""
     if a.is_zero:
         return a
-    return LaurentSymbol(a.coeffs[::-1], -a.max_deg)
+    return LaurentSymbol._trimmed(a.coeffs[::-1], -a.max_deg)
 
 
 def sym_clip(a, band):
@@ -245,39 +282,45 @@ def sym_clip(a, band):
     hi = min(a.max_deg, band)
     if lo > hi:
         return LaurentSymbol.zero()
-    return LaurentSymbol(a.coeffs[lo - a.min_deg:hi - a.min_deg + 1], lo)
+    return _canonical(a.coeffs[lo - a.min_deg:hi - a.min_deg + 1], lo)
 
 
 def sym_truncate(a, tol):
     """Drop small leading/trailing coefficients.
 
     Coefficients are removed greedily from whichever end currently holds the
-    smaller magnitude, as long as the total removed mass stays within
-    ``tol * max(1, ||a||_W)``.
+    smaller magnitude (the low end on a tie), as long as the total removed
+    mass stays within ``tol * max(1, ||a||_W)``.
+
+    That greedy order is the stable merge of the two ends, each read inward,
+    by their running maxima, low end first on equal keys: an end that shows
+    a new maximum waits until the other end reaches it, and the smaller
+    entries behind a maximum follow it at once.  So one stable sort of the
+    keys and one cumulative sum in that order, summed as the greedy loop
+    would, give the removed count.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     if a.is_zero or tol == 0:
         return a
-    budget = tol * max(1.0, norm_w(a))
     mags = np.abs(a.coeffs)
-    lo, hi = 0, a.coeffs.size - 1
-    spent = 0.0
-    while lo <= hi:
-        if mags[lo] <= mags[hi]:
-            side, mag = "lo", mags[lo]
-        else:
-            side, mag = "hi", mags[hi]
-        if spent + mag > budget:
-            break
-        spent += mag
-        if side == "lo":
-            lo += 1
-        else:
-            hi -= 1
-    if lo > hi:
+    budget = tol * max(1.0, float(np.sum(mags)))
+    if min(mags[0], mags[-1]) > budget:
+        return a
+    n = mags.size
+    # Entry i < n is coefficient i from the low end, entry n + j is
+    # coefficient n - 1 - j from the high end.
+    ends = np.concatenate((mags, mags[::-1]))
+    keys = np.concatenate((np.maximum.accumulate(mags),
+                           np.maximum.accumulate(mags[::-1])))
+    order = np.argsort(keys, kind="stable")[:n]
+    removed = int(np.searchsorted(np.cumsum(ends[order]), budget,
+                                  side="right"))
+    if removed == n:
         return LaurentSymbol.zero()
-    return LaurentSymbol(a.coeffs[lo:hi + 1], a.min_deg + lo)
+    lo = int(np.count_nonzero(order[:removed] < n))
+    hi = n - 1 - (removed - lo)
+    return LaurentSymbol._trimmed(a.coeffs[lo:hi + 1], a.min_deg + lo)
 
 
 def winding_number(a):
@@ -366,7 +409,8 @@ def sym_inverse_factors(a, tol):
     exponents >= 0 and a_minus = exp(l_minus) on exponents <= 0, where log a
     = l_plus + l_minus is split at exponent 0 (the constant goes to
     l_plus).  b_minus = 1/a_minus, with constant term 1, and b_plus =
-    1/a_plus are each truncated at ``tol / 10``.  Then T(a)^-1 =
+    1/a_plus are each truncated at ``tol / 10``; both are real for a real
+    symbol, whose log has real coefficients.  Then T(a)^-1 =
     T(b_minus) T(b_plus) (Boettcher and Grudsky, "Spectral Properties of
     Banded Toeplitz Matrices", SIAM, 2005).  log a comes from
     ``_log_samples``; an error d in it gives about ||d||_W in a b - 1.  A
@@ -388,8 +432,12 @@ def sym_inverse_factors(a, tol):
     b_plus = np.exp(-np.fft.ifft(l_plus) * n)
     b_plus, b_minus = np.fft.fft(np.stack((b_plus, 1.0 / (vals * b_plus)))) / n
     b_minus = np.concatenate((b_minus[half + 1:], b_minus[:1]))
+    b_plus = b_plus[:half]
+    if not np.iscomplexobj(a.coeffs):
+        # log a, and so each factor, has real coefficients at winding 0.
+        b_minus, b_plus = b_minus.real, b_plus.real
     return (sym_truncate(LaurentSymbol(b_minus, 1 - half), tol * 0.1),
-            sym_truncate(LaurentSymbol(b_plus[:half]), tol * 0.1))
+            sym_truncate(LaurentSymbol(b_plus), tol * 0.1))
 
 
 def sym_reciprocal(a, tol):

@@ -318,7 +318,8 @@ def test_other_tolerances_or_an_ulp_off_matrix_reuse_nothing():
 
     funm_contour(a, np.sqrt, _CIRCLE, _CFG)
     u = np.array(a.corr_tl.u)
-    u[0, 0] = np.nextafter(u[0, 0].real, np.inf) + 1j * u[0, 0].imag
+    # One ulp up on the real part, in the factor's own dtype.
+    u.real[0, 0] = np.nextafter(u.real[0, 0], np.inf)
     nudged = FiniteQtMatrix(a.m, a.symbol, Correction(u, a.corr_tl.v),
                             a.corr_br)
     _, info = funm_contour(nudged, np.log, _CIRCLE, _CFG, with_info=True)

@@ -12,6 +12,7 @@ from qtmat import (
     corr_add,
     corr_compress,
     hankel_product,
+    sym_split,
 )
 from qtmat.config import ROUNDING_ULPS
 from qtmat.correction import (
@@ -332,6 +333,39 @@ def test_dtype_follows_the_inputs():
     twice = corr_add(real, real.scaled(0.5), -2.0)
     assert twice.u.dtype == np.float64
     assert corr_compress(twice, 1e-14).u.dtype == np.float64
+
+
+def test_toeplitz_kernels_follow_the_operands_dtype():
+    rng = np.random.default_rng(24)
+    real_sym = LaurentSymbol(rng.standard_normal(7), -3)
+    cplx_sym = LaurentSymbol(real_sym.coeffs + 0j, -3)
+    factor = rng.standard_normal((6, 2))
+    for sym, f, dtype in ((real_sym, factor, np.float64),
+                          (cplx_sym, factor, np.complex128),
+                          (real_sym, factor + 0j, np.complex128)):
+        got = toeplitz_times_factor(sym, f)
+        assert got.dtype == dtype
+        assert np.abs(got - dense_toeplitz_oracle(sym, 9)[:, :6] @ f).max() \
+            < 1e-14
+    minus, _, plus = sym_split(real_sym)
+    assert hankel_product(minus, plus).u.dtype == np.float64
+    assert hankel_product(minus, sym_split(cplx_sym)[2]).u.dtype \
+        == np.complex128
+    e = Correction(rng.standard_normal((4, 2)), rng.standard_normal((3, 2)))
+    assert e.materialize(5, 5).dtype == np.float64
+    assert corr_product(real_sym, e, real_sym, e).u.dtype == np.float64
+
+
+def test_built_values_are_refused_where_they_turn_non_finite():
+    # Values made inside the package skip the finiteness scan of the
+    # public constructor; compression still refuses a non-finite core.
+    bad = Correction._owned(np.array([[np.inf], [1.0]]), np.ones((2, 1)))
+    with pytest.raises(ValueError):
+        corr_compress(bad, 1e-14)
+    with pytest.raises(ValueError):
+        Correction.from_dense(np.array([[1.0, np.nan]]), 1e-14)
+    with pytest.raises(ValueError):
+        Correction(np.array([[np.nan]]), np.ones((1, 1)))
 
 
 def test_real_plus_complex_scaled_is_complex_without_warning():

@@ -173,6 +173,17 @@ def test_inv_tridiagonal_vs_dense_section():
     assert np.abs(got - want).max() < 1e-10
 
 
+def test_inv_of_a_real_matrix_is_real():
+    corr = Correction([[0.1, -0.05], [0.3, 0.02]], [[0.2, 0.1], [0.05, -0.03]])
+    a = CqtMatrix(LaurentSymbol([0.3, -0.2, 2.0, 0.4, 0.1], -2), corr)
+    b, info = cqt_inv(a, with_info=True)
+    assert b.dtype == np.float64 and info["residual"] <= 1e-14
+    c = cqt_inv(a.with_parts(LaurentSymbol(a.symbol.coeffs + 0j, -2),
+                             [corr]))
+    assert c.dtype == np.complex128
+    assert np.abs(finite_section(b, 60) - finite_section(c, 60)).max() < 1e-14
+
+
 def test_inv_certificate_random():
     rng = np.random.default_rng(8)
     for _ in range(10):

@@ -14,6 +14,7 @@ from qtmat import (
     SingularMatrixError,
     SizeMismatchError,
     ToleranceConfig,
+    cqt_inv,
     cqt_mul,
     fqt_add,
     fqt_from_dense,
@@ -24,6 +25,7 @@ from qtmat import (
     toeplitz_section,
 )
 import qtmat.correction
+import qtmat.finite
 from qtmat.finite import BandMatrix, fqt_split_norm, mirrored_columns
 from qtmat.symbol import sym_reverse
 from qtmat.oracles import _laplacian_power
@@ -369,6 +371,42 @@ def test_inv_falls_back_to_the_band_where_the_symbol_vanishes():
     assert info["path"] == "banded" and info["columns"] == m // 2
     want = np.linalg.inv(dense_fqt_oracle(a))
     assert np.abs(fqt_to_dense(b) - want).max() < 1e-12
+
+
+def test_widom_refusal_at_the_top_left_corner_takes_one_cqt_inv(monkeypatch):
+    # Roots near the unit circle: the inverse's top-left corner decays over
+    # more than m // 2 = 150 rows and columns, so Widom's formula is refused
+    # before the bottom-right inverse is computed.
+    m = 300
+    a = FiniteQtMatrix(m, LaurentSymbol([-0.9, 1.82, -0.81], -1))
+    calls = []
+
+    def counted(x, *args, **kwargs):
+        out = cqt_inv(x, *args, **kwargs)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(qtmat.finite, "cqt_inv", counted)
+    b, info = fqt_inv(a, with_info=True)
+    assert len(calls) == 1 and info["path"] == "banded"
+    assert max(calls[0].corr.p, calls[0].corr.q) > m // 2
+    want = np.linalg.inv(dense_fqt_oracle(a))
+    assert np.abs(fqt_to_dense(b) - want).max() < 1e-10
+
+
+def test_inverse_of_a_real_matrix_is_real():
+    rng = np.random.default_rng(12)
+    for m in (40, 300):  # band solve, Widom's formula
+        a = _banded_input(rng, m)
+        a = a.with_parts(LaurentSymbol(a.symbol.coeffs.real, a.symbol.min_deg),
+                         [Correction(c.u.real, c.v.real)
+                          for c in a.corrections])
+        assert a.dtype == np.float64
+        b, info = fqt_inv(a, with_info=True)
+        assert info["path"] == ("banded" if m == 40 else "factored")
+        assert b.dtype == np.float64
+        want = np.linalg.inv(dense_fqt_oracle(a))
+        assert np.abs(fqt_to_dense(b) - want).max() < 1e-11
 
 
 def test_inv_singular_corner():

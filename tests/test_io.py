@@ -146,6 +146,39 @@ def test_real_and_complex_storage_serialize_alike():
         == serialize(FiniteQtMatrix(9, sym, cplx, cplx))
 
 
+def test_real_text_parses_real():
+    rng = np.random.default_rng(32)
+    u, v = rng.standard_normal((4, 2)), rng.standard_normal((3, 2))
+    u[0, 0] = -0.0  # a signed zero in a real field keeps the matrix real
+    sym = LaurentSymbol([0.5, -0.0, -0.25], -1)
+    for a in (CqtMatrix(sym, Correction(u, v)),
+              FiniteQtMatrix(9, sym, Correction(u, v), Correction.zero())):
+        b = parse(serialize(a))
+        assert b.symbol.coeffs.dtype == np.float64
+        assert all(c.u.dtype == c.v.dtype == np.float64
+                   for c in b.corrections)
+        assert serialize(b) == serialize(a)
+    assert np.signbit(parse(serialize(a)).corr_tl.u[0, 0])
+
+
+def test_a_negative_zero_imaginary_field_keeps_the_text_complex():
+    text = ("cqt 1 semi\n"
+            "symbol -1 2\n"
+            "2 0\n"
+            "0.5 0\n"
+            "correction 2 1 1\n"
+            "1 0\n"
+            "0.25 -0\n"
+            "3 0\n")
+    a = parse(text)
+    assert a.symbol.coeffs.dtype == np.complex128
+    assert a.corr.u.dtype == a.corr.v.dtype == np.complex128
+    assert serialize(a) == text
+    real = parse(text.replace("0.25 -0", "0.25 0"))
+    assert real.corr.u.dtype == real.symbol.coeffs.dtype == np.float64
+    assert np.array_equal(real.corr.u, a.corr.u)
+
+
 def test_golden_semi_text():
     # A signed zero, a value that needs all 17 digits, complex factors.
     a = CqtMatrix(LaurentSymbol([2.0, complex(-0.0, 0.5), 0.1 + 1 / 3], -1),

@@ -383,14 +383,75 @@ def test_funm_laurent_positive_polynomial_skips_inverse():
         < 1e-12
 
 
-def test_parsed_input_keeps_complex_factors_through_taylor():
+def _stored_dtypes(a):
+    return {a.symbol.coeffs.dtype} | {x.dtype for c in a.corrections
+                                       for x in (c.u, c.v)}
+
+
+def test_parsed_input_keeps_its_dtype_through_taylor():
     a = CqtMatrix(LaurentSymbol([0.2, 0.5, 0.1], -1),
                   Correction([[0.1], [0.3]], [[0.2], [0.05], [0.1]]))
-    assert a.corr.u.dtype == np.float64
-    parsed = parse(serialize(a))
-    assert parsed.corr.u.dtype == parsed.corr.v.dtype == np.complex128
+    text = serialize(a)
+    parsed = parse(text)
+    assert _stored_dtypes(parsed) == {np.dtype(np.float64)}
     got = funm_taylor(parsed, SeriesSpec.exp())
-    assert got.corr.u.dtype == got.corr.v.dtype == np.complex128
+    assert _stored_dtypes(got) == {np.dtype(np.float64)}
+    # A -0 imaginary field makes the text, and so the result, complex.
+    parsed = parse(text.replace("0.5 0\n", "0.5 -0\n"))
+    assert _stored_dtypes(parsed) == {np.dtype(np.complex128)}
+    got = funm_taylor(parsed, SeriesSpec.exp())
+    assert _stored_dtypes(got) == {np.dtype(np.complex128)}
+
+
+def _real_inputs():
+    """A real invertible T(a) + E and two finite matrices of its parts.
+
+    The finite inverses take the band solve (m = 40) and Widom's formula
+    (m = 600).
+    """
+    corr = Correction([[0.1, -0.05], [0.3, 0.02], [0.0, 0.04]],
+                      [[0.2, 0.1], [0.05, -0.03]])
+    sym = LaurentSymbol([0.3, -0.2, 2.0, 0.4, 0.1], -2)
+    return [CqtMatrix(sym, corr)] + [
+        FiniteQtMatrix(m, sym, corr, corr.scaled(-1.0)) for m in (40, 600)]
+
+
+def _complexified(a):
+    return a.with_parts(LaurentSymbol(a.symbol.coeffs + 0j, a.symbol.min_deg),
+                        [Correction(c.u + 0j, c.v) for c in a.corrections])
+
+
+def _max_difference(a, b):
+    if isinstance(a, CqtMatrix):
+        return np.abs(finite_section(a, 60) - finite_section(b, 60)).max()
+    return np.abs(fqt_to_dense(a) - fqt_to_dense(b)).max()
+
+
+_REAL_SPECS = {"exp": SeriesSpec.exp(),
+               "laurent": SeriesSpec.laurent_polynomial(
+                   {-2: 0.1, -1: -0.5, 0: 0.2, 1: 1.0, 2: 0.25})}
+
+
+@pytest.mark.parametrize("func", sorted(_REAL_SPECS))
+def test_real_input_and_real_series_give_a_real_result(func):
+    f = _REAL_SPECS[func]
+    engine = funm_taylor if f.annulus is None else funm_laurent
+    for a in _real_inputs():
+        got = engine(a, f)
+        assert _stored_dtypes(got) == {np.dtype(np.float64)}
+        want = engine(_complexified(a), f)
+        assert _stored_dtypes(want) == {np.dtype(np.complex128)}
+        assert _max_difference(got, want) < 1e-14 * max(1.0, got.norm_cqt())
+
+
+def test_a_complex_coefficient_keeps_the_result_complex():
+    a = _real_inputs()[0]
+    f = SeriesSpec.polynomial([1.0, 0.5j, 0.25])
+    got = funm_taylor(a, f)
+    assert _stored_dtypes(got) == {np.dtype(np.complex128)}
+    dense = finite_section(a, 80)
+    want = np.eye(80) + 0.5j * dense + 0.25 * dense @ dense
+    assert np.abs(finite_section(got, 40) - want[:40, :40]).max() < 1e-13
 
 
 def test_taylor_tail_estimate_is_what_the_stopping_rule_compared():

@@ -248,6 +248,84 @@ def test_sym_truncate_mass_bound():
     del rng
 
 
+def _greedy_truncate(a, tol):
+    """The two-ended greedy of ``sym_truncate``, one coefficient a step."""
+    budget = tol * max(1.0, norm_w(a))
+    mags = np.abs(a.coeffs)
+    lo, hi = 0, a.coeffs.size - 1
+    spent = 0.0
+    while lo <= hi:
+        low_end = mags[lo] <= mags[hi]
+        mag = mags[lo] if low_end else mags[hi]
+        if spent + mag > budget:
+            break
+        spent += mag
+        if low_end:
+            lo += 1
+        else:
+            hi -= 1
+    return lo, hi
+
+
+def test_sym_truncate_matches_the_greedy_loop():
+    rng = np.random.default_rng(41)
+    cases = []
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        c = rng.standard_normal(n) * np.exp(rng.uniform(-30, 0, n))
+        if rng.uniform() < 0.5:  # ties: a few repeated magnitudes
+            c = rng.choice([1e-9, 2e-9, 1e-8, 1.0], size=n)
+            c[0] = c[-1] = 1e-9
+        if rng.uniform() < 0.3:  # palindromes
+            c = np.concatenate((c, c[::-1][int(rng.integers(0, 2)):]))
+        if rng.uniform() < 0.3:
+            c = c + 1j * rng.standard_normal(c.size) * np.abs(c)
+        cases.append(c)
+    cases += [np.ones(7), np.array([1.0, 2.0, 1.0]), np.array([3.0, 1.0, 3.0]),
+              np.array([1e-9, 5.0, 1e-9, 1e-9, 1e-9])]
+    for c in cases:
+        a = LaurentSymbol(c, -3)
+        for tol in (1e-16, 1e-12, 1e-9, 1e-6, 0.3, 1.0):
+            lo, hi = _greedy_truncate(a, tol)
+            t = sym_truncate(a, tol)
+            if lo > hi:
+                assert t.is_zero
+            else:
+                assert t.min_deg == a.min_deg + lo
+                assert np.array_equal(t.coeffs, a.coeffs[lo:hi + 1])
+
+
+def test_real_symbols_stay_real():
+    rng = np.random.default_rng(42)
+    a = LaurentSymbol(rng.standard_normal(5), -2)
+    b = LaurentSymbol(rng.standard_normal(90), -40)  # FFT product branch
+    c = LaurentSymbol(b.coeffs + 0j, b.min_deg)
+    assert LaurentSymbol([1, 2]).coeffs.dtype == np.float64
+    assert c.coeffs.dtype == np.complex128  # by dtype, not by value
+    real = [sym_add(a, b), sym_mul(a, b), sym_mul(b, b), sym_scale(b, -2.0),
+            sym_truncate(sym_mul(b, b), 1e-6), sym_reverse(a)]
+    real += [x for x in sym_split(a) if isinstance(x, LaurentSymbol)]
+    assert all(x.coeffs.dtype == np.float64 for x in real)
+    mixed = [sym_add(a, c), sym_mul(a, c), sym_mul(b, c), sym_scale(a, 1j)]
+    assert all(x.coeffs.dtype == np.complex128 for x in mixed)
+    for got, want in ((sym_mul(b, b), sym_mul(c, c)),
+                      (sym_mul(a, b), sym_mul(a, c))):
+        assert np.abs(got.coeffs - want.coeffs).max() < 1e-13
+
+
+def test_inverse_factors_of_a_real_symbol_are_real():
+    a = LaurentSymbol([0.3, -0.2, 2.0, 0.5, 0.1], -2)
+    b_minus, b_plus = sym_inverse_factors(a, 1e-14)
+    assert b_minus.coeffs.dtype == b_plus.coeffs.dtype == np.float64
+    c_minus, c_plus = sym_inverse_factors(LaurentSymbol(a.coeffs + 0j, -2),
+                                          1e-14)
+    assert c_minus.coeffs.dtype == np.complex128
+    residual = sym_add(sym_mul(a, sym_mul(b_minus, b_plus)),
+                       LaurentSymbol.constant(-1.0))
+    assert norm_w(residual) < 1e-13
+    assert np.abs(c_plus.coeffs - b_plus.coeffs).max() < 1e-14
+
+
 def test_sym_split_simple():
     a = dict_to_symbol({-1: 3.0, 0: 2.0, 1: 1.0})
     minus, a0, plus = sym_split(a)
