@@ -20,13 +20,13 @@ ROUNDING_ULPS = 8
 class ToleranceConfig:
     """Knobs controlling truncation, compression and iteration stopping.
 
-    tol_symbol        relative mass allowed to be dropped from symbol tails
-    tol_corr          relative error allowed when compressing corrections,
-                      plus a rounding allowance: compression also drops the
-                      singular values within ROUNDING_ULPS ulps of the
-                      largest, so below ROUNDING_ULPS * eps (about 1.8e-15)
-                      that floor, not tol_corr, governs the kept ranks of
-                      corrections of norm 1 or more
+    tol_trunc         relative mass any truncation may drop: symbol
+                      tails, the grid and the factors of a symbol inverse,
+                      and the compression of corrections; compression also
+                      drops the singular values within ROUNDING_ULPS ulps
+                      of the largest, so below ROUNDING_ULPS * eps (about
+                      1.8e-15) that floor, not tol_trunc, governs the kept
+                      ranks of corrections of norm 1 or more
     tol_stop          two meanings: the stopping rule of the engines (the
                       contour engine stops when it bounds the level
                       difference or the predicted trapezoidal error, see
@@ -38,14 +38,13 @@ class ToleranceConfig:
     max_levels        cap on node-doubling levels of the contour engine
     """
 
-    tol_symbol: float = 1e-14
-    tol_corr: float = 1e-14
+    tol_trunc: float = 1e-14
     tol_stop: float = 1e-12
     max_terms: int = 512
     max_levels: int = 12
 
     def __post_init__(self):
-        for name in ("tol_symbol", "tol_corr", "tol_stop"):
+        for name in ("tol_trunc", "tol_stop"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("max_terms", "max_levels"):

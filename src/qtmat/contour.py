@@ -174,7 +174,7 @@ def resolvent(matrix, z, cfg=DEFAULT_CONFIG):
     """
     negated = matrix.scale(-1.0)
     shifted = negated.with_symbol(sym_truncate(
-        sym_add(LaurentSymbol.constant(z), negated.symbol), cfg.tol_symbol))
+        sym_add(LaurentSymbol.constant(z), negated.symbol), cfg.tol_trunc))
     try:
         inv, info = shifted.inv(cfg, with_info=True)
     except CertificateError:
@@ -279,7 +279,7 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
 
     The sums take one of two forms, by the matrix's size (see the module
     docstring).  Both sum exactly and split once, after convergence, each
-    correction budgeted ``cfg.tol_corr`` times the summed node masses, sum
+    correction budgeted ``cfg.tol_trunc`` times the summed node masses, sum
     over k of |c_k| times the mass of the node's resolvent, halved with the
     sum per level.  That is the scale the split of each node would spend.
 
@@ -288,7 +288,7 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
       difference is the exact ``norm_cqt`` of T_n - T_{n-1}: the Wiener
       norms of the symbol difference plus the entry sum of the correction
       differences.  The result truncates the symbol once with
-      ``cfg.tol_symbol`` and factors each block once with
+      ``cfg.tol_trunc`` and factors each block once with
       ``Correction.from_dense``.  A node's mass is the Wiener norm of its
       symbol plus the entry mass of its corrections.
     - In the dense form, for a finite matrix with
@@ -527,9 +527,9 @@ class _AlgebraSum:
                               for b, p in zip(self.blocks, prev_blocks))
 
     def result(self):
-        tol = self.cfg.tol_corr
+        tol = self.cfg.tol_trunc
         return self.matrix.with_parts(
-            sym_truncate(self.sym, self.cfg.tol_symbol),
+            sym_truncate(self.sym, tol),
             [Correction.from_dense(b, tol, scale=self.mass)
              for b in self.blocks])
 

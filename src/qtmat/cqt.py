@@ -145,8 +145,8 @@ def _add_parts(a, b, cfg):
         return b
     if b.is_zero:
         return a
-    sym = sym_truncate(sym_add(a.symbol, b.symbol), cfg.tol_symbol)
-    return a.with_parts(sym, [corr_compress(corr_add(e, f), cfg.tol_corr)
+    sym = sym_truncate(sym_add(a.symbol, b.symbol), cfg.tol_trunc)
+    return a.with_parts(sym, [corr_compress(corr_add(e, f), cfg.tol_trunc)
                               for e, f in zip(a.corrections, b.corrections)])
 
 
@@ -218,9 +218,7 @@ def finite_section(a, n):
         raise ValueError("section size must be at least 1")
     out = toeplitz_section(a.symbol, n).astype(a.dtype, copy=False)
     if not a.corr.is_zero:
-        rp = min(a.corr.p, n)
-        cq = min(a.corr.q, n)
-        out[:rp, :cq] += a.corr.u[:rp] @ a.corr.v[:cq].T
+        out += a.corr.materialize(n, n)
     return out
 
 
@@ -241,9 +239,9 @@ def cqt_mul(a, b, cfg=DEFAULT_CONFIG):
     if short is not None:
         return short
     return CqtMatrix(
-        sym_truncate(sym_mul(a.symbol, b.symbol), cfg.tol_symbol),
+        sym_truncate(sym_mul(a.symbol, b.symbol), cfg.tol_trunc),
         corr_compress(corr_product(a.symbol, a.corr, b.symbol, b.corr),
-                      cfg.tol_corr))
+                      cfg.tol_trunc))
 
 
 def cqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
@@ -263,7 +261,7 @@ def cqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
 
     whose r x r capacitance matrix is the only one solved.  The Hankel
     product and the Woodbury term form one dense block, factored by
-    ``Correction.from_dense`` at ``cfg.tol_corr``.  The result is
+    ``Correction.from_dense`` at ``cfg.tol_trunc``.  The result is
     certified when ``inverse_residual`` is at most ``cfg.tol_stop``.
 
     ``finite.fqt_inv`` inverts a large finite matrix from two such
@@ -289,7 +287,7 @@ def cqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
     if inv is not None:
         info = {"path": "scalar", "certified_n": 1, "residual": 0.0}
         return (inv, info) if with_info else inv
-    b_minus, b_plus = sym_inverse_factors(a.symbol, cfg.tol_symbol)
+    b_minus, b_plus = sym_inverse_factors(a.symbol, cfg.tol_trunc)
     recip = sym_mul(b_minus, b_plus)
     hank = hankel_product(sym_split(b_minus)[0], sym_split(b_plus)[2])
     e = a.corr
@@ -306,7 +304,7 @@ def cqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(
                 "capacitance matrix I + V^T T(a)^-1 U is singular") from exc
-    result = CqtMatrix(recip, Correction.from_dense(block, cfg.tol_corr))
+    result = CqtMatrix(recip, Correction.from_dense(block, cfg.tol_trunc))
     residual = _certified(inverse_residual(a, result), cfg)
     info = {"path": "factored", "certified_n": _certificate_section(a, result),
             "residual": residual}

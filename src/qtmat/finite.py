@@ -10,13 +10,13 @@ semi-infinite class (``cqt.QtMatrix``).
 
 A large matrix is inverted by two semi-infinite inverses (``cqt_inv``),
 one per corner, by Widom's formula; a small one, or one the formula does
-not certify, is solved on its band in every column.
+not certify, is solved on its band in every column.  Either inverse is
+certified on sampled columns by the one Toeplitz-apply kernel.
 """
 
 import functools
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import get_lapack_funcs
 
 from .config import DEFAULT_CONFIG, MIRROR_ULPS
@@ -26,6 +26,7 @@ from .correction import (
     corr_compress,
     corr_product,
     corr_times_corr,
+    toeplitz_times_factor,
 )
 from .cqt import (
     CqtMatrix,
@@ -206,8 +207,8 @@ def fqt_mul(a, b, cfg=DEFAULT_CONFIG):
     if a.corr_br.q + b.corr_tl.p > m:
         tl = corr_add(tl, corr_times_corr(_unflipped(a.corr_br, m), b.corr_tl))
     return FiniteQtMatrix(
-        a.m, sym_truncate(c, cfg.tol_symbol),
-        corr_compress(tl, cfg.tol_corr), corr_compress(br, cfg.tol_corr))
+        a.m, sym_truncate(c, cfg.tol_trunc),
+        corr_compress(tl, cfg.tol_trunc), corr_compress(br, cfg.tol_trunc))
 
 
 def _unflipped(corr, m):
@@ -226,7 +227,7 @@ def fqt_from_dense(dense, cfg=DEFAULT_CONFIG, mass=None):
     diagonal; the residual is split along the main anti-diagonal and each
     half is factored into a corner correction.  The round trip through
     ``fqt_to_dense`` reproduces the input up to the compression tolerance.
-    Each corner is budgeted ``cfg.tol_corr`` times ``mass``, by default the
+    Each corner is budgeted ``cfg.tol_trunc`` times ``mass``, by default the
     entry mass of the whole matrix; a caller that has summed the matrix from
     parts passes the parts' total mass, the scale their own splits would
     have spent.  A real input gives a real symbol and real corner factors.
@@ -251,9 +252,9 @@ def fqt_from_dense(dense, cfg=DEFAULT_CONFIG, mass=None):
     # By default budget the corners against the mass of the whole matrix,
     # so band coefficients dropped by the floor do not linger as corner dust.
     mass = float(mags.sum()) if mass is None else mass
-    tl = Correction.from_dense(resid, cfg.tol_corr, scale=mass, keep=tl_keep,
+    tl = Correction.from_dense(resid, cfg.tol_trunc, scale=mass, keep=tl_keep,
                                mags=resid_mags)
-    br = Correction.from_dense(resid[::-1, ::-1], cfg.tol_corr, scale=mass,
+    br = Correction.from_dense(resid[::-1, ::-1], cfg.tol_trunc, scale=mass,
                                keep=br_keep, mags=resid_mags[::-1, ::-1])
     return FiniteQtMatrix(m, sym, tl, br)
 
@@ -278,13 +279,13 @@ def _diagonal_symbol(dense, scale, cfg):
     """Middle entry of each diagonal, as a symbol of the matrix's dtype.
 
     ``scale`` is the largest entry size; entries up to half of
-    ``cfg.tol_corr`` times max(1, scale) are dropped.  None for the zero
+    ``cfg.tol_trunc`` times max(1, scale) are dropped.  None for the zero
     matrix.
     """
     m = dense.shape[0]
     if scale == 0.0:
         return None
-    coeff_floor = 0.5 * cfg.tol_corr * max(1.0, scale)
+    coeff_floor = 0.5 * cfg.tol_trunc * max(1.0, scale)
     # The middle entry of diagonal d, of length m - |d|, in one gather.
     d = np.arange(-(m - 1), m)
     mid = (m - np.abs(d) - 1) // 2
@@ -409,7 +410,8 @@ class BandMatrix:
 
     Entry (i, j) sits at ``band[ku + i - j, j]``.  kl and ku cover the
     symbol and both corners, so the band is the whole matrix.  Built once,
-    it factors any shift z I + B.
+    it factors any shift z I + B; ``matrix``, the matrix it was built from,
+    applies B.
     """
 
     def __init__(self, a):
@@ -425,13 +427,7 @@ class BandMatrix:
             # Flipped entry (i, j) is (m - 1 - i, m - 1 - j).
             i, j = np.indices((br.p, br.q))
             band[ku + j - i, m - 1 - j] += br.u @ br.v.T
-        self.band, self.kl, self.ku, self.m = band, kl, ku, m
-        # The same entries by row: B[i, i - kl + t] at rows[i, t].
-        r, j = np.indices(band.shape)
-        i = r - ku + j
-        inside = (0 <= i) & (i < m)
-        self._rows = np.zeros((m, kl + ku + 1), dtype=band.dtype)
-        self._rows[i[inside], kl + ku - r[inside]] = band[inside]
+        self.band, self.kl, self.ku, self.m, self.matrix = band, kl, ku, m, a
 
     @functools.cached_property
     def mirrored(self):
@@ -467,16 +463,19 @@ class BandMatrix:
     def residual(self, x, cols, shift=0.0):
         """Max entry of (shift I + B) x - I on columns cols.
 
-        x holds the columns cols of an inverse, dense, m x len(cols).  Row
-        i of B x is row i of B, kept by row, times rows i - kl .. i + ku of
-        x: one batched product over all columns.
+        x holds the columns cols of an inverse, dense, m x len(cols).  B x
+        is the Toeplitz part applied by ``toeplitz_times_factor``, capped
+        at m rows, plus each corner times the rows of x it meets, the
+        flipped one on x and B x read upside down.
         """
-        m, kl, width = self.m, self.kl, self._rows.shape[1]
-        padded = np.zeros((m + width - 1, x.shape[1]),
-                          dtype=np.result_type(x, self._rows))
-        padded[kl:kl + m] = x
-        windows = sliding_window_view(padded, width, axis=0)
-        out = shift * x + (windows @ self._rows[:, :, None])[:, :, 0]
+        a = self.matrix
+        out = np.asarray(shift * x, dtype=np.result_type(x, shift, a.dtype))
+        if not a.symbol.is_zero:
+            out += toeplitz_times_factor(a.symbol, x, row_cap=self.m)
+        for corr, rows, y in ((a.corr_tl, out, x),
+                              (a.corr_br, out[::-1], x[::-1])):
+            if not corr.is_zero:
+                rows[:corr.p] += corr.u @ (corr.v.T @ y[:corr.q])
         out[cols, np.arange(len(cols))] -= 1.0
         return float(np.abs(out).max())
 

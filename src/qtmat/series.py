@@ -159,8 +159,8 @@ def power_corrections(a, e, k, cfg=DEFAULT_CONFIG):
     apow = LaurentSymbol.one()  # a^{i-1} at i = 1
     for _ in range(k):
         out.append(corr_compress(corr_product(a, e, apow, out[-1]),
-                                 cfg.tol_corr))
-        apow = sym_truncate(sym_mul(apow, a), cfg.tol_symbol)
+                                 cfg.tol_trunc))
+        apow = sym_truncate(sym_mul(apow, a), cfg.tol_trunc)
     return out[1:] if e.is_zero else out
 
 
@@ -378,10 +378,10 @@ def _refresh_symbol(total, arg_symbol, scalar, cfg, real):
         total_mass = float(np.abs(arranged).sum())
         edge_mass = float(np.abs(arranged[:edge]).sum()
                           + np.abs(arranged[-edge:]).sum())
-        if edge_mass <= cfg.tol_symbol * max(1.0, total_mass):
+        if edge_mass <= cfg.tol_trunc * max(1.0, total_mass):
             if real:
                 arranged = arranged.real
-            sym = sym_truncate(LaurentSymbol(arranged, lo), cfg.tol_symbol)
+            sym = sym_truncate(LaurentSymbol(arranged, lo), cfg.tol_trunc)
             return total.with_symbol(sym)
         n *= 2
     raise NoConvergenceError("symbol interpolation grid exhausted")

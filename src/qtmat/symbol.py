@@ -323,82 +323,83 @@ def sym_truncate(a, tol):
     return LaurentSymbol._trimmed(a.coeffs[lo:hi + 1], a.min_deg + lo)
 
 
-def winding_number(a):
-    """Winding number of the closed curve a(e^{i*theta}) around the origin.
+def _circle_grids(a):
+    """(vals, |vals|, argument steps, winding number) on resolved grids.
 
-    Argument increments are accumulated on a unit-circle grid which is
-    refined until all successive increments are below pi/2.
-
-    A symbol with Hermitian coefficients (a_{-k} = conj(a_k), compared
-    exactly) is real on the circle, so a sign change between two
-    consecutive samples proves a zero between them; that raises at once
-    instead of refining the grid.  Rounding in the samples stays far below
-    the ``ZERO_FLOOR`` that every sample has passed, so it cannot fake one.
+    The one pass round the unit circle, behind ``winding_number`` and
+    ``_log_samples``: grids double from the power of two at or above
+    max(64, 4 times the support length), each evaluated once, and resolve
+    when every step between neighbouring samples (the last to the first
+    too) is below pi/2.  The winding number is summed on the first.  A
+    sample below ZERO_FLOOR times the Wiener norm raises ZeroOnCircleError,
+    and so does a sign change between neighbours for Hermitian coefficients
+    (a_{-k} = conj(a_k), compared exactly): such a symbol is real on the
+    circle, so that proves a zero, and rounding far below the floor cannot
+    fake one.  So does reaching ``_MAX_GRID`` before a grid resolves.
     """
     if a.is_zero:
         raise ZeroOnCircleError("zero symbol has no winding number")
     floor = ZERO_FLOOR * norm_w(a)
     hermitian = (a.min_deg == -a.max_deg
                  and np.array_equal(a.coeffs, np.conj(a.coeffs[::-1])))
-    n = max(64, 4 * a.coeffs.size)
-    n = 1 << (n - 1).bit_length()
-    while n <= _MAX_GRID:
-        vals = eval_at_unit_roots(a, n)
-        if np.min(np.abs(vals)) < floor:
-            raise ZeroOnCircleError(
-                "symbol vanishes on the unit circle (sampled)")
-        neg = np.signbit(vals.real)
-        if hermitian and np.any(neg != np.roll(neg, -1)):
-            raise ZeroOnCircleError(
-                "real symbol changes sign on the unit circle")
-        ratios = np.roll(vals, -1) / vals
-        incr = np.angle(ratios)
-        if np.max(np.abs(incr)) < np.pi / 2:
-            total = float(np.sum(incr)) / (2 * np.pi)
-            w = int(round(total))
-            if abs(total - w) > 0.25:
-                raise ZeroOnCircleError(
-                    "winding number did not resolve to an integer")
-            return w
-        n *= 2
-    raise ZeroOnCircleError("winding number grid refinement exhausted")
-
-
-def _log_samples(a, tol):
-    """Samples of a, coefficients of log a and their outer mass, one grid.
-
-    The package's one unit-root loop for 1/a: log a is sampled on a doubling
-    grid, along the branch the sample arguments trace, until the outer mass
-    (exponents n/4 to n/2 in size, grid n) is at most tol / 2 or stops
-    falling within rounding, n eps max |log a|.  Coefficient d sits at index
-    d mod n.  Raises ZeroOnCircleError, NonzeroWindingError, or at the grid
-    cap NoConvergenceError.
-    """
-    w = winding_number(a)
-    if w != 0:
-        raise NonzeroWindingError(f"winding number is {w}, expected 0")
-    floor = ZERO_FLOOR * norm_w(a)
     n = 1 << (max(64, 4 * a.coeffs.size) - 1).bit_length()
-    last = np.inf
+    w = None
     while n <= _MAX_GRID:
         vals = eval_at_unit_roots(a, n)
         mags = np.abs(vals)
         if mags.min() < floor:
             raise ZeroOnCircleError(
                 "symbol vanishes on the unit circle (sampled)")
-        steps = np.angle(vals[1:] / vals[:-1])
-        # The argument is followed only once no step can skip a turn.
-        if (np.abs(steps).max() < np.pi / 2
-                and abs(np.angle(vals[0] / vals[-1])) < np.pi / 2):
-            arg = np.angle(vals[0]) + np.concatenate(([0.0], np.cumsum(steps)))
-            logs = np.log(mags) + 1j * arg
-            coeffs = np.fft.fft(logs) / n
-            outer = float(np.abs(coeffs[n // 4:3 * n // 4 + 1]).sum())
-            if outer <= tol / 2 or (
-                    outer >= last and outer <= n * _EPS * np.abs(logs).max()):
-                return vals, coeffs, outer
-            last = outer
+        neg = np.signbit(vals.real)
+        if hermitian and np.any(neg != np.roll(neg, -1)):
+            raise ZeroOnCircleError(
+                "real symbol changes sign on the unit circle")
+        steps = np.angle(np.roll(vals, -1) / vals)
+        if np.abs(steps).max() < np.pi / 2:
+            if w is None:
+                total = float(np.sum(steps)) / (2 * np.pi)
+                w = int(round(total))
+                if abs(total - w) > 0.25:
+                    raise ZeroOnCircleError(
+                        "winding number did not resolve to an integer")
+            yield vals, mags, steps, w
         n *= 2
+    if w is None:
+        raise ZeroOnCircleError("winding number grid refinement exhausted")
+
+
+def winding_number(a):
+    """Winding number of the closed curve a(e^{i*theta}) around the origin.
+
+    Read from the first grid of ``_circle_grids``; its errors are this one's.
+    """
+    return next(_circle_grids(a))[3]
+
+
+def _log_samples(a, tol):
+    """Samples of a, coefficients of log a and their outer mass, one grid.
+
+    The package's one unit-root loop for 1/a: log a is sampled on the grids
+    of ``_circle_grids``, along the branch the sample arguments trace, until
+    the outer mass (exponents n/4 to n/2 in size, grid n) is at most tol / 2
+    or stops falling within rounding, n eps max |log a|.  Coefficient d
+    sits at index d mod n.  Raises the errors of ``_circle_grids``,
+    NonzeroWindingError, or at the grid cap NoConvergenceError.
+    """
+    last = np.inf
+    for vals, mags, steps, w in _circle_grids(a):
+        if w != 0:
+            raise NonzeroWindingError(f"winding number is {w}, expected 0")
+        n = vals.size
+        arg = np.angle(vals[0]) + np.concatenate(([0.0],
+                                                  np.cumsum(steps[:-1])))
+        logs = np.log(mags) + 1j * arg
+        coeffs = np.fft.fft(logs) / n
+        outer = float(np.abs(coeffs[n // 4:3 * n // 4 + 1]).sum())
+        if outer <= tol / 2 or (
+                outer >= last and outer <= n * _EPS * np.abs(logs).max()):
+            return vals, coeffs, outer
+        last = outer
     raise NoConvergenceError("reciprocal grid refinement exhausted")
 
 

@@ -312,7 +312,7 @@ def test_a_repeat_semi_infinite_run_factors_only_its_result(monkeypatch):
 def test_other_tolerances_or_an_ulp_off_matrix_reuse_nothing():
     a = _finite_on_the_algebra_path()
     funm_contour(a, np.sqrt, _CIRCLE, _CFG)
-    _, info = funm_contour(a, np.log, _CIRCLE, _CFG.updated(tol_corr=2e-14),
+    _, info = funm_contour(a, np.log, _CIRCLE, _CFG.updated(tol_trunc=2e-14),
                            with_info=True)
     assert info["reused"] == 0
 
@@ -745,7 +745,7 @@ def test_pole_near_the_contour_stops_within_tolerance(pole, tol):
 @pytest.mark.parametrize("f, tol", [(np.sqrt, 5e-13), (np.log, 1e-12)])
 def test_both_sum_forms_predict_without_a_floor(f, tol):
     # Both forms sum exactly, so the prediction is the bare
-    # d_n^2 / d_{n-1}, even below tol_corr * 2^n.
+    # d_n^2 / d_{n-1}, even below tol_trunc * 2^n.
     cfg = DEFAULT_CONFIG.updated(tol_stop=tol)
     for form, a in (("dense", _finite_i_plus_h2(40)),
                     ("algebra", _finite_on_the_algebra_path())):
@@ -753,7 +753,7 @@ def test_both_sum_forms_predict_without_a_floor(f, tol):
         assert info["level_sum"] == form
         assert info["predicted_error"] \
             == _raw_prediction(info["level_diffs"]) \
-            < cfg.tol_corr * info["nodes"]
+            < cfg.tol_trunc * info["nodes"]
         assert np.abs(fqt_to_dense(got) - _dense_funm(a, f)).max() <= tol
 
 

@@ -217,7 +217,7 @@ def test_inverse_residual_is_the_exact_product_of_sections():
         # The section of the compressed algebra product agrees within the
         # budget of its compression.
         prod = finite_section(cqt_mul(a, b), n) - np.eye(n)
-        budget = DEFAULT_CONFIG.tol_corr * max(1.0, cqt_norm(a) * cqt_norm(b))
+        budget = DEFAULT_CONFIG.tol_trunc * max(1.0, cqt_norm(a) * cqt_norm(b))
         assert abs(np.abs(prod).max() - got) <= budget
     assert inverse_residual(a, others[0]) <= DEFAULT_CONFIG.tol_stop
 
@@ -241,16 +241,16 @@ def test_inv_singular_operator_detected():
             cqt_inv(singular)
 
 
-def test_inv_computes_the_winding_number_once(monkeypatch):
-    orig = qtmat.symbol.winding_number
-    calls = []
+def test_inv_evaluates_each_unit_root_grid_once(monkeypatch):
+    orig = qtmat.symbol.eval_at_unit_roots
+    sizes = []
 
-    def counted(sym):
-        calls.append(sym)
-        return orig(sym)
+    def counted(sym, n):
+        sizes.append(n)
+        return orig(sym, n)
 
     # Every binding of the function in the package, so a call through a
-    # ``from .symbol import winding_number`` name is counted as well.
+    # ``from .symbol import eval_at_unit_roots`` name is counted as well.
     for name, mod in list(sys.modules.items()):
         if name == "qtmat" or name.startswith("qtmat."):
             for attr, value in list(vars(mod).items()):
@@ -259,7 +259,8 @@ def test_inv_computes_the_winding_number_once(monkeypatch):
     a = CqtMatrix(LaurentSymbol([1.0, 4.0, 1.0], -1),
                   Correction.rank_one([0.5, 0.2], [0.3]))
     cqt_inv(a)
-    assert len(calls) == 1
+    # The winding number comes from the first grid the log loop resolves.
+    assert sizes and len(set(sizes)) == len(sizes)
 
 
 def test_inv_matches_the_inverse_of_a_large_dense_section():
@@ -304,7 +305,7 @@ def test_inv_below_rounding_raises_the_certificate_error_at_once():
 def test_inv_stops_once_rounding_holds_the_symbol_factors():
     # The symbol comes within 0.01 of zero on the unit circle; rounding
     # stops the log coefficients near 6e-14 on a grid of 8192, above
-    # tol_symbol, and the grid goes no further.
+    # tol_trunc, and the grid goes no further.
     a = CqtMatrix(LaurentSymbol([-0.5, 0.81, -0.3], -1))
     start = time.perf_counter()
     with pytest.raises(NoConvergenceError, match="stopped falling"):
@@ -314,8 +315,8 @@ def test_inv_stops_once_rounding_holds_the_symbol_factors():
 
 def test_inv_and_reciprocal_certify_symbols_near_rounding():
     # Symbols whose centre exceeds the off-centre mass by 2-30 % need grids
-    # of up to 4096 at tol_symbol = 1e-14, where rounding can hold the
-    # outer log mass above tol_symbol / 2; draw 34 stops there at 7.6e-15.
+    # of up to 4096 at tol_trunc = 1e-14, where rounding can hold the
+    # outer log mass above tol_trunc / 2; draw 34 stops there at 7.6e-15.
     # Every draw is certified except 49, which no grid resolves: the
     # residual of 1/a bottoms out at 2.8e-14 and its log mass at 1.5e-14.
     rng = np.random.default_rng(7)
@@ -403,7 +404,7 @@ def test_both_classes_agree_on_the_shared_members():
 def test_tolerance_config_validation():
     from qtmat import ToleranceConfig
     with pytest.raises(ValueError):
-        ToleranceConfig(tol_symbol=0.0)
+        ToleranceConfig(tol_trunc=0.0)
     with pytest.raises(ValueError):
         ToleranceConfig(max_terms=0)
     cfg = ToleranceConfig().updated(tol_stop=1e-8)

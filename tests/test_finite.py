@@ -458,7 +458,7 @@ def _from_dense_by_diagonals(dense, mass=None, cfg=DEFAULT_CONFIG):
     """Reference split: one np.diagonal call per diagonal, index-sum masks."""
     m = dense.shape[0]
     scale = float(np.abs(dense).max(initial=0.0))
-    coeff_floor = 0.5 * cfg.tol_corr * max(1.0, scale)
+    coeff_floor = 0.5 * cfg.tol_trunc * max(1.0, scale)
     coeffs = np.zeros(2 * m - 1, dtype=np.complex128)
     for d in range(-(m - 1), m):
         diag = np.diagonal(dense, offset=d)
@@ -471,8 +471,8 @@ def _from_dense_by_diagonals(dense, mass=None, cfg=DEFAULT_CONFIG):
     tl_block = np.where(anti <= m - 1, resid, 0.0)
     br_block = np.where(anti > m - 1, resid, 0.0)[::-1, ::-1]
     mass = float(np.abs(dense).sum()) if mass is None else mass
-    tl = Correction.from_dense(tl_block, cfg.tol_corr, scale=mass)
-    br = Correction.from_dense(br_block, cfg.tol_corr, scale=mass)
+    tl = Correction.from_dense(tl_block, cfg.tol_trunc, scale=mass)
+    br = Correction.from_dense(br_block, cfg.tol_trunc, scale=mass)
     return FiniteQtMatrix(m, sym, tl, br)
 
 
@@ -530,14 +530,17 @@ def test_split_norm_is_norm_cqt_of_the_split():
 @pytest.mark.parametrize("m", [1, 9, 60])
 def test_band_residual_matches_the_dense_product(m):
     a = _banded_input(np.random.default_rng(m), m)
-    band = BandMatrix(a)
     shift = 0.7 - 0.2j
     cols = [0, m // 2, m - 1]
     x = np.random.default_rng(0).standard_normal((m, len(cols))) + 0.5j
-    want = (shift * np.eye(m) + dense_fqt_oracle(a)) @ x
-    want[cols, np.arange(len(cols))] -= 1.0
-    got = band.residual(x, cols, shift)
-    assert got == pytest.approx(np.abs(want).max(), rel=1e-13)
+    # Also corners under a zero symbol, which the Toeplitz kernel returns
+    # empty, and the band with its flipped corner alone.
+    for b in (a, FiniteQtMatrix(m, LaurentSymbol.zero(), *a.corrections),
+              FiniteQtMatrix(m, a.symbol, None, a.corr_br)):
+        want = (shift * np.eye(m) + dense_fqt_oracle(b)) @ x
+        want[cols, np.arange(len(cols))] -= 1.0
+        got = BandMatrix(b).residual(x, cols, shift)
+        assert got == pytest.approx(np.abs(want).max(), rel=1e-13)
 
 
 @pytest.mark.parametrize("m", [1, 2, 121, 122])

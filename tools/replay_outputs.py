@@ -1,0 +1,96 @@
+"""Hash the outputs and run records of a seeded prefix of perfbench's jobs.
+
+Replays the first rounds of each named workload in-process, through
+perfbench's own ``make_jobs`` and ``run_job`` (after the same warm-up jobs
+as a benchmark run, on a freshly imported ``qtmat``), and prints two
+sha256 hashes: one of the serialized outputs and one of the ``with_info``
+records as sorted-key JSON.  Two checkouts that print the same output hash
+compute the same matrices bit for bit.  Run from a checkout's root:
+
+    python3 tools/replay_outputs.py --seed 1 \\
+        --rounds semi-series=4 contour-resolvent=4 finite-series=2
+
+``--root`` replays another checkout (its ``perfbench`` and ``src``) with
+this script, and ``--records FILE`` writes one JSON line per job, to see
+which record keys differ where the record hashes do.  Nothing under
+``perfbench/`` is changed.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+# One BLAS thread, as perfbench/run.py sets before NumPy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+
+def _rounds(text):
+    workload, _, count = text.partition("=")
+    if not count.isdigit() or int(count) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected WORKLOAD=ROUNDS, got {text!r}")
+    return workload, int(count)
+
+
+def _plain(value):
+    """JSON stand-in for NumPy scalars and arrays in a record."""
+    return value.tolist() if hasattr(value, "tolist") else repr(value)
+
+
+def replay(root, seed, rounds):
+    """Yield (workload, job_id, output, record) for every replayed job.
+
+    A job that raises yields its error as ``"Type: message"`` in place of
+    the output, with the record None.
+    """
+    sys.path.insert(0, str(Path(root).resolve() / "perfbench"))
+    from harness import import_qtmat, warm_up_jobs
+    from workloads import make_jobs, run_job
+
+    for workload, count in rounds:
+        qt = import_qtmat()
+        jobs = make_jobs(qt, workload, seed, count)
+        for job in warm_up_jobs(qt, workload):
+            run_job(qt, job)
+        for job in jobs:
+            try:
+                output, record = run_job(qt, job)
+            except Exception as exc:  # a failed job is part of the outcome
+                output, record = f"{type(exc).__name__}: {exc}", None
+            yield workload, job.job_id, output, record
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--rounds", type=_rounds, nargs="+", required=True,
+                        metavar="WORKLOAD=ROUNDS")
+    parser.add_argument("--root", default=Path(__file__).resolve().parents[1],
+                        help="checkout to replay (default: this one)")
+    parser.add_argument("--records", help="write one JSON line per job here")
+    args = parser.parse_args(argv)
+
+    outputs, records = hashlib.sha256(), hashlib.sha256()
+    lines = []
+    for workload, job_id, output, record in replay(args.root, args.seed,
+                                                   args.rounds):
+        key = f"{workload} {job_id}\n"
+        outputs.update((key + output + "\n").encode())
+        line = json.dumps({"workload": workload, "job": job_id,
+                           "record": record}, sort_keys=True, default=_plain)
+        records.update((line + "\n").encode())
+        lines.append(line)
+    if args.records:
+        Path(args.records).write_text("".join(x + "\n" for x in lines))
+    print(f"jobs {len(lines)}")
+    print(f"outputs sha256 {outputs.hexdigest()}")
+    print(f"records sha256 {records.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
