@@ -92,6 +92,10 @@ class QtMatrix:
     def with_symbol(self, symbol):
         return self.with_parts(symbol, self.corrections)
 
+    def semi_infinite_half(self, terms):
+        """None; ``FiniteQtMatrix`` gives its mirrored half, if it fits."""
+        return None
+
     def __add__(self, other):
         return self.add(other)
 

@@ -12,6 +12,11 @@ A large matrix is inverted by two semi-infinite inverses (``cqt_inv``),
 one per corner, by Widom's formula; a small one, or one the formula does
 not certify, is solved on its band in every column.  Either inverse is
 certified on sampled columns by the one Toeplitz-apply kernel.
+
+A mirrored matrix (J A J = A, ``_mirrored``: a palindromic symbol and two
+equal corners) has its two corners computed once: Widom's formula takes
+one ``cqt_inv`` call, and the series engines sum on the semi-infinite half
+T(a) + E_tl when the series fits (``FiniteQtMatrix.semi_infinite_half``).
 """
 
 import functools
@@ -101,6 +106,23 @@ class FiniteQtMatrix(QtMatrix):
     def inv(self, cfg=DEFAULT_CONFIG, with_info=False):
         return fqt_inv(self, cfg, with_info)
 
+    def semi_infinite_half(self, terms):
+        """T(a) plus the top-left corner when it stands for the matrix.
+
+        It does when the matrix is mirrored (``_mirrored``) and a series of
+        ``terms`` terms fits: 2 reach <= m, with reach = terms
+        max(n_minus, n_plus) plus the larger corner dimension.  No corner
+        of the first ``terms`` powers then reaches the other one, nor any
+        clip to m, so the sum on the half gives the top-left corner
+        operation for operation, and the bottom-right one is its mirror.
+        Else None.
+        """
+        sym, tl = self.symbol, self.corr_tl
+        reach = terms * max(sym.n_minus, sym.n_plus) + max(tl.p, tl.q)
+        if 2 * reach > self.m or not _mirrored(self):
+            return None
+        return CqtMatrix(sym, tl)
+
     def columns(self, js):
         """Dense columns js (zero-based), m x len(js), without materializing.
 
@@ -152,6 +174,28 @@ def _add_corner_columns(out, corr, js):
 def _summed_over_rank(u, v):
     """Real u @ v.T, entry (i, j) one reduction of u[i] * v[j]."""
     return (u[:, None, :] * v[None, :, :]).sum(axis=-1)
+
+
+def _mirrored(a):
+    """Whether J A J = A up to rounding, J the anti-identity, part by part.
+
+    The symbol equals its reverse on the same support, and the two corners,
+    of one shape and dtype, agree entry by entry; each part to within
+    ``MIRROR_ULPS`` ulps of its largest entry.  ``BandMatrix.mirrored``
+    asks the same of the assembled band; this builds no band.
+    """
+    sym, tl, br = a.symbol, a.corr_tl, a.corr_br
+    rev = sym_reverse(sym)
+    return (rev.min_deg == sym.min_deg and _agree(sym.coeffs, rev.coeffs)
+            and (tl.p, tl.q) == (br.p, br.q) and tl.u.dtype == br.u.dtype
+            and _agree(tl.materialize(), br.materialize()))
+
+
+def _agree(x, y):
+    """Whether x and y differ by at most MIRROR_ULPS ulps of their top entry."""
+    ulp = np.finfo(np.float64).eps * max(np.abs(x).max(initial=0.0),
+                                         np.abs(y).max(initial=0.0))
+    return bool(np.abs(x - y).max(initial=0.0) <= MIRROR_ULPS * ulp)
 
 
 def _check_sizes(a, b):
@@ -371,14 +415,17 @@ def _widom_inverse(a, cfg):
     """Widom's T_m(1/a) plus two semi-infinite corners, None where unfit.
 
     A corner past m // 2 rows or columns is unfit; the top-left one is
-    checked before the bottom-right one is computed.
+    checked before the bottom-right one is computed.  A mirrored matrix
+    (``_mirrored``) has a mirrored inverse, so its top-left corner serves
+    as both, from one ``cqt_inv`` call.
     """
     m = a.m
     try:
         tl = cqt_inv(CqtMatrix(a.symbol, a.corr_tl), cfg)
         if max(tl.corr.p, tl.corr.q) > m // 2:
             return None
-        br = cqt_inv(CqtMatrix(sym_reverse(a.symbol), a.corr_br), cfg)
+        br = tl if _mirrored(a) else cqt_inv(
+            CqtMatrix(sym_reverse(a.symbol), a.corr_br), cfg)
     except (ZeroOnCircleError, NonzeroWindingError, SingularMatrixError,
             NoConvergenceError):
         return None
@@ -409,14 +456,21 @@ class BandMatrix:
     """A finite quasi-Toeplitz matrix B in BLAS band storage.
 
     Entry (i, j) sits at ``band[ku + i - j, j]``.  kl and ku cover the
-    symbol and both corners, so the band is the whole matrix.  Built once,
-    it factors any shift z I + B; ``matrix``, the matrix it was built from,
+    symbol and both corners, so the band is the whole matrix.  The band is
+    built on first use, by ``factor`` or ``mirrored``; once built, it
+    factors any shift z I + B.  ``matrix``, the matrix it was built from,
     applies B.
     """
 
     def __init__(self, a):
+        self.kl, self.ku = _band_widths(a)
+        self.m, self.matrix = a.m, a
+
+    @functools.cached_property
+    def band(self):
+        """The band array, (kl + ku + 1) x m, Fortran order."""
+        a, kl, ku = self.matrix, self.kl, self.ku
         m, sym, tl, br = a.m, a.symbol, a.corr_tl, a.corr_br
-        kl, ku = _band_widths(a)
         band = np.zeros((kl + ku + 1, m), dtype=a.dtype, order="F")
         for d, c in zip(range(sym.min_deg, sym.max_deg + 1), sym.coeffs):
             band[ku - d, max(d, 0):m + min(d, 0)] = c
@@ -427,7 +481,7 @@ class BandMatrix:
             # Flipped entry (i, j) is (m - 1 - i, m - 1 - j).
             i, j = np.indices((br.p, br.q))
             band[ku + j - i, m - 1 - j] += br.u @ br.v.T
-        self.band, self.kl, self.ku, self.m, self.matrix = band, kl, ku, m, a
+        return band
 
     @functools.cached_property
     def mirrored(self):
@@ -437,11 +491,7 @@ class BandMatrix:
         reflection ``band[::-1, ::-1]``, entry by entry to within
         ``MIRROR_ULPS`` ulps of the largest entry.  A shift z I keeps it.
         """
-        if self.kl != self.ku:
-            return False
-        gap = np.abs(self.band - self.band[::-1, ::-1]).max()
-        ulp = np.finfo(np.float64).eps * np.abs(self.band).max()
-        return bool(gap <= MIRROR_ULPS * ulp)
+        return self.kl == self.ku and _agree(self.band, self.band[::-1, ::-1])
 
     def factor(self, shift=0.0):
         """LU factors of shift I + B (``?gbtrf``).

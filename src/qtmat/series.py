@@ -10,6 +10,16 @@ in factored, compressed form at every step, and finally refreshes the
 Toeplitz part by evaluating the scalar function on the symbol at unit
 roots and interpolating.  The same code drives semi-infinite and finite
 matrices through the shared algebra methods (add, mul, inv, scale, norms).
+
+A mirrored finite matrix (J A J = A, J the anti-identity), such as a
+polynomial in the discrete Laplacian, has two corners that are one
+computation.  When its series of K terms fits, that is when
+2 (K max(n_minus, n_plus) + the larger corner dimension) <= m, no power's
+corner reaches the other one and no clip to m fires, so the sum is run
+once, on the semi-infinite half T(a) + E_tl (``semi_infinite_half``), and
+its correction serves as both corners.  The norm, the term count, the tail
+and the record stay those of the finite matrix; a series with an inverse
+keeps the finite run.
 """
 
 import math
@@ -311,9 +321,11 @@ def _sum_series(matrix, inv, pos, neg, tail, scalar, cfg, with_info):
     ``pos`` and ``neg`` hold f_k and f_{-k} at index k; ``neg`` is empty
     when ``inv`` (A^{-1}) is not given.  Term k adds f_k A^k, then
     f_{-k} A^{-k}, each skipped when zero; a side past its last index
-    counts as zero and forms no more powers.  Then the symbol is refreshed
-    with ``scalar``, or the partial sum's own map when it is None, and
-    with ``with_info`` the record of ``funm_taylor`` comes along.
+    counts as zero and forms no more powers.  Without ``inv``, a matrix
+    whose ``semi_infinite_half`` stands for it sums the terms on that half,
+    whose correction then serves as every corner.  Then the symbol is
+    refreshed with ``scalar``, or the partial sum's own map when it is
+    None, and with ``with_info`` the record of ``funm_taylor`` comes along.
 
     Real in, real out: when A is stored real and every f_k is real, f maps
     reals to reals, so the coefficients are summed as floats (the powers
@@ -324,14 +336,20 @@ def _sum_series(matrix, inv, pos, neg, tail, scalar, cfg, with_info):
     if real:
         pos, neg = [c.real for c in pos], [c.real for c in neg]
     terms = max(len(pos), len(neg)) - 1
-    total = matrix.identity_like().scale(pos[0])
-    powers = [matrix, inv]
+    half = None if inv is not None else matrix.semi_infinite_half(terms)
+    arg = matrix if half is None else half
+    total = arg.identity_like().scale(pos[0])
+    powers = [arg, inv]
     for k in range(1, terms + 1):
-        for i, (base, coeffs) in enumerate(((matrix, pos), (inv, neg))):
+        for i, (base, coeffs) in enumerate(((arg, pos), (inv, neg))):
             if k < len(coeffs):
                 powers[i] = powers[i].mul(base, cfg) if k > 1 else base
                 if coeffs[k] != 0:
                     total = total.add(powers[i].scale(coeffs[k]), cfg)
+    if half is not None:
+        # The half's one correction is every corner of the matrix.
+        total = matrix.with_parts(
+            total.symbol, total.corrections * len(matrix.corrections))
     total = _refresh_symbol(total, matrix.symbol,
                             scalar or _partial_scalar(pos, neg), cfg, real)
     if not with_info:

@@ -394,6 +394,29 @@ def test_widom_refusal_at_the_top_left_corner_takes_one_cqt_inv(monkeypatch):
     assert np.abs(fqt_to_dense(b) - want).max() < 1e-10
 
 
+def test_a_mirrored_inverse_takes_one_cqt_inv_and_builds_no_band(
+        monkeypatch):
+    # 2.5 I + H^10 is mirrored, so its top-left inverse corner is also the
+    # bottom-right one; the certificate reads the matrix, not the band.
+    m = 1024
+    a = centrosymmetric_fqt(m).add(FiniteQtMatrix.identity(m).scale(1.5))
+    calls, built = [], []
+    band = BandMatrix.band.func
+
+    def counted(x, *args, **kwargs):
+        calls.append(x)
+        return cqt_inv(x, *args, **kwargs)
+
+    monkeypatch.setattr(qtmat.finite, "cqt_inv", counted)
+    monkeypatch.setattr(BandMatrix, "band",
+                        property(lambda self: built.append(1) or band(self)))
+    b, info = fqt_inv(a, with_info=True)
+    assert len(calls) == 1 and info["path"] == "factored"
+    assert b.corr_tl is b.corr_br and built == []
+    want = np.linalg.inv(fqt_to_dense(a))
+    assert np.abs(fqt_to_dense(b) - want).max() < 1e-13
+
+
 def test_inverse_of_a_real_matrix_is_real():
     rng = np.random.default_rng(12)
     for m in (40, 300):  # band solve, Widom's formula

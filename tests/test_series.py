@@ -1,11 +1,13 @@
 """Series engine: power corrections, function values, a-priori bounds."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import qtmat.finite
 from qtmat import (
     Correction,
     CqtMatrix,
@@ -507,3 +509,88 @@ def test_series_names_the_term_cap_it_did_not_converge_within(engine):
             funm_taylor(a, SeriesSpec(coeff=coeff, radius=4.0), cfg)
         else:
             funm_laurent(a, SeriesSpec.laurent(coeff, 0.1, 4.0), cfg)
+
+
+def _counted_fqt_mul(monkeypatch):
+    """The list of fqt_mul calls, counted through every qtmat binding."""
+    calls = []
+    fqt_mul = qtmat.finite.fqt_mul
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fqt_mul(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qtmat" and getattr(
+                module, "fqt_mul", None) is fqt_mul:
+            monkeypatch.setattr(module, "fqt_mul", counted)
+    return calls
+
+
+def test_a_mirrored_matrix_sums_its_series_once_on_its_half(monkeypatch):
+    a = _laplacian_power(2000)
+    calls = _counted_fqt_mul(monkeypatch)
+    got, info = funm_taylor(a, SeriesSpec.exp(), with_info=True)
+    assert calls == [] and info["terms"] == 27
+    assert got.corr_tl is got.corr_br
+
+
+def test_the_half_gives_the_finite_symbol_and_top_left_corner_bitwise(
+        monkeypatch):
+    a = _laplacian_power(1000)
+    got, got_info = funm_taylor(a, SeriesSpec.exp(), with_info=True)
+    monkeypatch.setattr(qtmat.finite, "_mirrored", lambda a: False)
+    want, want_info = funm_taylor(a, SeriesSpec.exp(), with_info=True)
+    assert got_info == want_info
+    assert got.symbol.min_deg == want.symbol.min_deg
+    assert np.array_equal(got.symbol.coeffs, want.symbol.coeffs)
+    assert np.array_equal(got.corr_tl.u, want.corr_tl.u)
+    assert np.array_equal(got.corr_tl.v, want.corr_tl.v)
+    br, want_br = got.corr_br.materialize(), want.corr_br.materialize()
+    assert br.shape == want_br.shape
+    ulp = np.finfo(np.float64).eps * np.abs(want_br).max()
+    assert np.abs(br - want_br).max() <= 16 * ulp
+
+
+def _unmirrored_inputs():
+    h10 = _laplacian_power(600)
+    corner = Correction([[0.1], [0.2]], [[0.3], [0.1]])
+    yield h10.with_parts(h10.symbol, (h10.corr_tl, h10.corr_br.scaled(1.01)))
+    yield FiniteQtMatrix(600, LaurentSymbol([0.2, 0.5, 0.3], -1), corner,
+                         corner)
+    # reach = 27 terms * 10 + 9 rows = 279, past m / 2.
+    yield _laplacian_power(557)
+
+
+@pytest.mark.parametrize("case", range(3), ids=[
+    "different-corners", "lopsided-symbol", "past-the-fit-rule"])
+def test_other_inputs_keep_the_finite_run(case, monkeypatch):
+    a = list(_unmirrored_inputs())[case]
+    _, info = funm_taylor(a, SeriesSpec.exp(), with_info=True)
+    assert a.semi_infinite_half(info["terms"]) is None
+    calls = _counted_fqt_mul(monkeypatch)
+    got = funm_taylor(a, SeriesSpec.exp())
+    assert calls and got.corr_tl is not got.corr_br
+    want = scipy.linalg.expm(fqt_to_dense(a))
+    assert np.abs(fqt_to_dense(got) - want).max() <= 1e-12 * max(
+        1.0, np.abs(want).max())
+
+
+def test_the_fit_rule_admits_twice_the_reach():
+    a = _laplacian_power(558)
+    assert isinstance(a.semi_infinite_half(27), CqtMatrix)
+    assert a.semi_infinite_half(28) is None
+
+
+def test_a_mirrored_exp_on_its_half_matches_expm(monkeypatch):
+    rng = np.random.default_rng(25)
+    m = 600
+    corner = random_correction(rng, 6, 6, 2, scale=0.2)
+    corner = Correction(corner.u.real, corner.v.real)
+    a = FiniteQtMatrix(m, LaurentSymbol([0.1, -0.3, 1.0, -0.3, 0.1], -2),
+                       corner, corner)
+    calls = _counted_fqt_mul(monkeypatch)
+    got = funm_taylor(a, SeriesSpec.exp())
+    assert calls == [] and got.corr_tl is got.corr_br
+    want = scipy.linalg.expm(fqt_to_dense(a))
+    assert np.abs(fqt_to_dense(got) - want).max() < 1e-12

@@ -4,8 +4,10 @@ Replays the first rounds of each named workload in-process, through
 perfbench's own ``make_jobs`` and ``run_job`` (after the same warm-up jobs
 as a benchmark run, on a freshly imported ``qtmat``), and prints two
 sha256 hashes: one of the serialized outputs and one of the ``with_info``
-records as sorted-key JSON.  Two checkouts that print the same output hash
-compute the same matrices bit for bit.  Run from a checkout's root:
+records as sorted-key JSON, first for each workload, then over all of them.
+Two checkouts that print the same output hash compute the same matrices bit
+for bit, so the per-workload lines show which workloads a change moved.
+Run from a checkout's root:
 
     python3 tools/replay_outputs.py --seed 1 \\
         --rounds semi-series=4 contour-resolvent=4 finite-series=2
@@ -74,19 +76,30 @@ def main(argv=None):
     parser.add_argument("--records", help="write one JSON line per job here")
     args = parser.parse_args(argv)
 
-    outputs, records = hashlib.sha256(), hashlib.sha256()
+    # One (jobs, outputs, records) triple per workload, and one for all.
+    hashes = {None: [0, hashlib.sha256(), hashlib.sha256()]}
     lines = []
     for workload, job_id, output, record in replay(args.root, args.seed,
                                                    args.rounds):
         key = f"{workload} {job_id}\n"
-        outputs.update((key + output + "\n").encode())
         line = json.dumps({"workload": workload, "job": job_id,
                            "record": record}, sort_keys=True, default=_plain)
-        records.update((line + "\n").encode())
         lines.append(line)
+        for name in (workload, None):
+            entry = hashes.setdefault(
+                name, [0, hashlib.sha256(), hashlib.sha256()])
+            entry[0] += 1
+            entry[1].update((key + output + "\n").encode())
+            entry[2].update((line + "\n").encode())
     if args.records:
         Path(args.records).write_text("".join(x + "\n" for x in lines))
-    print(f"jobs {len(lines)}")
+    total = hashes.pop(None)
+    for workload, (jobs, outputs, records) in hashes.items():
+        print(f"{workload} jobs {jobs}")
+        print(f"{workload} outputs sha256 {outputs.hexdigest()}")
+        print(f"{workload} records sha256 {records.hexdigest()}")
+    jobs, outputs, records = total
+    print(f"jobs {jobs}")
     print(f"outputs sha256 {outputs.hexdigest()}")
     print(f"records sha256 {records.hexdigest()}")
     return 0
