@@ -2,10 +2,10 @@
 
 from dataclasses import dataclass, replace
 
-# Two values are taken as mirror images of each other (f at conjugate
-# contour nodes, entries of a band and of its point reflection) when they
-# differ by at most this many ulps of the larger or largest one: rounding in
-# the evaluation or summation order keeps true mirrors off by a few.
+# Two values are mirror images (f at conjugate contour nodes, a symbol and
+# its reverse, the two corners of a finite matrix) when they differ by at
+# most this many ulps of the larger or largest one: rounding in the
+# evaluation or summation order keeps true mirrors off by a few.
 MIRROR_ULPS = 16
 
 # Compression keeps no singular value at or below this many ulps of the

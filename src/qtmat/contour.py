@@ -25,13 +25,13 @@ size alone:
   (J A J = A, J the anti-identity, as for I + H^10), so is every node
   inverse, and only its first ceil(m/2) columns are solved and summed;
 - algebra, for semi-infinite and larger finite matrices.  Node resolvents
-  are matrices of the algebra.  The sum keeps their symbol coefficients
-  and each correction as a dense block grown to the largest node support,
-  added exactly, and truncates the symbol and factors each block once,
-  after convergence.  Node resolvents depend only on the matrix, the node
-  and the tolerances, so one module slot keeps those of the last matrix,
-  up to a byte cap, for the next run on an equal matrix with the same
-  tolerances, whatever its f.
+  are matrices of the algebra, summed by ``cqt.ExactSum``, the running sum
+  the series engine shares: their symbol coefficients and each correction
+  as a dense block grown to the largest node support, added exactly, with
+  the symbol truncated and each block factored once, after convergence.
+  Node resolvents depend only on the matrix, the node and the tolerances,
+  so one module slot keeps those of the last matrix, up to a byte cap, for
+  the next run on an equal matrix with the same tolerances, whatever its f.
 
 Both forms sum exactly and split once, so the level differences carry no
 compression noise and the predicted error is taken as it is.
@@ -47,6 +47,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import DEFAULT_CONFIG, MIRROR_ULPS
+from .cqt import ExactSum
 from .errors import (
     CertificateError,
     EnclosureError,
@@ -64,16 +65,7 @@ from .finite import (
     mirrored_columns,
     solves_every_column,
 )
-from .correction import Correction
-from .symbol import (
-    LaurentSymbol,
-    norm_w,
-    range_samples,
-    sym_add,
-    sym_scale,
-    sym_truncate,
-    wiener_norms,
-)
+from .symbol import LaurentSymbol, range_samples, sym_add, sym_truncate
 
 _TWO_PI_I = 2j * math.pi
 
@@ -284,11 +276,11 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
     sum per level.  That is the scale the split of each node would spend.
 
     - In the algebra form each node adds its resolvent's symbol
-      coefficients and the dense block of each correction.  The level
-      difference is the exact ``norm_cqt`` of T_n - T_{n-1}: the Wiener
-      norms of the symbol difference plus the entry sum of the correction
-      differences.  The result truncates the symbol once with
-      ``cfg.tol_trunc`` and factors each block once with
+      coefficients and the dense block of each correction into a
+      ``cqt.ExactSum``.  The level difference is the exact ``norm_cqt`` of
+      T_n - T_{n-1}: the Wiener norms of the symbol difference plus the
+      entry sum of the correction differences.  The result truncates the
+      symbol once with ``cfg.tol_trunc`` and factors each block once with
       ``Correction.from_dense``.  A node's mass is the Wiener norm of its
       symbol plus the entry mass of its corrections.
     - In the dense form, for a finite matrix with
@@ -301,18 +293,17 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
       ``fqt_from_dense``.  A node's mass is the entry mass of its
       inverse.
 
-    When the band of A equals its point reflection to within
-    ``config.MIRROR_ULPS`` ulps of its largest entry
-    (``BandMatrix.mirrored``: J A J = A up to rounding), every resolvent is
-    centrosymmetric too, and the dense form solves and sums only its first
-    h = ceil(m/2) columns: column j >= h is column m - 1 - j reversed.  The
-    certificate reads its sampled columns past h from those mirrors and
-    multiplies them by the band itself, so the symmetry is checked, not
-    assumed.  The m x h sums are expanded to m x m for the level difference
-    and the result.  If a half misses the certificate, the node's other
-    columns are solved; when that full inverse certifies, the sums are
-    expanded once and every later node is solved in full, and otherwise
-    the run raises CertificateError.
+    When A is mirrored (``BandMatrix.mirrored``: J A J = A up to rounding,
+    its symbol and corners each within ``config.MIRROR_ULPS`` ulps of their
+    own largest entry), every resolvent is centrosymmetric too, and the
+    dense form solves and sums only its first h = ceil(m/2) columns: column
+    j >= h is column m - 1 - j reversed.  The certificate reads its sampled
+    columns past h from those mirrors and multiplies them by the band
+    itself, so the symmetry is checked, not assumed.  The m x h sums are
+    expanded to m x m for the level difference and the result.  If a half
+    misses the certificate, the node's other columns are solved; when that
+    full inverse certifies, the sums are expanded once and every later node
+    is solved in full, and otherwise the run raises CertificateError.
 
     Conjugate nodes share one resolvent.  Node k and its mirror 2^n - k are
     summed as 2 Re(c_k R(z_k)), and a node that is its own mirror (k = 0 or
@@ -473,9 +464,9 @@ def _predicted_error(diffs):
 class _AlgebraSum:
     """Level sums of slot-shared node resolvents of the algebra.
 
-    A sum is a symbol and one dense block per correction of the matrix,
-    each grown to the largest node support; node terms add exactly, and
-    the result is truncated and factored once (see ``funm_contour``).
+    Each level's sum is a ``cqt.ExactSum``: node terms add exactly, and the
+    result is truncated and factored once (see ``funm_contour``).  This
+    keeps the slot lookup and the count of reused resolvents.
     """
 
     kind = "algebra"
@@ -488,17 +479,12 @@ class _AlgebraSum:
         if store.key != key:
             store = _slot = _NodeResolvents(key)
         self.store, self.matrix, self.cfg = store, matrix, cfg
-        self.sym = LaurentSymbol.zero()
-        self.blocks = [np.zeros((0, 0)) for _ in matrix.corrections]
+        self.sum = ExactSum(matrix)
         self.prev = None
-        self.mass = 0.0
         self.reused = 0
 
     def next_level(self):
-        self.prev = (self.sym, self.blocks)
-        self.sym = sym_scale(self.sym, 0.5)
-        self.blocks = [0.5 * b for b in self.blocks]
-        self.mass *= 0.5
+        self.prev, self.sum = self.sum, self.sum.halved()
 
     def add(self, z, coef, paired):
         r = self.store.by_node.get(z)
@@ -507,48 +493,13 @@ class _AlgebraSum:
             self.store.store(z, r)
         else:
             self.reused += 1
-        term = sym_scale(r.symbol, coef)
-        if paired:  # Re T(a): the real parts of the coefficients
-            term = LaurentSymbol(term.coeffs.real, term.min_deg)
-        self.sym = sym_add(self.sym, term)
-        self.mass += abs(coef) * norm_w(r.symbol)
-        for i, c in enumerate(r.corrections):
-            if c.is_zero:
-                continue
-            block = (c.u * coef) @ c.v.T
-            self.mass += float(np.abs(block).sum())
-            self.blocks[i] = _padded_sum(self.blocks[i],
-                                         block.real if paired else block)
+        self.sum.add(r, coef, real=paired)
 
     def difference(self):
-        prev_sym, prev_blocks = self.prev
-        nw, nw1 = wiener_norms(sym_add(self.sym, sym_scale(prev_sym, -1.0)))
-        return nw + nw1 + sum(float(np.abs(_padded_sum(-p, b)).sum())
-                              for b, p in zip(self.blocks, prev_blocks))
+        return self.sum.distance(self.prev)
 
     def result(self):
-        tol = self.cfg.tol_trunc
-        return self.matrix.with_parts(
-            sym_truncate(self.sym, tol),
-            [Correction.from_dense(b, tol, scale=self.mass)
-             for b in self.blocks])
-
-
-def _padded_sum(acc, block):
-    """acc + block, each read as zero past its own shape.
-
-    Adds into acc in place when it is large enough and of a wide enough
-    dtype, so a caller passes an acc it owns.
-    """
-    rows, cols = block.shape
-    dtype = np.result_type(acc, block)
-    if rows > acc.shape[0] or cols > acc.shape[1] or dtype != acc.dtype:
-        grown = np.zeros((max(rows, acc.shape[0]), max(cols, acc.shape[1])),
-                         dtype)
-        grown[:acc.shape[0], :acc.shape[1]] = acc
-        acc = grown
-    acc[:rows, :cols] += block
-    return acc
+        return self.sum.result(self.cfg.tol_trunc)
 
 
 class _DenseSum:

@@ -10,8 +10,11 @@ Woodbury's identity and is certified by its residual against the identity.
 ``QtMatrix``, the base of ``CqtMatrix`` and ``finite.FiniteQtMatrix``,
 computes the protocol members from a symbol and a tuple of corrections.
 Both modules' algebra functions share the add rule and the shortcuts of
-the product and the inverse defined here.
+the product and the inverse defined here, and both function engines the
+exact running sum ``ExactSum``.
 """
+
+import copy
 
 import numpy as np
 import scipy.linalg
@@ -29,6 +32,7 @@ from .correction import (
 from .errors import CertificateError, SingularMatrixError
 from .symbol import (
     LaurentSymbol,
+    norm_w,
     sym_add,
     sym_inverse_factors,
     sym_mul,
@@ -132,6 +136,76 @@ class CqtMatrix(QtMatrix):
 
     def __repr__(self):
         return f"CqtMatrix(symbol={self.symbol!r}, corr={self.corr!r})"
+
+
+class ExactSum:
+    """Exact running sum of scaled matrices of one class and size.
+
+    It holds the symbol, one dense block per correction grown to the
+    largest term's (``_padded_sum``) and the summed term masses: a term
+    c (T(a) + E) weighs |c| ||a||_W plus the entry mass of c E.
+    ``result`` truncates the symbol and factors each block once, budgeted
+    against that mass.  The series sums f_k A^k with it, the contour engine
+    c_k (z_k I - A)^{-1}.
+    """
+
+    def __init__(self, like):
+        self.like = like  # builds the result by its ``with_parts``
+        self.sym = LaurentSymbol.zero()
+        self.blocks = [np.zeros((0, 0)) for _ in like.corrections]
+        self.mass = 0.0
+
+    def add(self, term, coef, real=False):
+        """Add coef times term; with ``real`` only its real part."""
+        sym = sym_scale(term.symbol, coef)
+        if real:
+            sym = LaurentSymbol(sym.coeffs.real, sym.min_deg)
+        self.sym = sym_add(self.sym, sym)
+        self.mass += abs(coef) * norm_w(term.symbol)
+        for i, c in enumerate(term.corrections):
+            if c.is_zero:
+                continue
+            block = (c.u * coef) @ c.v.T
+            self.mass += float(np.abs(block).sum())
+            self.blocks[i] = _padded_sum(self.blocks[i],
+                                         block.real if real else block)
+
+    def halved(self):
+        """Half of this sum, mass included, as a new sum."""
+        half = copy.copy(self)
+        half.sym, half.mass = sym_scale(self.sym, 0.5), 0.5 * self.mass
+        half.blocks = [0.5 * b for b in self.blocks]
+        return half
+
+    def distance(self, other):
+        """Exact ``norm_cqt`` of this sum minus ``other``."""
+        nw, nw1 = wiener_norms(sym_add(self.sym, sym_scale(other.sym, -1.0)))
+        return nw + nw1 + sum(float(np.abs(_padded_sum(-p, b)).sum())
+                              for b, p in zip(self.blocks, other.blocks))
+
+    def result(self, tol):
+        """The sum as a matrix: one truncation, one factoring per block."""
+        return self.like.with_parts(
+            sym_truncate(self.sym, tol),
+            [Correction.from_dense(b, tol, scale=self.mass)
+             for b in self.blocks])
+
+
+def _padded_sum(acc, block):
+    """acc + block, each read as zero past its own shape.
+
+    Adds into acc in place when it is large enough and of a wide enough
+    dtype, so a caller passes an acc it owns.
+    """
+    rows, cols = block.shape
+    dtype = np.result_type(acc, block)
+    if rows > acc.shape[0] or cols > acc.shape[1] or dtype != acc.dtype:
+        grown = np.zeros((max(rows, acc.shape[0]), max(cols, acc.shape[1])),
+                         dtype)
+        grown[:acc.shape[0], :acc.shape[1]] = acc
+        acc = grown
+    acc[:rows, :cols] += block
+    return acc
 
 
 def _scalar(a):

@@ -15,8 +15,10 @@ certified on sampled columns by the one Toeplitz-apply kernel.
 
 A mirrored matrix (J A J = A, ``_mirrored``: a palindromic symbol and two
 equal corners) has its two corners computed once: Widom's formula takes
-one ``cqt_inv`` call, and the series engines sum on the semi-infinite half
-T(a) + E_tl when the series fits (``FiniteQtMatrix.semi_infinite_half``).
+one ``cqt_inv`` call, the series engines sum on the semi-infinite half
+T(a) + E_tl when the series fits (``FiniteQtMatrix.semi_infinite_half``),
+and a band solve (``BandMatrix.mirrored``, the same test) solves half the
+columns.
 """
 
 import functools
@@ -124,19 +126,18 @@ class FiniteQtMatrix(QtMatrix):
         return CqtMatrix(sym, tl)
 
     def columns(self, js):
-        """Dense columns js (zero-based), m x len(js), without materializing.
-
-        Each entry is computed the same way however many columns are asked
-        for, so column j of the result equals ``column(j)`` bit for bit.
-        """
+        """Dense columns js (zero-based), m x len(js), not materialized."""
         m = self.m
         js = np.asarray(js, dtype=int).reshape(-1)
         if js.size and not (0 <= js.min() and js.max() < m):
             raise IndexError("column index out of range")
         cols = _gather(self.symbol, js - np.arange(m)[:, None]).astype(
             self.dtype, copy=False)
-        _add_corner_columns(cols, self.corr_tl, js)
-        _add_corner_columns(cols[::-1], self.corr_br, m - 1 - js)
+        # Each corner u v^T adds its columns ks to the leading rows of out.
+        for out, corr, ks in ((cols, self.corr_tl, js),
+                              (cols[::-1], self.corr_br, m - 1 - js)):
+            sel = np.flatnonzero(ks < corr.q)
+            out[:corr.p, sel] += corr.u @ corr.v[ks[sel]].T
         return cols
 
     def column(self, j):
@@ -148,41 +149,12 @@ class FiniteQtMatrix(QtMatrix):
                 f"tl={self.corr_tl!r}, br={self.corr_br!r})")
 
 
-def _add_corner_columns(out, corr, js):
-    """Add columns js of the corner u @ v.T to the leading rows of ``out``.
-
-    Each entry is one sum over the rank axis of real products (for complex
-    factors the real part is [Re u, -Im u] [Re v, Im v]^T and the imaginary
-    part [Re u, Im u] [Im v, Re v]^T), reduced alone along that axis; so
-    a column comes out the same bits however many columns are asked with
-    it, which a complex multiply or a BLAS product does not promise.
-    """
-    sel = np.flatnonzero(js < corr.q)
-    if sel.size == 0:
-        return
-    u, v = corr.u, corr.v[js[sel]]
-    if np.iscomplexobj(u):
-        block = (_summed_over_rank(np.hstack([u.real, -u.imag]),
-                                   np.hstack([v.real, v.imag]))
-                 + 1j * _summed_over_rank(np.hstack([u.real, u.imag]),
-                                          np.hstack([v.imag, v.real])))
-    else:
-        block = _summed_over_rank(u, v)
-    out[:corr.p, sel] += block
-
-
-def _summed_over_rank(u, v):
-    """Real u @ v.T, entry (i, j) one reduction of u[i] * v[j]."""
-    return (u[:, None, :] * v[None, :, :]).sum(axis=-1)
-
-
 def _mirrored(a):
     """Whether J A J = A up to rounding, J the anti-identity, part by part.
 
     The symbol equals its reverse on the same support, and the two corners,
     of one shape and dtype, agree entry by entry; each part to within
-    ``MIRROR_ULPS`` ulps of its largest entry.  ``BandMatrix.mirrored``
-    asks the same of the assembled band; this builds no band.
+    ``MIRROR_ULPS`` ulps of its largest entry.  It builds no band.
     """
     sym, tl, br = a.symbol, a.corr_tl, a.corr_br
     rev = sym_reverse(sym)
@@ -457,9 +429,9 @@ class BandMatrix:
 
     Entry (i, j) sits at ``band[ku + i - j, j]``.  kl and ku cover the
     symbol and both corners, so the band is the whole matrix.  The band is
-    built on first use, by ``factor`` or ``mirrored``; once built, it
-    factors any shift z I + B.  ``matrix``, the matrix it was built from,
-    applies B.
+    built on first use, by ``factor``; once built, it factors any shift
+    z I + B.  ``matrix``, the matrix it was built from, applies B and
+    answers the mirror test.
     """
 
     def __init__(self, a):
@@ -485,13 +457,8 @@ class BandMatrix:
 
     @functools.cached_property
     def mirrored(self):
-        """Whether J B J = B up to rounding, J the anti-identity.
-
-        In band storage that is kl == ku and a band equal to its point
-        reflection ``band[::-1, ::-1]``, entry by entry to within
-        ``MIRROR_ULPS`` ulps of the largest entry.  A shift z I keeps it.
-        """
-        return self.kl == self.ku and _agree(self.band, self.band[::-1, ::-1])
+        """Whether J B J = B up to rounding (``_mirrored``); z I keeps it."""
+        return _mirrored(self.matrix)
 
     def factor(self, shift=0.0):
         """LU factors of shift I + B (``?gbtrf``).

@@ -4,12 +4,12 @@ Each engine first fixes the last term of each side of its series from the
 coefficients and the norm alone (``_series_side``: the positive side on
 ||A||, the negative one on ||A^{-1}||), so a series that does not converge
 within the term cap fails before any product is formed.  Then one term
-loop (``_sum_series``) accumulates sum_i f_i A^i (with f_{-i} A^{-i} for a
-Laurent series) directly in the algebra, which keeps the correction part
-in factored, compressed form at every step, and finally refreshes the
-Toeplitz part by evaluating the scalar function on the symbol at unit
-roots and interpolating.  The same code drives semi-infinite and finite
-matrices through the shared algebra methods (add, mul, inv, scale, norms).
+loop (``_sum_series``) forms the powers A^i (and A^{-i} for a Laurent
+series) by the algebra's compressed products, adds each f_i A^i exactly
+into the contour engine's running sum (``cqt.ExactSum``), factored once,
+and finally refreshes the Toeplitz part by evaluating the scalar function
+on the symbol at unit roots and interpolating.  The same code drives
+semi-infinite and finite matrices through the shared algebra protocol.
 
 A mirrored finite matrix (J A J = A, J the anti-identity), such as a
 polynomial in the discrete Laplacian, has two corners that are one
@@ -30,6 +30,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG
 from .correction import Correction, corr_compress, corr_product
+from .cqt import ExactSum
 from .errors import NoConvergenceError, RadiusViolationError
 from .symbol import (
     LaurentSymbol,
@@ -321,9 +322,11 @@ def _sum_series(matrix, inv, pos, neg, tail, scalar, cfg, with_info):
     ``pos`` and ``neg`` hold f_k and f_{-k} at index k; ``neg`` is empty
     when ``inv`` (A^{-1}) is not given.  Term k adds f_k A^k, then
     f_{-k} A^{-k}, each skipped when zero; a side past its last index
-    counts as zero and forms no more powers.  Without ``inv``, a matrix
-    whose ``semi_infinite_half`` stands for it sums the terms on that half,
-    whose correction then serves as every corner.  Then the symbol is
+    counts as zero and forms no more powers.  The terms add exactly into a
+    ``cqt.ExactSum``, factored once after the last term, so only products
+    compress.  Without ``inv``, a matrix whose ``semi_infinite_half``
+    stands for it sums the terms on that half, whose correction then
+    serves as every corner.  Then the symbol is
     refreshed with ``scalar``, or the partial sum's own map when it is
     None, and with ``with_info`` the record of ``funm_taylor`` comes along.
 
@@ -338,14 +341,16 @@ def _sum_series(matrix, inv, pos, neg, tail, scalar, cfg, with_info):
     terms = max(len(pos), len(neg)) - 1
     half = None if inv is not None else matrix.semi_infinite_half(terms)
     arg = matrix if half is None else half
-    total = arg.identity_like().scale(pos[0])
+    acc = ExactSum(arg)
+    acc.add(arg.identity_like(), pos[0])
     powers = [arg, inv]
     for k in range(1, terms + 1):
         for i, (base, coeffs) in enumerate(((arg, pos), (inv, neg))):
             if k < len(coeffs):
                 powers[i] = powers[i].mul(base, cfg) if k > 1 else base
                 if coeffs[k] != 0:
-                    total = total.add(powers[i].scale(coeffs[k]), cfg)
+                    acc.add(powers[i], coeffs[k])
+    total = acc.result(cfg.tol_trunc)
     if half is not None:
         # The half's one correction is every corner of the matrix.
         total = matrix.with_parts(

@@ -447,7 +447,8 @@ def sym_reciprocal(a, tol):
     Requires a(z) != 0 on the unit circle and winding number zero.  1/a is
     sampled by ``_log_samples`` at tol / 2, as its tail outweighs that of
     log a, and interpolated on the sub-grids of that grid, coarsest (least
-    rounding) first; the first that certifies, truncated at tol / 10, is b.
+    rounding) first; the first that certifies, truncated at tol / 10, is b,
+    real for a real symbol.
 
     Raises
     ------
@@ -462,6 +463,8 @@ def sym_reciprocal(a, tol):
     best = np.inf
     while m <= vals.size:
         ch = np.fft.fft(1.0 / vals[::vals.size // m]) / m
+        if not np.iscomplexobj(a.coeffs):
+            ch = ch.real
         b = LaurentSymbol(np.roll(ch, m // 2), -(m // 2))
         b = sym_truncate(b, tol * 0.1)
         residual = norm_w(sym_sub(sym_mul(a, b), LaurentSymbol.one()))

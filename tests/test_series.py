@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import qtmat.correction
+import qtmat.cqt
 import qtmat.finite
 from qtmat import (
     Correction,
@@ -594,3 +596,84 @@ def test_a_mirrored_exp_on_its_half_matches_expm(monkeypatch):
     assert calls == [] and got.corr_tl is got.corr_br
     want = scipy.linalg.expm(fqt_to_dense(a))
     assert np.abs(fqt_to_dense(got) - want).max() < 1e-12
+
+
+def _counted_algebra(monkeypatch):
+    """(name, products it ran inside) for each add, product and compression.
+
+    cqt_add, fqt_add, cqt_mul, fqt_mul and corr_compress are counted
+    through every qtmat binding.
+    """
+    calls, inside = [], [0]
+
+    def counted(name, func):
+        product = name.endswith("_mul")
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, inside[0]))
+            inside[0] += product
+            try:
+                return func(*args, **kwargs)
+            finally:
+                inside[0] -= product
+
+        return wrapper
+
+    for origin, name in ((qtmat.cqt, "cqt_add"), (qtmat.finite, "fqt_add"),
+                         (qtmat.cqt, "cqt_mul"), (qtmat.finite, "fqt_mul"),
+                         (qtmat.correction, "corr_compress")):
+        func = getattr(origin, name)
+        wrapper = counted(name, func)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "qtmat" and getattr(
+                    module, name, None) is func:
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _exact_sum_inputs():
+    corner = Correction([[0.1], [0.2]], [[0.3], [0.1]])
+    other = Correction([[0.2], [0.1]], [[0.1], [0.3]])
+    yield CqtMatrix(LaurentSymbol([0.2, 3.0, 0.3], -1), corner)
+    yield _laplacian_power(1000)
+    yield FiniteQtMatrix(600, LaurentSymbol([0.2, 3.0, 0.3], -1), corner,
+                         other)
+
+
+_EXACT_SUM_SPECS = {
+    "taylor": SeriesSpec.exp(),
+    "laurent": SeriesSpec.laurent_polynomial(
+        {-2: 0.1, -1: 0.5, 0: 1.0, 1: 0.3, 2: 0.05}),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(_EXACT_SUM_SPECS))
+@pytest.mark.parametrize("case", range(3), ids=[
+    "semi-infinite", "mirrored-half", "finite-run"])
+def test_the_series_adds_exactly_and_compresses_only_in_products(
+        engine, case, monkeypatch):
+    a = list(_exact_sum_inputs())[case]
+    f = _EXACT_SUM_SPECS[engine]
+    if case == 1 and engine == "laurent":
+        # H^10 is near singular: no negative powers, so the half sums it.
+        f = SeriesSpec.laurent_polynomial({0: 1.0, 1: 0.3, 2: 0.05})
+    calls = _counted_algebra(monkeypatch)
+    got = (funm_taylor if engine == "taylor" else funm_laurent)(a, f)
+    names = {name for name, _ in calls}
+    assert "cqt_add" not in names and "fqt_add" not in names
+    compressions = [inside for name, inside in calls
+                    if name == "corr_compress"]
+    assert compressions and all(compressions)
+    if case == 1:
+        assert got.corr_tl is got.corr_br and "fqt_mul" not in names
+    if case == 2:
+        assert "fqt_mul" in names
+        dense = fqt_to_dense(a)
+        if engine == "taylor":
+            want = scipy.linalg.expm(dense)
+        else:
+            inv = np.linalg.inv(dense)
+            want = (np.eye(a.m) + 0.3 * dense + 0.05 * dense @ dense
+                    + 0.5 * inv + 0.1 * inv @ inv)
+        assert np.abs(fqt_to_dense(got) - want).max() <= 1e-12 * np.abs(
+            want).max()

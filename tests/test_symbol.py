@@ -303,7 +303,8 @@ def test_real_symbols_stay_real():
     assert LaurentSymbol([1, 2]).coeffs.dtype == np.float64
     assert c.coeffs.dtype == np.complex128  # by dtype, not by value
     real = [sym_add(a, b), sym_mul(a, b), sym_mul(b, b), sym_scale(b, -2.0),
-            sym_truncate(sym_mul(b, b), 1e-6), sym_reverse(a)]
+            sym_truncate(sym_mul(b, b), 1e-6), sym_reverse(a),
+            sym_reciprocal(LaurentSymbol([1.0, -0.5]), 1e-12)]
     real += [x for x in sym_split(a) if isinstance(x, LaurentSymbol)]
     assert all(x.coeffs.dtype == np.float64 for x in real)
     mixed = [sym_add(a, c), sym_mul(a, c), sym_mul(b, c), sym_scale(a, 1j)]
