@@ -3,9 +3,10 @@
 from dataclasses import dataclass, replace
 
 # Two values are mirror images (f at conjugate contour nodes, a symbol and
-# its reverse, the two corners of a finite matrix) when they differ by at
-# most this many ulps of the larger or largest one: rounding in the
-# evaluation or summation order keeps true mirrors off by a few.
+# its reverse, the two corners of a finite matrix, the two ends of a symbol
+# under truncation) when they differ by at most this many ulps of the
+# larger or largest one: rounding in the evaluation or summation order
+# keeps true mirrors off by a few.
 MIRROR_ULPS = 16
 
 # Compression keeps no singular value at or below this many ulps of the

@@ -3,12 +3,14 @@
 A correction represents the semi-infinite matrix whose leading p x q block
 equals ``u @ v.T`` (plain transpose, also for complex data) and which is zero
 elsewhere.  The factored form is kept small by ``corr_compress``: thin QR
-factorizations, an SVD of the small core and a certified trim.  Sums and
-products concatenate factors, so their rank r often exceeds min(p, q); the
-compression then first refactors the block exactly on its short side,
-(I_p, v u^T) when p <= q and (u v^T, I_q) otherwise, and runs a single QR.
-Its results never have rank above min(p, q).  An identity factor is a valid
-stored form like any other.
+factorizations, an SVD of the small core and a certified trim.  Sums
+concatenate factors, and so do products: ``corr_product`` forms the
+correction of (T(a) + E)(T(b) + F) as three pairs, the Hankel product,
+(T(a) + E) F and E T(b), of rank r_H + r_F + r_E.  So the rank r often
+exceeds min(p, q); the compression then first refactors the block exactly
+on its short side, (I_p, v u^T) when p <= q and (u v^T, I_q) otherwise,
+and runs a single QR.  Its results never have rank above min(p, q).  An
+identity factor is a valid stored form like any other.
 
 Certificate: every SVD truncation here (``corr_compress`` and
 ``Correction.from_dense``, through ``_truncated_rank``) keeps
@@ -449,16 +451,6 @@ def corr_times_toeplitz(e, sym, col_cap=None):
     return Correction._owned(e.u, w)
 
 
-def toeplitz_times_corr(sym, e, row_cap=None):
-    """Correction T(a) @ E in factored form."""
-    if e.is_zero or sym.is_zero:
-        return Correction.zero()
-    w = toeplitz_times_factor(sym, e.u, row_cap=row_cap)
-    if w.size == 0:
-        return Correction.zero()
-    return Correction._owned(w, e.v)
-
-
 def corr_times_corr(e1, e2):
     """Correction E1 @ E2 through the shared inner block."""
     if e1.is_zero or e2.is_zero:
@@ -470,18 +462,43 @@ def corr_times_corr(e1, e2):
     return Correction._owned(e1.u @ mid, e2.v)
 
 
+def _qt_times_corr(a, e, f, row_cap=None):
+    """Correction (T(a) + E) F as one pair (T(a) U_F + U_E V_E^T U_F, V_F).
+
+    T(a) F and E F end in the same right factor V_F, so their left factors
+    add: T(a) U_F (``row_cap`` clips its rows) plus U_E (V_E^T U_F), which
+    fills the leading p_E rows.  The rank is that of F.
+    """
+    if f.is_zero:
+        return Correction.zero()
+    left = toeplitz_times_factor(a, f.u, row_cap=row_cap)
+    if not e.is_zero:
+        inner = min(e.q, f.p)
+        ef = e.u @ (e.v[:inner].T @ f.u[:inner])
+        out = np.zeros((max(left.shape[0], e.p), f.rank),
+                       dtype=np.result_type(left, ef))
+        out[:left.shape[0], :left.shape[1]] = left  # left may be 0 x 0
+        out[:e.p] += ef
+        left = out
+    if left.size == 0:
+        return Correction.zero()
+    return Correction._owned(left, f.v)
+
+
 def corr_product(a, e, b, f, cap=None):
     """Correction of (T(a) + E)(T(b) + F) - T(ab), uncompressed.
 
     T(a) T(b) = T(ab) - H(a^-) H(b^+), so the correction is
-    -H(a^-) H(b^+) + T(a) F + E T(b) + E F, summed in that order.  ``cap``
-    clips every term to the leading cap x cap block, for finite corners,
-    whose E and F fit in it.
+    -H(a^-) H(b^+) + (T(a) + E) F + E T(b), three factor pairs of ranks
+    r_H = min(support lengths of a^- and b^+), r_F and r_E, concatenated
+    in that order: rank r_H + r_F + r_E.  T(a) F and E F share the right
+    factor of F, so they form one pair (``_qt_times_corr``).  ``cap``
+    clips the Hankel and Toeplitz terms to the leading cap x cap block, for
+    finite corners, whose E and F fit in it.
     """
     a_minus, _, _ = sym_split(a)
     _, _, b_plus = sym_split(b)
     corr = corr_add(Correction.zero(), hankel_product(a_minus, b_plus, cap),
                     -1.0)
-    corr = corr_add(corr, toeplitz_times_corr(a, f, row_cap=cap))
-    corr = corr_add(corr, corr_times_toeplitz(e, b, col_cap=cap))
-    return corr_add(corr, corr_times_corr(e, f))
+    corr = corr_add(corr, _qt_times_corr(a, e, f, row_cap=cap))
+    return corr_add(corr, corr_times_toeplitz(e, b, col_cap=cap))

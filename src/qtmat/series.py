@@ -175,29 +175,43 @@ def power_corrections(a, e, k, cfg=DEFAULT_CONFIG):
     return out[1:] if e.is_zero else out
 
 
-def _tail_estimate(coeffs, k, nrm, radius):
+class _TailFit:
     """Heuristic geometric majorant of sum_{i>k} |f_i| * nrm^i.
 
-    Fits the tightest constant gamma with |f_i| <= gamma * rho_eff^{-i} over
-    the computed coefficients for several candidate effective radii and
-    returns the smallest resulting geometric tail.
+    For several candidate effective radii rho it keeps the tightest
+    constant gamma with |f_i| <= gamma * rho^{-i} over the coefficients seen
+    so far, a running max of |f_i| rho^i, and ``past(coeffs)`` returns the
+    smallest resulting geometric tail past the last coefficient.  Each
+    coefficient enters the running max once, when a tail past it is first
+    asked for, so a side of K terms costs O(K) in all.
     """
-    mags = np.abs(np.asarray(coeffs))
-    base = max(nrm, 1e-300)
-    if math.isinf(radius):
-        rho = base * np.array(_RADIUS_FACTORS)
-    else:
-        rho = base + (radius - base) * np.array((0.25, 0.5, 0.75, 0.9))
-        rho = rho[rho > base]
-    # One row per candidate radius: gamma, lambda and the geometric tail.
-    with np.errstate(over="ignore", invalid="ignore"):
-        gamma = np.max(mags * rho[:, None] ** np.arange(mags.size), axis=1)
-    lam = nrm / rho
-    fit = np.isfinite(gamma) & (lam < 1.0)
-    if not fit.any():
-        return math.inf
-    lam = lam[fit]
-    return float(np.min(gamma[fit] * lam ** (k + 1) / (1.0 - lam)))
+
+    def __init__(self, nrm, radius):
+        base = max(nrm, 1e-300)
+        if math.isinf(radius):
+            rho = base * np.array(_RADIUS_FACTORS)
+        else:
+            rho = base + (radius - base) * np.array((0.25, 0.5, 0.75, 0.9))
+            rho = rho[rho > base]
+        self._rho = rho
+        self._lam = nrm / rho
+        self._gamma = np.zeros(rho.size)
+        self._seen = 0
+
+    def past(self, coeffs):
+        """The fitted tail past coeffs[-1], with coeffs[i] holding f_i."""
+        k = len(coeffs) - 1
+        mags = np.abs(np.asarray(coeffs[self._seen:]))
+        # One row per candidate radius; a NaN or inf gamma fits no tail.
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = mags * self._rho[:, None] ** np.arange(self._seen, k + 1)
+            self._gamma = np.maximum(self._gamma, np.max(scaled, axis=1))
+        self._seen = k + 1
+        fit = np.isfinite(self._gamma) & (self._lam < 1.0)
+        if not fit.any():
+            return math.inf
+        lam = self._lam[fit]
+        return float(np.min(self._gamma[fit] * lam ** (k + 1) / (1.0 - lam)))
 
 
 def _series_side(f, sign, degree, nrm, radius, cfg):
@@ -217,6 +231,7 @@ def _series_side(f, sign, degree, nrm, radius, cfg):
         coeffs += [complex(f.coeff(sign * k)) for k in range(1, degree + 1)]
         return coeffs, 0.0
     log_scale = math.log(max(1.0, nrm))
+    fit = _TailFit(nrm, radius)
     checked = []
     for k in range(1, cfg.max_terms + 1):
         coeffs.append(complex(f.coeff(sign * k)))
@@ -226,8 +241,7 @@ def _series_side(f, sign, degree, nrm, radius, cfg):
         else:
             log_term = math.log(fk) + k * log_scale
             small = log_term < math.log(cfg.tol_stop)
-            bound = math.exp(log_term) if small else _tail_estimate(
-                coeffs, k, nrm, radius)
+            bound = math.exp(log_term) if small else fit.past(coeffs)
             small = small or bound < cfg.tol_stop
         checked = checked[-2:] + [bound] if small else []
         if len(checked) == 3:
@@ -310,9 +324,9 @@ def funm_laurent(matrix, f, cfg=DEFAULT_CONFIG, with_info=False):
         f, -1, f.neg_degree, inv_nrm, inner, cfg)
     tail = 0.0
     if f.degree is None:
-        tail += _tail_estimate(pos, len(pos) - 1, nrm, big_r)
+        tail += _TailFit(nrm, big_r).past(pos)
     if f.neg_degree is None:
-        tail += _tail_estimate(neg, len(neg) - 1, inv_nrm, inner)
+        tail += _TailFit(inv_nrm, inner).past(neg)
     return _sum_series(matrix, inv, pos, neg, tail, f.scalar, cfg, with_info)
 
 

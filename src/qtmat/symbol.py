@@ -15,6 +15,7 @@ unit circle (``eval_at_unit_roots``) are complex either way.
 
 import numpy as np
 
+from .config import MIRROR_ULPS
 from .errors import NoConvergenceError, NonzeroWindingError, ZeroOnCircleError
 
 # |a(w)| below ZERO_FLOOR * ||a||_W at a sample point counts as a zero on the
@@ -289,15 +290,13 @@ def sym_truncate(a, tol):
     """Drop small leading/trailing coefficients.
 
     Coefficients are removed greedily from whichever end currently holds the
-    smaller magnitude (the low end on a tie), as long as the total removed
-    mass stays within ``tol * max(1, ||a||_W)``.
-
-    That greedy order is the stable merge of the two ends, each read inward,
-    by their running maxima, low end first on equal keys: an end that shows
-    a new maximum waits until the other end reaches it, and the smaller
-    entries behind a maximum follow it at once.  So one stable sort of the
-    keys and one cumulative sum in that order, summed as the greedy loop
-    would, give the removed count.
+    smaller magnitude, as long as the total removed mass stays within
+    ``tol * max(1, ||a||_W)``.  On a tie both ends go together, or neither
+    when the pair does not fit, so a palindromic symbol keeps a symmetric
+    support.  The ends tie when they differ by at most ``MIRROR_ULPS`` ulps
+    of the larger one, the rounding that keeps the two halves of a computed
+    palindrome, such as the powers of the symbol of H^10, apart.  The loop
+    runs once per removed coefficient, a handful on most calls.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
@@ -305,21 +304,26 @@ def sym_truncate(a, tol):
         return a
     mags = np.abs(a.coeffs)
     budget = tol * max(1.0, float(np.sum(mags)))
-    if min(mags[0], mags[-1]) > budget:
-        return a
-    n = mags.size
-    # Entry i < n is coefficient i from the low end, entry n + j is
-    # coefficient n - 1 - j from the high end.
-    ends = np.concatenate((mags, mags[::-1]))
-    keys = np.concatenate((np.maximum.accumulate(mags),
-                           np.maximum.accumulate(mags[::-1])))
-    order = np.argsort(keys, kind="stable")[:n]
-    removed = int(np.searchsorted(np.cumsum(ends[order]), budget,
-                                  side="right"))
-    if removed == n:
+    m = mags.tolist()
+    lo, hi = 0, len(m) - 1
+    spent = 0.0
+    while lo < hi:
+        low, high = m[lo], m[hi]
+        if abs(low - high) <= MIRROR_ULPS * _EPS * max(low, high):
+            mass, step = spent + low + high, (1, 1)
+        elif low < high:
+            mass, step = spent + low, (1, 0)
+        else:
+            mass, step = spent + high, (0, 1)
+        if mass > budget:
+            break
+        spent, lo, hi = mass, lo + step[0], hi - step[1]
+    if lo == hi and spent + m[lo] <= budget:
+        lo += 1
+    if lo > hi:
         return LaurentSymbol.zero()
-    lo = int(np.count_nonzero(order[:removed] < n))
-    hi = n - 1 - (removed - lo)
+    if lo == 0 and hi == len(m) - 1:
+        return a
     return LaurentSymbol._trimmed(a.coeffs[lo:hi + 1], a.min_deg + lo)
 
 

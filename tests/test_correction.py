@@ -21,7 +21,6 @@ from qtmat.correction import (
     corr_product,
     corr_times_corr,
     corr_times_toeplitz,
-    toeplitz_times_corr,
     toeplitz_times_factor,
 )
 
@@ -205,7 +204,7 @@ def test_corr_toeplitz_products_vs_dense():
         n = 24
         dense_t = dense_toeplitz_oracle(sym, n)
         dense_e = dense_correction_oracle(e, n, n)
-        got = toeplitz_times_corr(sym, e)
+        got = Correction(toeplitz_times_factor(sym, e.u), e.v)
         assert np.abs(dense_correction_oracle(got, n, n)
                       - dense_t @ dense_e).max() < 1e-12
         got2 = corr_times_toeplitz(e, sym)
@@ -298,6 +297,21 @@ def test_corr_product_vs_dense_sections(kinds, real):
             assert np.abs(dense_correction_oracle(got, m, m)
                           - _finite_product_oracle(a, ee, b, ff, m)
                           ).max() < 1e-12
+
+
+@pytest.mark.parametrize("cap", [None, 9], ids=["semi", "capped"])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_corr_product_counts_the_rank_of_f_once(real, cap):
+    # T(a) F and E F share the right factor of F, so they are one pair:
+    # the product has rank r_H + r_F + r_E, not r_H + 2 r_F + r_E.
+    rng = np.random.default_rng(34)
+    for _ in range(5):
+        a, e = _product_factors(rng, "both", real)
+        b, f = _product_factors(rng, "both", real)
+        r_h = hankel_product(sym_split(a)[0], sym_split(b)[2], cap).rank
+        got = corr_product(a, e, b, f, cap)
+        assert got.rank == r_h + f.rank + e.rank
+        assert got.u.dtype == (np.float64 if real else np.complex128)
 
 
 def test_from_dense_round_trip():

@@ -19,6 +19,8 @@ from qtmat import (
     wiener_norms,
     winding_number,
 )
+from qtmat.config import DEFAULT_CONFIG, MIRROR_ULPS
+from qtmat.oracles import _laplacian_power
 from qtmat.symbol import (
     norm_w,
     sym_inverse_factors,
@@ -249,21 +251,28 @@ def test_sym_truncate_mass_bound():
 
 
 def _greedy_truncate(a, tol):
-    """The two-ended greedy of ``sym_truncate``, one coefficient a step."""
+    """The two-ended greedy of ``sym_truncate``, one step at a time.
+
+    The smaller end goes.  Ends within MIRROR_ULPS ulps of the larger one
+    tie, and go together or not at all.
+    """
     budget = tol * max(1.0, norm_w(a))
     mags = np.abs(a.coeffs)
     lo, hi = 0, a.coeffs.size - 1
     spent = 0.0
     while lo <= hi:
-        low_end = mags[lo] <= mags[hi]
-        mag = mags[lo] if low_end else mags[hi]
-        if spent + mag > budget:
-            break
-        spent += mag
-        if low_end:
-            lo += 1
+        tie = abs(mags[lo] - mags[hi]) \
+            <= MIRROR_ULPS * np.finfo(float).eps * max(mags[lo], mags[hi])
+        if lo < hi and tie:
+            total, step = spent + mags[lo] + mags[hi], (1, 1)
+        elif mags[lo] <= mags[hi]:
+            total, step = spent + mags[lo], (1, 0)
         else:
-            hi -= 1
+            total, step = spent + mags[hi], (0, 1)
+        if total > budget:
+            break
+        spent = total
+        lo, hi = lo + step[0], hi - step[1]
     return lo, hi
 
 
@@ -278,6 +287,9 @@ def test_sym_truncate_matches_the_greedy_loop():
             c[0] = c[-1] = 1e-9
         if rng.uniform() < 0.3:  # palindromes
             c = np.concatenate((c, c[::-1][int(rng.integers(0, 2)):]))
+            if rng.uniform() < 0.5:  # up to rounding: a few ulps apart
+                c = c * (1.0 + np.finfo(float).eps
+                         * rng.integers(-24, 25, c.size))
         if rng.uniform() < 0.3:
             c = c + 1j * rng.standard_normal(c.size) * np.abs(c)
         cases.append(c)
@@ -293,6 +305,16 @@ def test_sym_truncate_matches_the_greedy_loop():
             else:
                 assert t.min_deg == a.min_deg + lo
                 assert np.array_equal(t.coeffs, a.coeffs[lo:hi + 1])
+
+
+def test_truncated_powers_of_the_h10_symbol_keep_a_symmetric_support():
+    # The symbol of H^10 is a palindrome up to 1-2 ulps of rounding, so its
+    # truncated powers must keep as many coefficients on either side.
+    a = _laplacian_power(1000).symbol
+    power = a
+    for _ in range(26):
+        power = sym_truncate(sym_mul(power, a), DEFAULT_CONFIG.tol_trunc)
+        assert power.min_deg == -power.max_deg
 
 
 def test_real_symbols_stay_real():

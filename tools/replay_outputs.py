@@ -14,8 +14,12 @@ Run from a checkout's root:
 
 ``--root`` replays another checkout (its ``perfbench`` and ``src``) with
 this script, and ``--records FILE`` writes one JSON line per job, to see
-which record keys differ where the record hashes do.  Nothing under
-``perfbench/`` is changed.
+which record keys differ where the record hashes do.  ``--digits`` also
+scores every output against perfbench's oracle (``perfbench/checks.py``,
+imported, not changed) and prints, for each job kind, the jobs, how
+many raised, the minimum digits and the mean stored entries, as the
+benchmark's ``digits_min`` and ``result_entries`` read them.  Nothing
+under ``perfbench/`` is changed.
 """
 
 import argparse
@@ -23,6 +27,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 # One BLAS thread, as perfbench/run.py sets before NumPy loads.
@@ -43,11 +48,29 @@ def _plain(value):
     return value.tolist() if hasattr(value, "tolist") else repr(value)
 
 
-def replay(root, seed, rounds):
-    """Yield (workload, job_id, output, record) for every replayed job.
+def _score(job, output, record, qt):
+    """(digits, stored entries) of a job's output, None if the job raised.
 
-    A job that raises yields its error as ``"Type: message"`` in place of
-    the output, with the record None.
+    Scored as ``perfbench/harness.py`` scores a run: the max-abs error
+    against the oracle of ``perfbench/checks.py``.
+    """
+    if record is None:
+        return None
+    from checks import digits, max_error
+    with warnings.catch_warnings():
+        # As in the harness: scipy.linalg.logm warns about its own accuracy
+        # estimate.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        error, _, parsed = max_error(job, output, qt.sine_transform_oracle)
+    return digits(error), parsed.entries
+
+
+def replay(root, seed, rounds):
+    """Yield (workload, job, output, record, qt) for every replayed job.
+
+    ``qt`` is the ``qtmat`` package the job ran on.  A job that raises
+    yields its error as ``"Type: message"`` in place of the output, with
+    the record None.
     """
     sys.path.insert(0, str(Path(root).resolve() / "perfbench"))
     from harness import import_qtmat, warm_up_jobs
@@ -63,7 +86,7 @@ def replay(root, seed, rounds):
                 output, record = run_job(qt, job)
             except Exception as exc:  # a failed job is part of the outcome
                 output, record = f"{type(exc).__name__}: {exc}", None
-            yield workload, job.job_id, output, record
+            yield workload, job, output, record, qt
 
 
 def main(argv=None):
@@ -74,16 +97,23 @@ def main(argv=None):
     parser.add_argument("--root", default=Path(__file__).resolve().parents[1],
                         help="checkout to replay (default: this one)")
     parser.add_argument("--records", help="write one JSON line per job here")
+    parser.add_argument("--digits", action="store_true",
+                        help="print the minimum digits and the mean stored "
+                             "entries of each job kind")
     args = parser.parse_args(argv)
 
     # One (jobs, outputs, records) triple per workload, and one for all.
     hashes = {None: [0, hashlib.sha256(), hashlib.sha256()]}
     lines = []
-    for workload, job_id, output, record in replay(args.root, args.seed,
-                                                   args.rounds):
-        key = f"{workload} {job_id}\n"
-        line = json.dumps({"workload": workload, "job": job_id,
+    scores = {}
+    for workload, job, output, record, qt in replay(args.root, args.seed,
+                                                    args.rounds):
+        key = f"{workload} {job.job_id}\n"
+        line = json.dumps({"workload": workload, "job": job.job_id,
                            "record": record}, sort_keys=True, default=_plain)
+        if args.digits:
+            scores.setdefault((workload, job.kind), []).append(
+                _score(job, output, record, qt))
         lines.append(line)
         for name in (workload, None):
             entry = hashes.setdefault(
@@ -102,6 +132,15 @@ def main(argv=None):
     print(f"jobs {jobs}")
     print(f"outputs sha256 {outputs.hexdigest()}")
     print(f"records sha256 {records.hexdigest()}")
+    for (workload, kind), done in scores.items():
+        scored = [x for x in done if x is not None]
+        line = f"{workload} {kind} jobs {len(done)} raised " \
+               f"{len(done) - len(scored)}"
+        if scored:
+            mean = sum(e for _, e in scored) / len(scored)
+            line += (f" digits_min {min(d for d, _ in scored):.4f}"
+                     f" entries_mean {mean:.1f}")
+        print(line)
     return 0
 
 
