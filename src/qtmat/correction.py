@@ -4,9 +4,12 @@ A correction represents the semi-infinite matrix whose leading p x q block
 equals ``u @ v.T`` (plain transpose, also for complex data) and which is zero
 elsewhere.  The factored form is kept small by ``corr_compress``: thin QR
 factorizations, an SVD of the small core and a certified trim.  Sums
-concatenate factors, and so do products: ``corr_product`` forms the
-correction of (T(a) + E)(T(b) + F) as three pairs, the Hankel product,
-(T(a) + E) F and E T(b), of rank r_H + r_F + r_E.  So the rank r often
+concatenate factors, and so do products, by one stacking rule
+(``_stacked``): ``corr_product`` writes the correction of
+(T(a) + E)(T(b) + F) in one pass as three pairs, the Hankel product,
+(T(a) + E) F and E T(b), of rank r_H + r_F + r_E, the E F part added into
+T(a) F by the grow-and-add rule ``padded_sum`` that ``cqt.ExactSum``
+uses too.  So the rank r often
 exceeds min(p, q); the compression then first refactors the block exactly
 on its short side, (I_p, v u^T) when p <= q and (u v^T, I_q) otherwise,
 and runs a single QR.  Its results never have rank above min(p, q).  An
@@ -262,24 +265,54 @@ def abs_sum_norm(e):
 def corr_add(e1, e2, scale2=1.0):
     """Correction representing e1 + scale2 * e2 (uncompressed).
 
-    Factors are zero-padded to the common leading block and concatenated, so
-    the returned rank is the sum of the input ranks.  The result is real
-    only when both operands and ``scale2`` are.
+    Factors are zero-padded to the common leading block and concatenated
+    (``_stacked``), so the returned rank is the sum of the input ranks.
+    The result is real only when both operands and ``scale2`` are.
     """
     if e2.is_zero or scale2 == 0:
         return e1
     if e1.is_zero:
         return e2.scaled(scale2)
-    p = max(e1.p, e2.p)
-    q = max(e1.q, e2.q)
-    dtype = np.result_type(e1.u, e2.u, scale2)
-    u = np.zeros((p, e1.rank + e2.rank), dtype=dtype)
-    v = np.zeros((q, e1.rank + e2.rank), dtype=dtype)
-    u[:e1.p, :e1.rank] = e1.u
-    u[:e2.p, e1.rank:] = e2.u * _finite_scale(scale2)
-    v[:e1.q, :e1.rank] = e1.v
-    v[:e2.q, e1.rank:] = e2.v
-    return Correction._owned(u, v)
+    return _stacked([(e1.u, e1.v), (e2.u * _finite_scale(scale2), e2.v)])
+
+
+def _stacked(pairs):
+    """Correction sum of the factor pairs (u, v), in one pass.
+
+    Pairs with an empty factor are skipped.  The others are zero-padded to
+    the common leading block and concatenated in order into one pair of
+    their common dtype; a single one is kept as it is.
+    """
+    pairs = [(u, v) for u, v in pairs if u.size and v.size]
+    if len(pairs) <= 1:
+        return Correction._owned(*pairs[0]) if pairs else Correction.zero()
+    dtype = np.result_type(*(x for pair in pairs for x in pair), np.float64)
+    rank = sum(u.shape[1] for u, _ in pairs)
+    out_u = np.zeros((max(u.shape[0] for u, _ in pairs), rank), dtype=dtype)
+    out_v = np.zeros((max(v.shape[0] for _, v in pairs), rank), dtype=dtype)
+    col = 0
+    for u, v in pairs:
+        out_u[:u.shape[0], col:col + u.shape[1]] = u
+        out_v[:v.shape[0], col:col + u.shape[1]] = v
+        col += u.shape[1]
+    return Correction._owned(out_u, out_v)
+
+
+def padded_sum(acc, block):
+    """acc + block, each read as zero past its own shape.
+
+    Adds into acc in place when it is large enough and of a wide enough
+    dtype, so a caller passes an acc it owns.
+    """
+    rows, cols = block.shape
+    dtype = np.result_type(acc, block)
+    if rows > acc.shape[0] or cols > acc.shape[1] or dtype != acc.dtype:
+        grown = np.zeros((max(rows, acc.shape[0]), max(cols, acc.shape[1])),
+                         dtype)
+        grown[:acc.shape[0], :acc.shape[1]] = acc
+        acc = grown
+    acc[:rows, :cols] += block
+    return acc
 
 
 def corr_compress(e, tol):
@@ -436,21 +469,6 @@ def toeplitz_times_factor(sym, factor, row_cap=None):
     return sym.coeffs @ windows
 
 
-def corr_times_toeplitz(e, sym, col_cap=None):
-    """Correction E @ T(b) in factored form.
-
-    Uses E T(b) = U (T(b)^T V)^T where T(b)^T is the Toeplitz matrix of the
-    reversed symbol, so the column support grows by the number of positive
-    exponents of b.
-    """
-    if e.is_zero or sym.is_zero:
-        return Correction.zero()
-    w = toeplitz_times_factor(sym_reverse(sym), e.v, row_cap=col_cap)
-    if w.size == 0:
-        return Correction.zero()
-    return Correction._owned(e.u, w)
-
-
 def corr_times_corr(e1, e2):
     """Correction E1 @ E2 through the shared inner block."""
     if e1.is_zero or e2.is_zero:
@@ -462,43 +480,23 @@ def corr_times_corr(e1, e2):
     return Correction._owned(e1.u @ mid, e2.v)
 
 
-def _qt_times_corr(a, e, f, row_cap=None):
-    """Correction (T(a) + E) F as one pair (T(a) U_F + U_E V_E^T U_F, V_F).
-
-    T(a) F and E F end in the same right factor V_F, so their left factors
-    add: T(a) U_F (``row_cap`` clips its rows) plus U_E (V_E^T U_F), which
-    fills the leading p_E rows.  The rank is that of F.
-    """
-    if f.is_zero:
-        return Correction.zero()
-    left = toeplitz_times_factor(a, f.u, row_cap=row_cap)
-    if not e.is_zero:
-        inner = min(e.q, f.p)
-        ef = e.u @ (e.v[:inner].T @ f.u[:inner])
-        out = np.zeros((max(left.shape[0], e.p), f.rank),
-                       dtype=np.result_type(left, ef))
-        out[:left.shape[0], :left.shape[1]] = left  # left may be 0 x 0
-        out[:e.p] += ef
-        left = out
-    if left.size == 0:
-        return Correction.zero()
-    return Correction._owned(left, f.v)
-
-
 def corr_product(a, e, b, f, cap=None):
     """Correction of (T(a) + E)(T(b) + F) - T(ab), uncompressed.
 
     T(a) T(b) = T(ab) - H(a^-) H(b^+), so the correction is
     -H(a^-) H(b^+) + (T(a) + E) F + E T(b), three factor pairs of ranks
-    r_H = min(support lengths of a^- and b^+), r_F and r_E, concatenated
-    in that order: rank r_H + r_F + r_E.  T(a) F and E F share the right
-    factor of F, so they form one pair (``_qt_times_corr``).  ``cap``
-    clips the Hankel and Toeplitz terms to the leading cap x cap block, for
-    finite corners, whose E and F fit in it.
+    r_H = min(support lengths of a^- and b^+), r_F and r_E, written once
+    into one pair by ``_stacked``, in that order: rank r_H + r_F + r_E.
+    T(a) F and E F share the right factor of F, so their left factors add
+    (``padded_sum``): T(a) U_F plus U_E V_E^T U_F, which fills the leading
+    p_E rows.  E T(b) = U_E (T(b~) V_E)^T with b~ the reversed symbol, as
+    T(b)^T = T(b~).  ``cap`` clips the Hankel and Toeplitz terms to the
+    leading cap x cap block, for finite corners, whose E and F fit in it.
     """
     a_minus, _, _ = sym_split(a)
     _, _, b_plus = sym_split(b)
-    corr = corr_add(Correction.zero(), hankel_product(a_minus, b_plus, cap),
-                    -1.0)
-    corr = corr_add(corr, _qt_times_corr(a, e, f, row_cap=cap))
-    return corr_add(corr, corr_times_toeplitz(e, b, col_cap=cap))
+    h = hankel_product(a_minus, b_plus, cap)
+    af = padded_sum(toeplitz_times_factor(a, f.u, row_cap=cap),
+                    corr_times_corr(e, f).u)
+    eb = toeplitz_times_factor(sym_reverse(b), e.v, row_cap=cap)
+    return _stacked([(-h.u, h.v), (af, f.v), (e.u, eb)])

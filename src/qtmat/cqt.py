@@ -27,6 +27,7 @@ from .correction import (
     corr_compress,
     corr_product,
     hankel_product,
+    padded_sum,
     toeplitz_times_factor,
 )
 from .errors import CertificateError, SingularMatrixError
@@ -142,7 +143,8 @@ class ExactSum:
     """Exact running sum of scaled matrices of one class and size.
 
     It holds the symbol, one dense block per correction grown to the
-    largest term's (``_padded_sum``) and the summed term masses: a term
+    largest term's (``correction.padded_sum``, the grow-and-add rule that
+    ``corr_product`` uses too) and the summed term masses: a term
     c (T(a) + E) weighs |c| ||a||_W plus the entry mass of c E.
     ``result`` truncates the symbol and factors each block once, budgeted
     against that mass.  The series sums f_k A^k with it, the contour engine
@@ -167,8 +169,8 @@ class ExactSum:
                 continue
             block = (c.u * coef) @ c.v.T
             self.mass += float(np.abs(block).sum())
-            self.blocks[i] = _padded_sum(self.blocks[i],
-                                         block.real if real else block)
+            self.blocks[i] = padded_sum(self.blocks[i],
+                                        block.real if real else block)
 
     def halved(self):
         """Half of this sum, mass included, as a new sum."""
@@ -180,7 +182,7 @@ class ExactSum:
     def distance(self, other):
         """Exact ``norm_cqt`` of this sum minus ``other``."""
         nw, nw1 = wiener_norms(sym_add(self.sym, sym_scale(other.sym, -1.0)))
-        return nw + nw1 + sum(float(np.abs(_padded_sum(-p, b)).sum())
+        return nw + nw1 + sum(float(np.abs(padded_sum(-p, b)).sum())
                               for b, p in zip(self.blocks, other.blocks))
 
     def result(self, tol):
@@ -189,23 +191,6 @@ class ExactSum:
             sym_truncate(self.sym, tol),
             [Correction.from_dense(b, tol, scale=self.mass)
              for b in self.blocks])
-
-
-def _padded_sum(acc, block):
-    """acc + block, each read as zero past its own shape.
-
-    Adds into acc in place when it is large enough and of a wide enough
-    dtype, so a caller passes an acc it owns.
-    """
-    rows, cols = block.shape
-    dtype = np.result_type(acc, block)
-    if rows > acc.shape[0] or cols > acc.shape[1] or dtype != acc.dtype:
-        grown = np.zeros((max(rows, acc.shape[0]), max(cols, acc.shape[1])),
-                         dtype)
-        grown[:acc.shape[0], :acc.shape[1]] = acc
-        acc = grown
-    acc[:rows, :cols] += block
-    return acc
 
 
 def _scalar(a):

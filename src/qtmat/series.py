@@ -7,8 +7,9 @@ within the term cap fails before any product is formed.  Then one term
 loop (``_sum_series``) forms the powers A^i (and A^{-i} for a Laurent
 series) by the algebra's compressed products, adds each f_i A^i exactly
 into the contour engine's running sum (``cqt.ExactSum``), factored once,
-and finally refreshes the Toeplitz part by evaluating the scalar function
-on the symbol at unit roots and interpolating.  The same code drives
+and finally, when the spec gives the scalar function, refreshes the
+Toeplitz part by evaluating it on the symbol at unit roots and
+interpolating.  The same code drives
 semi-infinite and finite matrices through the shared algebra protocol.
 
 A mirrored finite matrix (J A J = A, J the anti-identity), such as a
@@ -55,7 +56,9 @@ class SeriesSpec:
     coeff       callback i -> f_i; one-sided series return 0 for i < 0
     radius      radius of the disk of analyticity (one-sided series)
     annulus     (r_f, R_f) annulus of analyticity for Laurent series
-    scalar      optional closed-form scalar map used for the symbol part
+    scalar      optional closed-form scalar map; when given, the symbol
+                part of the result is interp(f(a(w))) on a fine grid,
+                otherwise the truncated series' own summed symbol
     degree      exact top degree when the series is a polynomial
     neg_degree  exact bottom degree (positive number) for Laurent polynomials
     """
@@ -340,9 +343,11 @@ def _sum_series(matrix, inv, pos, neg, tail, scalar, cfg, with_info):
     ``cqt.ExactSum``, factored once after the last term, so only products
     compress.  Without ``inv``, a matrix whose ``semi_infinite_half``
     stands for it sums the terms on that half, whose correction then
-    serves as every corner.  Then the symbol is
-    refreshed with ``scalar``, or the partial sum's own map when it is
-    None, and with ``with_info`` the record of ``funm_taylor`` comes along.
+    serves as every corner.  With ``scalar`` the symbol is then refreshed
+    to interp(f(a(w))) (``_refresh_symbol``); without it the summed symbol
+    stays, clipped by ``with_symbol``, since refreshing would only
+    re-evaluate the same truncated polynomial on a grid.  With
+    ``with_info`` the record of ``funm_taylor`` comes along.
 
     Real in, real out: when A is stored real and every f_k is real, f maps
     reals to reals, so the coefficients are summed as floats (the powers
@@ -369,25 +374,14 @@ def _sum_series(matrix, inv, pos, neg, tail, scalar, cfg, with_info):
         # The half's one correction is every corner of the matrix.
         total = matrix.with_parts(
             total.symbol, total.corrections * len(matrix.corrections))
-    total = _refresh_symbol(total, matrix.symbol,
-                            scalar or _partial_scalar(pos, neg), cfg, real)
+    if scalar is None:
+        total = total.with_symbol(total.symbol)
+    else:
+        total = _refresh_symbol(total, matrix.symbol, scalar, cfg, real)
     if not with_info:
         return total
     return total, {"terms": terms, "tail_estimate": tail,
                    "ranks": [(c.p, c.q, c.rank) for c in total.corrections]}
-
-
-def _partial_scalar(pos, neg):
-    """Scalar map of the partial sum; no 1/x without a negative part."""
-    ps = np.asarray(pos, dtype=np.complex128)[::-1]
-    ns = np.asarray(neg, dtype=np.complex128)[::-1]
-
-    def scalar(x):
-        x = np.asarray(x, dtype=np.complex128)
-        out = np.polyval(ps, x)
-        return out + np.polyval(ns, 1.0 / x) if ns.size else out
-
-    return scalar
 
 
 def _refresh_symbol(total, arg_symbol, scalar, cfg, real):

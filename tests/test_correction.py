@@ -1,17 +1,28 @@
 """Factored corrections against dense materialization oracles."""
 
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import qtmat.correction
 from qtmat import (
     Correction,
+    CqtMatrix,
+    FiniteQtMatrix,
     LaurentSymbol,
     abs_sum_norm,
     corr_add,
     corr_compress,
+    cqt_mul,
+    finite_section,
+    fqt_mul,
+    fqt_to_dense,
     hankel_product,
+    power_corrections,
+    sym_mul,
+    sym_scale,
     sym_split,
 )
 from qtmat.config import ROUNDING_ULPS
@@ -20,13 +31,15 @@ from qtmat.correction import (
     _kept_rank,
     corr_product,
     corr_times_corr,
-    corr_times_toeplitz,
     toeplitz_times_factor,
 )
+from qtmat.symbol import sym_reverse
 
 from tests.support import (
     convolve_oracle,
     dense_correction_oracle,
+    dense_cqt_oracle,
+    dense_fqt_oracle,
     dense_hankel_minus,
     dense_hankel_plus,
     dense_toeplitz_oracle,
@@ -207,7 +220,7 @@ def test_corr_toeplitz_products_vs_dense():
         got = Correction(toeplitz_times_factor(sym, e.u), e.v)
         assert np.abs(dense_correction_oracle(got, n, n)
                       - dense_t @ dense_e).max() < 1e-12
-        got2 = corr_times_toeplitz(e, sym)
+        got2 = Correction(e.u, toeplitz_times_factor(sym_reverse(sym), e.v))
         assert np.abs(dense_correction_oracle(got2, n, n)
                       - dense_e @ dense_t).max() < 1e-12
 
@@ -312,6 +325,59 @@ def test_corr_product_counts_the_rank_of_f_once(real, cap):
         got = corr_product(a, e, b, f, cap)
         assert got.rank == r_h + f.rank + e.rank
         assert got.u.dtype == (np.float64 if real else np.complex128)
+
+
+def _counted_corr_add(monkeypatch):
+    """The list of corr_add calls, counted through every qtmat binding."""
+    calls = []
+    corr_add = qtmat.correction.corr_add
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return corr_add(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qtmat" and getattr(
+                module, "corr_add", None) is corr_add:
+            monkeypatch.setattr(module, "corr_add", counted)
+    return calls
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_every_product_writes_its_correction_in_one_pass(monkeypatch, real):
+    # corr_product stacks its three pairs at once, so no product adds
+    # corrections: not cqt_mul, not fqt_mul while its corners stay apart,
+    # not power_corrections.
+    rng = np.random.default_rng(35)
+    a, e = _product_factors(rng, "both", real)
+    b, f = _product_factors(rng, "both", real)
+    a, b = sym_scale(a, 0.2), sym_scale(b, 0.2)
+    calls = _counted_corr_add(monkeypatch)
+
+    n = 24
+    got = finite_section(cqt_mul(CqtMatrix(a, e), CqtMatrix(b, f)), n)
+    want = (dense_cqt_oracle(CqtMatrix(a, e), 2 * n)
+            @ dense_cqt_oracle(CqtMatrix(b, f), 2 * n))[:n, :n]
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    fa = FiniteQtMatrix(200, a, e, f)
+    fb = FiniteQtMatrix(200, b, f, e)
+    got = fqt_to_dense(fqt_mul(fa, fb))
+    want = dense_fqt_oracle(fa) @ dense_fqt_oracle(fb)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    powers = power_corrections(a, e, 5)
+    big = n + 6 * (a.support_len + e.p + e.q)
+    dense_a = dense_cqt_oracle(CqtMatrix(a, e), big)
+    dense_pow = np.eye(big)
+    apow = LaurentSymbol.one()
+    for d in powers[1:]:
+        dense_pow = dense_pow @ dense_a
+        apow = sym_mul(apow, a)
+        want = dense_pow[:n, :n] - dense_toeplitz_oracle(apow, n)
+        assert np.abs(dense_correction_oracle(d, n, n) - want).max() \
+            <= 1e-12 * max(1.0, np.abs(dense_pow[:n, :n]).max())
+    assert calls == []
 
 
 def test_from_dense_round_trip():

@@ -202,6 +202,17 @@ def test_funm_taylor_symbol_matches_scalar_values():
         * max(1.0, np.abs(np.exp(va)).max())
 
 
+def test_the_symbol_refresh_keeps_a_cancelling_series_accurate():
+    # On the unit circle exp(a) stays below e^-16, while the series terms
+    # reach 24^k / k!, about e^21: the summed symbol loses some 1e-6 to
+    # cancellation, which interp(exp(a(w))) replaces by the accurate one.
+    a = CqtMatrix(LaurentSymbol([2.0, -20.0, 2.0], -1),
+                  Correction(np.full((3, 1), 0.1), np.ones((3, 1))))
+    got = finite_section(funm_taylor(a, SeriesSpec.exp()), 60)
+    want = scipy.linalg.expm(finite_section(a, 400))[:60, :60]
+    assert np.abs(got - want).max() <= 1e-7 * max(1.0, np.abs(want).max())
+
+
 def test_funm_taylor_tail_estimate_sound():
     a = CqtMatrix(LaurentSymbol(np.ones(3), -1))
     _, info = funm_taylor(a, SeriesSpec.exp(), with_info=True)
