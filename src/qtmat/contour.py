@@ -29,9 +29,12 @@ size alone:
   the series engine shares: their symbol coefficients and each correction
   as a dense block grown to the largest node support, added exactly, with
   the symbol truncated and each block factored once, after convergence.
-  Node resolvents depend only on the matrix, the node and the tolerances,
-  so one module slot keeps those of the last matrix, up to a byte cap, for
-  the next run on an equal matrix with the same tolerances, whatever its f.
+
+What a node contributes depends only on the matrix, the node and the
+tolerances, never on f.  So one module slot keeps the node entries of the
+last run, a resolvent in the algebra form and the certified inverse columns
+in the dense form, up to a byte cap, and a later run of the same form on an
+equal matrix with the same tolerances takes them from it, whatever its f.
 
 Both forms sum exactly and split once, so the level differences carry no
 compression noise and the predicted error is taken as it is.
@@ -71,8 +74,8 @@ _TWO_PI_I = 2j * math.pi
 
 _EPS = np.finfo(np.float64).eps
 
-# Bytes of node resolvents the slot keeps; past it they are used and dropped.
-_SLOT_BYTES = 32 << 20
+# Bytes of node entries the slot keeps; past it they are used and dropped.
+_SLOT_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -103,12 +106,28 @@ class ContourSpec:
 
     @classmethod
     def custom(cls, gamma, dgamma, interval):
+        """A closed curve gamma on ``interval``, run counterclockwise.
+
+        Raises ValueError unless gamma(a) == gamma(b) and the signed
+        (shoelace) area of the sampled curve is positive: on a clockwise
+        curve the resolvent integral is -f(A).
+        """
         a, b = interval
         if not b > a:
             raise ValueError("interval must have positive length")
         if abs(gamma(a) - gamma(b)) > 1e-9 * max(1.0, abs(gamma(a))):
             raise ValueError("contour must be closed: gamma(a) == gamma(b)")
-        return cls(gamma=gamma, dgamma=dgamma, interval=(float(a), float(b)))
+        spec = cls(gamma=gamma, dgamma=dgamma, interval=(float(a), float(b)))
+        curve = spec._samples()
+        # Shoelace: twice the signed area is sum Im(conj(z_i) z_{i+1}).
+        if not np.sum(np.conj(curve[:-1]) * curve[1:]).imag > 0:
+            raise ValueError("contour must run counterclockwise")
+        return spec
+
+    def _samples(self):
+        """gamma at 1024 equispaced points of the interval, both ends in."""
+        a, b = self.interval
+        return np.array([self.gamma(x) for x in np.linspace(a, b, 1024)])
 
     def contains(self, points):
         """Whether each point lies inside the contour."""
@@ -116,9 +135,7 @@ class ContourSpec:
         if self.kind == "circle":
             return np.abs(points - self.center) < self.radius
         # Polygonal winding of a dense sample of the curve around each point.
-        a, b = self.interval
-        xs = np.linspace(a, b, 1024)
-        curve = np.array([self.gamma(x) for x in xs])
+        curve = self._samples()
         out = np.empty(points.shape, dtype=bool)
         for i, pt in enumerate(points.ravel()):
             rel = curve - pt
@@ -217,7 +234,7 @@ def _slot_key(matrix, cfg):
 
 
 class _NodeResolvents:
-    """R(z) for one slot key by exact node z, at most _SLOT_BYTES of them."""
+    """Node entries of one slot key by exact node z, at most _SLOT_BYTES."""
 
     def __init__(self, key=None):
         self.key = key
@@ -225,17 +242,16 @@ class _NodeResolvents:
         self.nbytes = 0
         self._lock = threading.Lock()
 
-    def store(self, z, r):
-        size = sum(x.nbytes for x in _stored_arrays(r))
+    def store(self, z, entry, size):
         with self._lock:
             if z not in self.by_node and self.nbytes + size <= _SLOT_BYTES:
-                self.by_node[z] = r
+                self.by_node[z] = entry
                 self.nbytes += size
 
 
-# The node resolvents of the last (matrix, cfg) pair.  A run binds the store
-# it finds, or puts a new one in its place, once on entry, so runs on
-# different matrices never read or write each other's resolvents.
+# The node entries of the last (sum form, matrix, cfg) triple.  A run binds
+# the store it finds, or puts a new one in its place, once on entry, so runs
+# on different matrices never read or write each other's entries.
 _slot = _NodeResolvents()
 
 
@@ -321,30 +337,35 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
     difference) runs in real arithmetic.  Any node that fails a test gets
     its own resolvent.
 
-    In the algebra form, calls on one matrix share their node resolvents.
-    A module slot keeps those of the last run's matrix, and a later call
-    takes R(z) from it, for any f, when all of these hold:
+    Calls on one matrix share what their nodes contribute, in both forms:
+    the resolvent in the algebra form, and in the dense form the certified
+    inverse columns with their entry mass.  A module slot keeps those of the
+    last run, and a later call takes a node's entry from it, for any f, when
+    all of these hold:
 
+    - the sum form is the same, and in the dense form whether the band is
+      mirrored (a dense entry never serves the algebra form, nor the
+      reverse);
     - the matrix is of the same class and size, with a symbol and
       correction factors equal bit for bit (an equal matrix parsed afresh
       qualifies; identity does not matter);
     - ``cfg`` is equal in every field;
     - the node z is equal bit for bit, as on the same contour.
 
-    A stored resolvent is the object the same code would recompute, so the
-    result does not depend on what the slot holds.  The slot keeps at most
-    32 MiB of resolvents; past that they are used and dropped.  A call on
-    another matrix replaces the whole slot, and a run keeps the store it
-    bound on entry, so concurrent calls on different matrices are safe and
-    at worst miss.  The dense form neither reads nor writes the slot: its
-    node inverses are m x m arrays, too large to keep, so a run on the same
-    matrix solves them again.
+    A stored entry is the array the same solve would return, added in the
+    same order, so the result does not depend on what the slot holds.  The
+    slot keeps at most 4 MiB of entries; past that they are used and
+    dropped.  A dense entry of a mirrored band is m x ceil(m/2) complex
+    values, 318 KB at m = 199, so the cap keeps the first 13 nodes
+    there and every node of a small matrix.  A call on another matrix
+    replaces the whole slot, and a run keeps the store it bound on entry,
+    so concurrent calls on different matrices are safe and at worst miss.
 
     With ``with_info`` the result comes with a dict: ``levels``, ``nodes``
     (2^levels), ``resolvents`` (the distinct node resolvents the run that
     produced the result used; 2^(levels-1) + 1 when every pair shares one,
     and 2^levels when none does), ``reused`` (how many of those came from
-    the slot rather than from a new inversion; 0 in the dense form),
+    the slot rather than from a new inversion, in either form),
     ``level_diffs``, ``predicted_error`` (the guarded prediction at the
     last level, None when the decay guard did not hold there),
     ``stopped_on`` ("difference" or "prediction"), ``level_sum`` ("dense"
@@ -461,39 +482,62 @@ def _predicted_error(diffs):
     return d0 * d0 / d1
 
 
-class _AlgebraSum:
-    """Level sums of slot-shared node resolvents of the algebra.
+class _SlotSum:
+    """A running-sum form whose node entries pass through the slot.
 
-    Each level's sum is a ``cqt.ExactSum``: node terms add exactly, and the
-    result is truncated and factored once (see ``funm_contour``).  This
-    keeps the slot lookup and the count of reused resolvents.
+    On entry it binds the store of its key, the form (``kind``, and whether
+    the sums start on half columns) plus ``_slot_key``, or puts a new store
+    in the slot's place, so one form never reads another's entries on an
+    equal matrix.  ``node`` takes a node's entry from that store, or solves
+    it (``solve``) and stores it, up to the byte cap; ``reused`` counts the
+    entries it took.
     """
 
-    kind = "algebra"
     mirrored = False
 
     def __init__(self, matrix, cfg):
         global _slot
-        key = _slot_key(matrix, cfg)
+        key = (self.kind, self.mirrored) + _slot_key(matrix, cfg)
         store = _slot
         if store.key != key:
             store = _slot = _NodeResolvents(key)
         self.store, self.matrix, self.cfg = store, matrix, cfg
+        self.reused = 0
+
+    def node(self, z):
+        entry = self.store.by_node.get(z)
+        if entry is not None:
+            self.reused += 1
+            return entry
+        entry, size = self.solve(z)
+        self.store.store(z, entry, size)
+        return entry
+
+
+class _AlgebraSum(_SlotSum):
+    """Level sums of node resolvents of the algebra.
+
+    Each level's sum is a ``cqt.ExactSum``: node terms add exactly, and the
+    result is truncated and factored once (see ``funm_contour``).  A node's
+    entry is its resolvent.
+    """
+
+    kind = "algebra"
+
+    def __init__(self, matrix, cfg):
+        super().__init__(matrix, cfg)
         self.sum = ExactSum(matrix)
         self.prev = None
-        self.reused = 0
 
     def next_level(self):
         self.prev, self.sum = self.sum, self.sum.halved()
 
+    def solve(self, z):
+        r = resolvent(self.matrix, z, self.cfg)
+        return r, sum(x.nbytes for x in _stored_arrays(r))
+
     def add(self, z, coef, paired):
-        r = self.store.by_node.get(z)
-        if r is None:
-            r = resolvent(self.matrix, z, self.cfg)
-            self.store.store(z, r)
-        else:
-            self.reused += 1
-        self.sum.add(r, coef, real=paired)
+        self.sum.add(self.node(z), coef, real=paired)
 
     def difference(self):
         return self.sum.distance(self.prev)
@@ -502,25 +546,26 @@ class _AlgebraSum:
         return self.sum.result(self.cfg.tol_trunc)
 
 
-class _DenseSum:
+class _DenseSum(_SlotSum):
     """Level sums of a small finite matrix as dense arrays.
 
     Node inverses are columns of (zI - A)^{-1}, solved on the band of -A
     built once (``finite.BandMatrix``) and certified as ``fqt_inv``
     certifies; they are summed exactly, and the result is split into band
-    and corners once, budgeted against the summed node masses.  Nothing is
-    stored in the slot.  On a mirrored band the sums keep the first
-    ceil(m/2) columns only, until a node's half misses its certificate
-    (see ``funm_contour``).
+    and corners once, budgeted against the summed node masses.  A node's
+    entry is its column block and the entry mass of the inverse it stands
+    for.  On a mirrored band the sums keep the first ceil(m/2) columns
+    only, until a node's half misses its certificate (see
+    ``funm_contour``).  A stored half block read after the sums have gone
+    full enters them expanded, as they were.
     """
 
     kind = "dense"
-    reused = 0
 
     def __init__(self, matrix, cfg):
         self.band = BandMatrix(matrix.scale(-1.0))
-        self.matrix, self.cfg = matrix, cfg
         self.mirrored = self.band.mirrored
+        super().__init__(matrix, cfg)
         self.acc = self.prev = None
         self.mass = 0.0
 
@@ -535,7 +580,7 @@ class _DenseSum:
             self.acc = 0.5 * self.prev
             self.mass *= 0.5
 
-    def add(self, z, coef, paired):
+    def solve(self, z):
         try:
             x, worst = self.band.shifted_inverse(z, self.cfg,
                                                  half=self.mirrored)
@@ -546,17 +591,24 @@ class _DenseSum:
         if records is not None:
             records.append({"path": "banded", "columns": x.shape[1],
                             "residual": worst})
+        m = self.matrix.m
+        mass = float(np.abs(x).sum())
+        if x.shape[1] < m:
+            # The half stands for both halves, which share a middle column
+            # when m is odd.
+            middle = np.abs(x[:, -1]).sum() if m % 2 else 0.0
+            mass = 2.0 * mass - float(middle)
+        return (x, mass), x.nbytes
+
+    def add(self, z, coef, paired):
+        x, mass = self.node(z)
         if x.shape[1] > self.acc.shape[1]:
             self.acc, self.prev = self._full(self.acc), self._full(self.prev)
             self.mirrored = False
+        elif x.shape[1] < self.acc.shape[1]:
+            x = mirrored_columns(x, np.arange(self.matrix.m))
         term = coef * x
         self.acc = self.acc + (term.real if paired else term)
-        mass = float(np.abs(x).sum())
-        if self.mirrored:
-            # The half stands for both halves, which share a middle column
-            # when m is odd.
-            middle = np.abs(x[:, -1]).sum() if self.matrix.m % 2 else 0.0
-            mass = 2.0 * mass - float(middle)
         self.mass += abs(coef) * mass
 
     def _full(self, part):

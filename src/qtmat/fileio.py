@@ -60,10 +60,16 @@ def serialize(x):
         raise TypeError(f"cannot serialize {type(x).__name__}")
     lines.append(f"symbol {x.symbol.min_deg} {x.symbol.coeffs.size}")
     _emit_block(lines, x.symbol.coeffs[:, None])
+    # A mirrored finite result holds one Correction in both corners; its
+    # lines are formatted once and written twice.
+    written = {}
     for corr in x.corrections:
-        lines.append(f"correction {corr.p} {corr.q} {corr.rank}")
-        _emit_block(lines, corr.u)
-        _emit_block(lines, corr.v)
+        if id(corr) not in written:
+            block = [f"correction {corr.p} {corr.q} {corr.rank}"]
+            _emit_block(block, corr.u)
+            _emit_block(block, corr.v)
+            written[id(corr)] = block
+        lines.extend(written[id(corr)])
     return "\n".join(lines) + "\n"
 
 

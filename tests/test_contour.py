@@ -1,5 +1,6 @@
 """Contour engine: quadrature family, resolvents, doubling convergence."""
 
+import cmath
 import logging
 import math
 import sys
@@ -421,6 +422,22 @@ def test_contour_raises_enclosure_error_without_inflation_retry(caplog):
     assert not caplog.records
 
 
+def test_a_clockwise_custom_contour_is_refused():
+    # The circle of radius 1 about 1.5, run clockwise: the resolvent integral
+    # on it is -f(A), which the engine returned without an error.
+    with pytest.raises(ValueError, match="counterclockwise"):
+        ContourSpec.custom(lambda x: 1.5 + cmath.exp(-1j * x),
+                           lambda x: -1j * cmath.exp(-1j * x),
+                           (0.0, 2 * math.pi))
+    counterclockwise = ContourSpec.custom(lambda x: 1.5 + cmath.exp(1j * x),
+                                          lambda x: 1j * cmath.exp(1j * x),
+                                          (0.0, 2 * math.pi))
+    a = FiniteQtMatrix(30, LaurentSymbol([0.2, 1.5, 0.2], -1))
+    got = funm_contour(a, np.sqrt, counterclockwise, _CFG)
+    want = scipy.linalg.sqrtm(dense_fqt_oracle(a))
+    assert np.abs(fqt_to_dense(got) - want).max() <= 1e-8
+
+
 def test_invalid_contours():
     with pytest.raises(ValueError):
         ContourSpec.circle(0.0, -1.0)
@@ -541,15 +558,73 @@ def test_finite_inverses_need_no_dense_inverse(monkeypatch):
         assert info["path"] == ("banded" if m == 40 else "factored")
         if m == 40:
             assert np.abs(fqt_to_dense(r) - want_small).max() < 1e-12
-    slot = qtmat.contour._NodeResolvents()
-    monkeypatch.setattr(qtmat.contour, "_slot", slot)
     a = _finite_i_plus_h2(40)
+    _, first = funm_contour(a, np.sqrt, _CIRCLE, _CFG, with_info=True)
+    assert first["level_sum"] == "dense" and first["reused"] == 0
+    assert first["inverse_paths"] == {"banded": first["resolvents"]}
+    # The log run takes every node inverse of the sqrt run from the slot.
+    got, info = funm_contour(a, np.log, _CIRCLE, _CFG, with_info=True)
+    assert info["level_sum"] == "dense"
+    assert info["reused"] == info["resolvents"] > 0
+    assert info["inverse_paths"] == {} and info["inverse_columns"] == {}
+    assert info["inverse_residual_max"] is None
+    _empty_slot()
+    want = funm_contour(a, np.log, _CIRCLE, _CFG)
+    assert _bit_equal(got, want)
+
+
+def _dense_entry_bytes(slot):
+    return sum(x.nbytes for x, _ in slot.by_node.values())
+
+
+def test_byte_cap_bounds_the_dense_entries_and_leaves_results_unchanged(
+        monkeypatch):
+    a = _finite_i_plus_h2(40)
+    want = []
     for f in (np.sqrt, np.log):
-        _, info = funm_contour(a, f, _CIRCLE, _CFG, with_info=True)
-        assert info["level_sum"] == "dense" and info["reused"] == 0
-        assert info["inverse_paths"] == {"banded": info["resolvents"]}
-    # The dense sum neither reads nor writes the slot.
-    assert qtmat.contour._slot is slot and slot.by_node == {}
+        _empty_slot()
+        want.append(funm_contour(a, f, _CIRCLE, _CFG))
+    _empty_slot()
+    # Room for five of the 40 x 20 complex half blocks.
+    cap = 5 * 40 * 20 * 16
+    monkeypatch.setattr(qtmat.contour, "_SLOT_BYTES", cap)
+    got = []
+    for f in (np.sqrt, np.log):
+        r, info = funm_contour(a, f, _CIRCLE, _CFG, with_info=True)
+        got.append(r)
+    slot = qtmat.contour._slot
+    assert info["level_sum"] == "dense" and info["mirrored"]
+    assert _dense_entry_bytes(slot) == slot.nbytes <= cap
+    assert 0 < info["reused"] == len(slot.by_node) < info["resolvents"]
+    assert info["inverse_paths"] == {
+        "banded": info["resolvents"] - info["reused"]}
+    assert all(_bit_equal(g, w) for g, w in zip(got, want))
+
+
+def test_the_sum_form_is_in_the_slot_key():
+    # An algebra run after a dense run on the same matrix and cfg reads no
+    # dense entry, and neither result depends on what the slot held.
+    a = _finite_i_plus_h2(40)
+
+    def algebra(f):
+        return qtmat.contour._sum_levels(
+            qtmat.contour._AlgebraSum(a, _CFG), f, _CIRCLE, _CFG)
+
+    want_dense = funm_contour(a, np.sqrt, _CIRCLE, _CFG)
+    _empty_slot()
+    want_algebra, _ = algebra(np.log)
+    _empty_slot()
+    dense, dense_info = funm_contour(a, np.sqrt, _CIRCLE, _CFG,
+                                     with_info=True)
+    assert qtmat.contour._slot.key[0] == "dense"
+    got, info = algebra(np.log)
+    assert qtmat.contour._slot.key[0] == "algebra"
+    assert dense_info["level_sum"] == "dense"
+    assert info["level_sum"] == "algebra" and info["reused"] == 0
+    assert _bit_equal(dense, want_dense) and _bit_equal(got, want_algebra)
+    # The algebra run took the slot, so a dense run solves every node anew.
+    _, again = funm_contour(a, np.sqrt, _CIRCLE, _CFG, with_info=True)
+    assert again["reused"] == 0
 
 
 def test_uncertifiable_tolerance_is_not_an_on_spectrum_error(caplog):

@@ -17,6 +17,7 @@ from qtmat import (
     serialize,
     write_file,
 )
+import qtmat.fileio
 
 from tests.support import random_cqt, random_fqt
 
@@ -130,6 +131,29 @@ def test_finite_blocks_order_tl_then_br():
     b = parse(serialize(a))
     assert b.corr_tl.u[0, 0] == 1.0
     assert b.corr_br.u[0, 0] == 3.0
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_a_shared_corner_is_formatted_once(dtype, monkeypatch):
+    # A mirrored series result holds one Correction in both corners.
+    rng = np.random.default_rng(3)
+    corr = Correction(rng.standard_normal((7, 3)).astype(dtype),
+                      rng.standard_normal((5, 3)).astype(dtype))
+    symbol = LaurentSymbol(np.array([0.5, 2.0, 0.5], dtype=dtype), -1)
+    copied = FiniteQtMatrix(20, symbol, corr,
+                            Correction(corr.u.copy(), corr.v.copy()))
+    want = serialize(copied)
+    emit = qtmat.fileio._emit_block
+    blocks = []
+
+    def counting(lines, block):
+        blocks.append(block.shape)
+        return emit(lines, block)
+
+    monkeypatch.setattr(qtmat.fileio, "_emit_block", counting)
+    shared = FiniteQtMatrix(20, symbol, corr, corr)
+    assert serialize(shared) == want
+    assert blocks == [(3, 1), (7, 3), (5, 3)]
 
 
 def test_real_and_complex_storage_serialize_alike():
