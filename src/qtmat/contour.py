@@ -19,22 +19,25 @@ size alone:
 
 - dense, for a finite matrix whose node inverses ``fqt_inv`` would solve in
   every column (``finite.solves_every_column``: m <= 256 for a band
-  narrower than 64).  Each node inverse is solved on the band of -A, built
-  once per run, and the sum stays an exact dense array, split into band
-  and corners once, after convergence.  When the band is centrosymmetric
-  (J A J = A, J the anti-identity, as for I + H^10), so is every node
-  inverse, and only its first ceil(m/2) columns are solved and summed;
+  narrower than 64).  Each node inverse is one ``?gbsv`` solve on the band of
+  -A, built once per run, and the sum stays an exact dense array, split into
+  band and corners once, after convergence.  When the band is centrosymmetric
+  (J A J = A, J the anti-identity, as for I + H^10), so is every node inverse,
+  and only its first ceil(m/2) columns are solved and summed;
 - algebra, for semi-infinite and larger finite matrices.  Node resolvents
   are matrices of the algebra, summed by ``cqt.ExactSum``, the running sum
   the series engine shares: their symbol coefficients and each correction
   as a dense block grown to the largest node support, added exactly, with
   the symbol truncated and each block factored once, after convergence.
 
-What a node contributes depends only on the matrix, the node and the
-tolerances, never on f.  So one module slot keeps the node entries of the
-last run, a resolvent in the algebra form and the certified inverse columns
-in the dense form, up to a byte cap, and a later run of the same form on an
-equal matrix with the same tolerances takes them from it, whatever its f.
+For a real matrix, conjugate nodes share one resolvent on any contour,
+by a test on each level's nodes and coefficients.  What a node contributes
+depends only on the matrix, the node and the tolerances, never on f, and
+the matrix also decides the sum form.  So one module slot, keyed by the
+matrix and the tolerances, keeps the node entries of the last run, a
+resolvent in the algebra form and the certified inverse columns in the
+dense form, up to a byte cap, and a later run on an equal matrix with the
+same tolerances takes them from it, whatever its f.
 
 Both forms sum exactly and split once, so the level differences carry no
 compression noise and the predicted error is taken as it is.
@@ -249,9 +252,9 @@ class _NodeResolvents:
                 self.nbytes += size
 
 
-# The node entries of the last (sum form, matrix, cfg) triple.  A run binds
-# the store it finds, or puts a new one in its place, once on entry, so runs
-# on different matrices never read or write each other's entries.
+# The node entries of the last (matrix, cfg) pair.  A run binds the store
+# it finds, or puts a new one in its place, once on entry, so runs on
+# different matrices never read or write each other's entries.
 _slot = _NodeResolvents()
 
 
@@ -301,8 +304,8 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
       symbol plus the entry mass of its corrections.
     - In the dense form, for a finite matrix with
       ``finite.solves_every_column``, each node's inverse is every column
-      of a banded LU solve of zI - A, certified on sampled columns as
-      ``fqt_inv`` certifies (a singular factorization is an
+      of one banded ``?gbsv`` solve of zI - A, certified on sampled columns
+      as ``fqt_inv`` certifies (a singular factorization is an
       OnSpectrumError).  The sums are m x m arrays; the level difference is
       ``norm_cqt`` of their split with the corners summed entrywise
       (``finite.fqt_split_norm``), and the result is split by
@@ -321,45 +324,48 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
     full inverse certifies, the sums are expanded once and every later node
     is solved in full, and otherwise the run raises CertificateError.
 
-    Conjugate nodes share one resolvent.  Node k and its mirror 2^n - k are
-    summed as 2 Re(c_k R(z_k)), and a node that is its own mirror (k = 0 or
-    2^(n-1)) as Re(c_k R(z_k)), when all of these hold:
+    Conjugate nodes share one resolvent, on any contour.  With
+    c_k = h gamma'(t_k) f(z_k) / (2 pi i) the coefficient of node k, node
+    k and its mirror j = (2^n - k) mod 2^n are summed as 2 Re(c_k R(z_k)),
+    and a node that is its own mirror (k = 0 or 2^(n-1)) as
+    Re(c_k R(z_k)), when all of these hold:
 
-    - the contour is a circle whose centre has zero imaginary part;
     - the matrix is real (``matrix.is_real``);
-    - f at the mirror node equals conj(f(z_k)) to within a few ulps; f is
-      evaluated at every node, so a mirror is never assumed.
+    - z_j equals conj(z_k) to within ``config.MIRROR_ULPS`` ulps of the
+      largest |z| of the level;
+    - c_j equals conj(c_k) to within as many ulps of the largest |c| of
+      the level.
 
-    Then R(conj z) = conj R(z), and the real part is formed exactly before
-    the node is added.  Its correction blocks (or dense entries) are real
-    float64, so when every node pairs, the whole accumulation of the
-    corrections (the adds, the halving of the previous level and the level
-    difference) runs in real arithmetic.  Any node that fails a test gets
-    its own resolvent.
+    Every node and coefficient is evaluated, so a mirror is never assumed,
+    whatever the kind of contour.  Then R(conj z) = conj R(z), and the real
+    part is formed exactly before the node is added.  Its correction blocks (or
+    dense entries) are real float64, so when every node pairs, the whole
+    accumulation of the corrections (the adds, the halving of the previous
+    level and the level difference) runs in real arithmetic.  Any node that
+    fails a test gets its own resolvent.
 
     Calls on one matrix share what their nodes contribute, in both forms:
     the resolvent in the algebra form, and in the dense form the certified
     inverse columns with their entry mass.  A module slot keeps those of the
-    last run, and a later call takes a node's entry from it, for any f, when
-    all of these hold:
+    last run, keyed by ``_slot_key(matrix, cfg)``, and a later call takes
+    a node's entry from it, for any f, when all of these hold:
 
-    - the sum form is the same, and in the dense form whether the band is
-      mirrored (a dense entry never serves the algebra form, nor the
-      reverse);
     - the matrix is of the same class and size, with a symbol and
       correction factors equal bit for bit (an equal matrix parsed afresh
       qualifies; identity does not matter);
     - ``cfg`` is equal in every field;
     - the node z is equal bit for bit, as on the same contour.
 
-    A stored entry is the array the same solve would return, added in the
-    same order, so the result does not depend on what the slot holds.  The
-    slot keeps at most 4 MiB of entries; past that they are used and
-    dropped.  A dense entry of a mirrored band is m x ceil(m/2) complex
-    values, 318 KB at m = 199, so the cap keeps the first 13 nodes
-    there and every node of a small matrix.  A call on another matrix
-    replaces the whole slot, and a run keeps the store it bound on entry,
-    so concurrent calls on different matrices are safe and at worst miss.
+    The matrix decides the sum form and whether the dense sums start on half
+    columns, so an equal key means the same form.  A stored entry is the array
+    the same solve would return, added in the same order, so the result does
+    not depend on what the slot holds.  The slot keeps at most 4 MiB of
+    entries; past that they are used and dropped.  A dense entry of a mirrored
+    band is m x ceil(m/2) complex values, 318 KB at m = 199, so the cap keeps
+    the first 13 nodes there and every node of a small matrix.  A call on
+    another matrix replaces the whole slot, and a run keeps the store it bound
+    on entry, so concurrent calls on different matrices are safe and at worst
+    miss.
 
     With ``with_info`` the result comes with a dict: ``levels``, ``nodes``
     (2^levels), ``resolvents`` (the distinct node resolvents the run that
@@ -388,7 +394,9 @@ def funm_contour(matrix, f, contour, cfg=DEFAULT_CONFIG, with_info=False):
 
     Raises
     ------
-    EnclosureError     sampled symbol curve not inside the contour
+    EnclosureError     sampled symbol curve not inside the contour, or a
+                       node coefficient not finite (a pole of f on the
+                       contour), raised at the first level that meets it
     OnSpectrumError    resolvent failure; its ``z`` is the node
     CertificateError   a node inverse misses ``cfg.tol_stop``
     NoConvergenceError level cap reached
@@ -418,10 +426,8 @@ def _sum_levels(total, f, contour, cfg):
     """
     a, b = contour.interval
     length = b - a
-    # R(conj z) = conj R(z) for a real matrix, and a circle with a real
-    # centre maps node k to the conjugate of node 2^n - k.
-    conjugates = (contour.kind == "circle" and contour.center.imag == 0
-                  and total.matrix.is_real)
+    # R(conj z) = conj R(z) for a real matrix.
+    real = total.matrix.is_real
     resolvents = 0
     diffs = []
     for n in range(1, cfg.max_levels + 1):
@@ -434,17 +440,19 @@ def _sum_levels(total, f, contour, cfg):
         ks = range(2) if n == 1 else range(1, count, 2)
         nodes = nodes_weights(contour, n).nodes
         zs = {k: contour.gamma(nodes[k]) for k in ks}
-        fs = {k: f(z) for k, z in zs.items()}
+        cs = {k: h * contour.dgamma(nodes[k]) * f(z) / _TWO_PI_I
+              for k, z in zs.items()}
+        for k in ks:
+            if not np.isfinite(cs[k]):
+                raise EnclosureError(f"f is not finite at the node z={zs[k]}")
+        paired = _conjugate_nodes(zs, cs, count) if real else ()
         total.next_level()
         for k in ks:
             j = (count - k) % count
-            paired = conjugates and _conjugate(fs[j], fs[k])
-            if paired and j < k:
+            pair = k in paired
+            if pair and j < k:
                 continue  # summed with its mirror j
-            coef = h * contour.dgamma(nodes[k]) * fs[k] / _TWO_PI_I
-            if paired and j != k:
-                coef *= 2.0
-            total.add(zs[k], coef, paired)
+            total.add(zs[k], cs[k] * 2.0 if pair and j != k else cs[k], pair)
             resolvents += 1
         if n > 1:
             diffs.append(total.difference())
@@ -485,19 +493,16 @@ def _predicted_error(diffs):
 class _SlotSum:
     """A running-sum form whose node entries pass through the slot.
 
-    On entry it binds the store of its key, the form (``kind``, and whether
-    the sums start on half columns) plus ``_slot_key``, or puts a new store
-    in the slot's place, so one form never reads another's entries on an
-    equal matrix.  ``node`` takes a node's entry from that store, or solves
-    it (``solve``) and stores it, up to the byte cap; ``reused`` counts the
-    entries it took.
+    On entry it binds the store of ``_slot_key(matrix, cfg)``, or puts a
+    new store in the slot's place; the matrix decides the form, so every
+    entry on one key is of this form.  ``node`` takes a node's entry from
+    that store, or solves it (``solve``) and stores it, up to the byte cap;
+    ``reused`` counts the entries it took.
     """
-
-    mirrored = False
 
     def __init__(self, matrix, cfg):
         global _slot
-        key = (self.kind, self.mirrored) + _slot_key(matrix, cfg)
+        key = _slot_key(matrix, cfg)
         store = _slot
         if store.key != key:
             store = _slot = _NodeResolvents(key)
@@ -523,6 +528,7 @@ class _AlgebraSum(_SlotSum):
     """
 
     kind = "algebra"
+    mirrored = False
 
     def __init__(self, matrix, cfg):
         super().__init__(matrix, cfg)
@@ -563,22 +569,18 @@ class _DenseSum(_SlotSum):
     kind = "dense"
 
     def __init__(self, matrix, cfg):
+        super().__init__(matrix, cfg)
         self.band = BandMatrix(matrix.scale(-1.0))
         self.mirrored = self.band.mirrored
-        super().__init__(matrix, cfg)
-        self.acc = self.prev = None
+        m = matrix.m
+        # Column-major, as ?gbsv returns the node inverses.
+        self.acc = np.zeros((m, (m + 1) // 2 if self.mirrored else m),
+                            order="F")
         self.mass = 0.0
 
     def next_level(self):
-        self.prev = self.acc
-        if self.prev is None:
-            m = self.matrix.m
-            width = (m + 1) // 2 if self.mirrored else m
-            # Column-major, as ?gbtrs returns the node inverses.
-            self.acc = np.zeros((m, width), order="F")
-        else:
-            self.acc = 0.5 * self.prev
-            self.mass *= 0.5
+        self.prev, self.acc = self.acc, 0.5 * self.acc
+        self.mass *= 0.5
 
     def solve(self, z):
         try:
@@ -602,29 +604,33 @@ class _DenseSum(_SlotSum):
 
     def add(self, z, coef, paired):
         x, mass = self.node(z)
-        if x.shape[1] > self.acc.shape[1]:
-            self.acc, self.prev = self._full(self.acc), self._full(self.prev)
+        if x.shape[1] != self.acc.shape[1]:
+            # A full inverse ends the half sums for the rest of the run.
+            x, self.acc, self.prev = map(mirrored_columns,
+                                         (x, self.acc, self.prev))
             self.mirrored = False
-        elif x.shape[1] < self.acc.shape[1]:
-            x = mirrored_columns(x, np.arange(self.matrix.m))
         term = coef * x
         self.acc = self.acc + (term.real if paired else term)
         self.mass += abs(coef) * mass
 
-    def _full(self, part):
-        """The m x m sum of which ``part`` holds the leading columns."""
-        if part is None or not self.mirrored:
-            return part
-        return mirrored_columns(part, np.arange(self.matrix.m))
-
     def difference(self):
-        return fqt_split_norm(self._full(self.acc - self.prev), self.cfg)
+        return fqt_split_norm(mirrored_columns(self.acc - self.prev),
+                             self.cfg)
 
     def result(self):
-        return fqt_from_dense(self._full(self.acc), self.cfg, mass=self.mass)
+        return fqt_from_dense(mirrored_columns(self.acc), self.cfg,
+                              mass=self.mass)
 
 
-def _conjugate(fj, fk):
-    """Whether fj equals conj(fk) to within a few ulps of their size."""
-    scale = max(abs(fj), abs(fk))
-    return abs(fj - np.conj(fk)) <= MIRROR_ULPS * _EPS * scale
+def _conjugate_nodes(zs, cs, count):
+    """Nodes k whose mirror j = (count - k) % count has conj z_k and conj c_k.
+
+    Each to within MIRROR_ULPS ulps of the level's largest |z| or |c|: a
+    scale per pair would refuse a node at the origin, whose rounding is
+    large against its size.  A node and its mirror pass together.
+    """
+    z_tol = MIRROR_ULPS * _EPS * max(abs(z) for z in zs.values())
+    c_tol = MIRROR_ULPS * _EPS * max(abs(c) for c in cs.values())
+    return {k for k in zs
+            if abs(zs[(count - k) % count] - np.conj(zs[k])) <= z_tol
+            and abs(cs[(count - k) % count] - np.conj(cs[k])) <= c_tol}

@@ -3,17 +3,19 @@
 A correction represents the semi-infinite matrix whose leading p x q block
 equals ``u @ v.T`` (plain transpose, also for complex data) and which is zero
 elsewhere.  The factored form is kept small by ``corr_compress``: thin QR
-factorizations, an SVD of the small core and a certified trim.  Sums
+factorizations and an SVD of the small core between them, or one SVD of
+the block where that is no larger, and a certified trim.  Sums
 concatenate factors, and so do products, by one stacking rule
 (``_stacked``): ``corr_product`` writes the correction of
 (T(a) + E)(T(b) + F) in one pass as three pairs, the Hankel product,
 (T(a) + E) F and E T(b), of rank r_H + r_F + r_E, the E F part added into
 T(a) F by the grow-and-add rule ``padded_sum`` that ``cqt.ExactSum``
 uses too.  So the rank r often
-exceeds min(p, q); the compression then first refactors the block exactly
-on its short side, (I_p, v u^T) when p <= q and (u v^T, I_q) otherwise,
-and runs a single QR.  Its results never have rank above min(p, q).  An
-identity factor is a valid stored form like any other.
+exceeds min(p, q); the compression then takes the SVD of the p x q block
+u v^T itself and runs no QR.  Its results never have rank above
+min(p, q): one the trim leaves above it is stored on its short side,
+(I_p, v u^T) when p <= q and (u v^T, I_q) otherwise.  An identity factor
+is a valid stored form like any other.
 
 Certificate: every SVD truncation here (``corr_compress`` and
 ``Correction.from_dense``, through ``_truncated_rank``) keeps
@@ -63,7 +65,8 @@ class Correction:
     Both factors are float64 when the inputs are real and complex128
     otherwise (see the module docstring).  Nothing ties r to p or q, and
     either factor may be an identity: ``corr_compress`` stores a block as
-    (I_p, v u^T) or (u v^T, I_q) when that is its short side.
+    (I_p, v u^T) or (u v^T, I_q) when its trim leaves a rank above that
+    short side.
     """
 
     def __init__(self, u, v):
@@ -319,7 +322,8 @@ def corr_compress(e, tol):
     """Reduce rank and support of a correction within a certified budget.
 
     Pipeline: orthonormal bases of both factors' column spaces and the small
-    core between them, u v^T = Q_u C Q_v^T; the SVD of C; then discard
+    core between them, u v^T = Q_u C Q_v^T (or the block itself as C, by
+    the short-side rule below); the SVD of C; then discard
     trailing singular values and trailing rows/columns whose certified
     entrywise-sum contribution stays below ``tol * max(1, scale)`` where the
     scale is the leading singular value (a lower bound for the entrywise-sum
@@ -331,30 +335,27 @@ def corr_compress(e, tol):
     the result keeps exactly the values above it.
 
     Short-side rule: when the rank r exceeds min(p, q), as it often does
-    after ``corr_add`` or ``corr_product``, the pair is first refactored
-    exactly as (I_p, v u^T) when p <= q, otherwise (u v^T, I_q).  The
-    identity needs no basis, so one QR runs, of width min(p, q), instead of
-    one per factor.  When the trim then leaves rank > min(p, q) the result
-    takes the same exact refactor (``_short_side``), one matmul and no
-    further QR or SVD, so its rank never exceeds min(p, q).
+    after ``corr_add`` or ``corr_product``, the p x q block u v^T is no
+    larger than the core two QRs would give, so it is formed by one matmul
+    and is itself the core: one SVD of it and no QR.  When the trim leaves
+    rank > min(p, q) on a block it has cut shorter, the result is refactored
+    exactly as (I_p, v u^T) when p <= q, otherwise (u v^T, I_q)
+    (``_short_side``), one matmul and no further QR or SVD, so its rank
+    never exceeds min(p, q).
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     if e.is_zero:
         return e
     p, q = e.p, e.q
-    # u v^T = qu @ core @ qv.T, where None stands for an identity basis.
-    if e.rank <= min(p, q):
+    # u v^T = qu @ core @ qv.T, or the block is its own core.
+    block = e.rank > min(p, q)
+    if block:
+        core = e.u @ e.v.T
+    else:
         qu, ru = np.linalg.qr(e.u, mode="reduced")
         qv, rv = np.linalg.qr(e.v, mode="reduced")
         core = ru @ rv.T
-    elif p <= q:
-        qu = None
-        qv, rv = np.linalg.qr(e.v @ e.u.T, mode="reduced")
-        core = rv.T
-    else:
-        qu, core = np.linalg.qr(e.u @ e.v.T, mode="reduced")
-        qv = None
     if not np.isfinite(core).all():
         raise ValueError("compressed correction core must be finite")
     w, s, xh = np.linalg.svd(core, full_matrices=False)
@@ -366,9 +367,9 @@ def corr_compress(e, tol):
         return Correction.zero()
     u = w[:, :k] * s[:k]
     v = xh[:k].T
-    out = _trim_factors(u if qu is None else qu @ u,
-                        v if qv is None else qv @ v, budget / 2)
-    return _short_side(out)
+    if not block:
+        u, v = qu @ u, qv @ v
+    return _short_side(_trim_factors(u, v, budget / 2))
 
 
 def _short_side(e):

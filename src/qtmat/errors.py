@@ -38,7 +38,11 @@ class OnSpectrumError(PreconditionError):
 
 
 class EnclosureError(PreconditionError):
-    """Integration contour does not enclose the symbol curve."""
+    """Integration contour does not enclose the symbol curve.
+
+    Also raised when the contour meets a singularity of f: the contour
+    engine stops at the first node whose coefficient is not finite.
+    """
 
 
 class NoConvergenceError(QtError):

@@ -8,9 +8,10 @@ flip is applied only when materializing.  The protocol members, the add
 rule and the shortcuts of the product and the inverse are those of the
 semi-infinite class (``cqt.QtMatrix``).
 
-A large matrix is inverted by two semi-infinite inverses (``cqt_inv``),
-one per corner, by Widom's formula; a small one, or one the formula does
-not certify, is solved on its band in every column.  Either inverse is
+A large matrix is inverted by two semi-infinite inverses (``cqt_inv``), one per
+corner, by Widom's formula; a small one, or one the formula does not certify,
+is solved on its band in every column, by one LAPACK ``?gbsv`` call
+(``BandMatrix.solve``) that factors and solves at once.  Either inverse is
 certified on sampled columns by the one Toeplitz-apply kernel.
 
 A mirrored matrix (J A J = A, ``_mirrored``: a palindromic symbol and two
@@ -346,7 +347,7 @@ def fqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
     m // 2 rows or columns, or the result misses the certificate, the
     inverse is solved on the band instead, enclosing both corners, by the
     contour engine's node-inverse routine ``BandMatrix.shifted_inverse``
-    (one ``?gbtrf``, then every column, or the first ceil(m/2) of a
+    (one ``?gbsv`` of every column, or of the first ceil(m/2) of a
     centrosymmetric band), and re-split by ``fqt_from_dense``.  Either
     result is certified on sampled columns against the identity, through a
     product with the band.
@@ -376,8 +377,7 @@ def fqt_inv(a, cfg=DEFAULT_CONFIG, with_info=False):
             info = {"path": "factored", "residual": worst}
             return (result, info) if with_info else result
     x, _ = band.shifted_inverse(0.0, cfg, half=True)
-    full = x if x.shape[1] == m else mirrored_columns(x, np.arange(m))
-    result = fqt_from_dense(full, cfg)
+    result = fqt_from_dense(mirrored_columns(x), cfg)
     worst = _certified(band.residual(result.columns(cols), cols), cfg)
     info = {"path": "banded", "columns": x.shape[1], "residual": worst}
     return (result, info) if with_info else result
@@ -429,7 +429,7 @@ class BandMatrix:
 
     Entry (i, j) sits at ``band[ku + i - j, j]``.  kl and ku cover the
     symbol and both corners, so the band is the whole matrix.  The band is
-    built on first use, by ``factor``; once built, it factors any shift
+    built on first use, by ``solve``; once built, it solves any shift
     z I + B.  ``matrix``, the matrix it was built from, applies B and
     answers the mirror test.
     """
@@ -460,22 +460,24 @@ class BandMatrix:
         """Whether J B J = B up to rounding (``_mirrored``); z I keeps it."""
         return _mirrored(self.matrix)
 
-    def factor(self, shift=0.0):
-        """LU factors of shift I + B (``?gbtrf``).
+    def solve(self, shift, js):
+        """Columns js of (shift I + B)^-1, m x len(js), by one ``?gbsv``.
 
         Raises SingularMatrixError on an exact zero pivot.
         """
         kl, ku, m = self.kl, self.ku, self.m
-        # ?gbtrf wants kl more rows on top for the fill-in.
+        # ?gbsv wants kl more rows on top for the fill-in.
         ab = np.zeros((2 * kl + ku + 1, m),
                       dtype=np.result_type(self.band, shift), order="F")
         ab[kl:] = self.band
         ab[kl + ku] += shift
-        gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-        lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
+        rhs = np.zeros((m, len(js)), dtype=ab.dtype, order="F")
+        rhs[js, np.arange(len(js))] = 1.0
+        gbsv = get_lapack_funcs("gbsv", (ab,))
+        _, _, x, info = gbsv(kl, ku, ab, rhs, overwrite_ab=1, overwrite_b=1)
         if info > 0:
             raise SingularMatrixError("matrix is numerically singular")
-        return _BandLU(lu, piv, kl, ku, gbtrs)
+        return x
 
     def residual(self, x, cols, shift=0.0):
         """Max entry of (shift I + B) x - I on columns cols.
@@ -503,49 +505,35 @@ class BandMatrix:
         h = ceil(m/2): the inverse of a mirrored matrix is mirrored, so
         column j >= h is column m - 1 - j reversed (``mirrored_columns``).
         The residual is taken on the columns ``fqt_inv`` samples, those
-        past h read from their mirrors and multiplied by B itself.  A half
-        that misses the certificate gets its other columns solved and is
-        certified whole, so the result has m columns then.  Raises
-        SingularMatrixError or CertificateError.
+        past h read from their mirrors and multiplied by B itself.  Each
+        pass is one ``solve``: a half that misses the certificate is solved
+        again in every column and certified whole, so the result has m
+        columns then.  Raises SingularMatrixError or CertificateError.
         """
         m = self.m
-        lu = self.factor(shift)
         cols = _sample_columns(m)
         h = (m + 1) // 2 if half and self.mirrored else m
-        x = lu.solve(np.arange(h))
+        x = self.solve(shift, np.arange(h))
         if h < m:
             worst = self.residual(mirrored_columns(x, cols), cols, shift)
             if worst <= cfg.tol_stop:
                 return x, worst
-            x = np.hstack([x, lu.solve(np.arange(h, m))])
+            x = self.solve(shift, np.arange(m))
         return x, _certified(self.residual(x[:, cols], cols, shift), cfg)
 
 
-def mirrored_columns(x, js):
-    """Columns js of a mirrored m x m matrix X from its first ceil(m/2).
+def mirrored_columns(x, js=None):
+    """Columns js of a mirrored m x m matrix X, by default every column.
 
-    X = J X J, so column j >= ceil(m/2) of X is column m - 1 - j reversed.
+    x holds the first h = ceil(m/2) columns of X, or all m of them.
+    X = J X J, so column j >= h of X is column m - 1 - j reversed; a full
+    x is returned as it is when every column is asked for.
     """
     m, h = x.shape
-    js = np.asarray(js)
+    if h == m:
+        return x if js is None else x[:, js]
+    js = np.arange(m) if js is None else np.asarray(js)
     out = x[:, np.minimum(js, m - 1 - js)]
     far = js >= h
     out[:, far] = out[::-1, far]
     return out
-
-
-class _BandLU:
-    """LU factors of a band matrix, as ``?gbtrf`` leaves them."""
-
-    def __init__(self, lu, piv, kl, ku, gbtrs):
-        self.lu, self.piv, self.kl, self.ku = lu, piv, kl, ku
-        self.m = lu.shape[1]
-        self._gbtrs = gbtrs
-
-    def solve(self, js):
-        """Columns js of the inverse, m x len(js) (``?gbtrs``)."""
-        rhs = np.zeros((self.m, len(js)), dtype=self.lu.dtype, order="F")
-        rhs[js, np.arange(len(js))] = 1.0
-        x, _ = self._gbtrs(self.lu, self.kl, self.ku, rhs, self.piv,
-                           overwrite_b=1)
-        return x

@@ -207,6 +207,61 @@ def test_unpaired_inputs_fall_back_to_one_resolvent_per_node(case):
     assert np.abs(fqt_to_dense(got) - _dense_funm(a, f)).max() < 1e-8
 
 
+# 1.5 + cos t + 0.8i sin t: symmetric about the real axis, not a circle.
+_REAL_ELLIPSE = ContourSpec.custom(
+    lambda x: 1.5 + math.cos(x) + 0.8j * math.sin(x),
+    lambda x: -math.sin(x) + 0.8j * math.cos(x),
+    (0.0, 2 * math.pi))
+
+_SEMI_CORR = Correction([[0.1], [0.05]], [[0.2], [0.1]])
+
+
+@pytest.mark.parametrize("kind", ["finite", "semi"])
+def test_any_contour_symmetric_about_the_real_axis_pairs_its_nodes(kind):
+    cfg = DEFAULT_CONFIG.updated(tol_stop=1e-10)
+    if kind == "finite":
+        a = centrosymmetric_fqt(60)
+    else:
+        a = CqtMatrix(LaurentSymbol([0.2, 1.5, 0.1], -1), _SEMI_CORR)
+    got, info = funm_contour(a, np.sqrt, _REAL_ELLIPSE, cfg, with_info=True)
+    assert info["resolvents"] == 2 ** (info["levels"] - 1) + 1
+    assert all(x.dtype == np.float64 for x in _stored(got))
+    if kind == "finite":
+        want = scipy.linalg.sqrtm(dense_fqt_oracle(a))
+        assert np.abs(fqt_to_dense(got) - want).max() < 1e-13
+    else:
+        n = 40
+        assert np.abs(finite_section(got.mul(got, cfg), n)
+                      - finite_section(a, n)).max() < 1e-13
+
+
+def test_a_node_at_the_origin_pairs_with_itself():
+    # circle(1, 1) puts node 2^(n-1) at 1 + exp(i pi), about 1.2e-16i: a
+    # tolerance scaled by that node's own size would not pair it, and the
+    # result would turn complex.
+    a = CqtMatrix(LaurentSymbol([0.1, 1.0, 0.1], -1), _SEMI_CORR)
+    got, info = funm_contour(a, np.exp, ContourSpec.circle(1.0, 1.0),
+                             with_info=True)
+    assert info["resolvents"] == 17
+    assert all(x.dtype == np.float64 for x in _stored(got))
+
+
+def test_a_pole_of_f_on_a_node_is_an_enclosure_error():
+    # f(z) = 1 / (z - 2.5) is not finite at node 0 of circle(1.5, 1), z =
+    # 2.5; the run stops at level 1 instead of summing nans to the cap.
+    a = CqtMatrix(LaurentSymbol([0.1, 1.5, 0.1], -1), _SEMI_CORR)
+    calls = []
+
+    def pole(z):
+        # Python's inf, so the quadrature weight multiplies it unwarned.
+        calls.append(z)
+        return math.inf if z == 2.5 else 1.0 / (z - 2.5)
+
+    with pytest.raises(EnclosureError, match=r"node z=\(2\.5\+0j\)"):
+        funm_contour(a, pole, ContourSpec.circle(1.5, 1.0))
+    assert len(calls) == 2
+
+
 def _recording(monkeypatch):
     points = []
 
@@ -601,32 +656,6 @@ def test_byte_cap_bounds_the_dense_entries_and_leaves_results_unchanged(
     assert all(_bit_equal(g, w) for g, w in zip(got, want))
 
 
-def test_the_sum_form_is_in_the_slot_key():
-    # An algebra run after a dense run on the same matrix and cfg reads no
-    # dense entry, and neither result depends on what the slot held.
-    a = _finite_i_plus_h2(40)
-
-    def algebra(f):
-        return qtmat.contour._sum_levels(
-            qtmat.contour._AlgebraSum(a, _CFG), f, _CIRCLE, _CFG)
-
-    want_dense = funm_contour(a, np.sqrt, _CIRCLE, _CFG)
-    _empty_slot()
-    want_algebra, _ = algebra(np.log)
-    _empty_slot()
-    dense, dense_info = funm_contour(a, np.sqrt, _CIRCLE, _CFG,
-                                     with_info=True)
-    assert qtmat.contour._slot.key[0] == "dense"
-    got, info = algebra(np.log)
-    assert qtmat.contour._slot.key[0] == "algebra"
-    assert dense_info["level_sum"] == "dense"
-    assert info["level_sum"] == "algebra" and info["reused"] == 0
-    assert _bit_equal(dense, want_dense) and _bit_equal(got, want_algebra)
-    # The algebra run took the slot, so a dense run solves every node anew.
-    _, again = funm_contour(a, np.sqrt, _CIRCLE, _CFG, with_info=True)
-    assert again["reused"] == 0
-
-
 def test_uncertifiable_tolerance_is_not_an_on_spectrum_error(caplog):
     # At tol_stop=1e-16 the node inverses of I + H^10, 0.5 away from the
     # spectrum, certify only to rounding (the dense sum certifies the exact
@@ -639,6 +668,17 @@ def test_uncertifiable_tolerance_is_not_an_on_spectrum_error(caplog):
                                  r"tolerance 1\.00e-16$"):
             funm_contour(a, np.sqrt, _CIRCLE, cfg)
     assert not caplog.records
+
+
+def _algebra_levels(a, f, contour, cfg):
+    """The algebra-form sum of f(a), whatever form funm_contour would take.
+
+    The slot is keyed by the matrix, which decides the form, so it is
+    emptied first: a dense entry of a run on a must not reach this sum.
+    """
+    _empty_slot()
+    return qtmat.contour._sum_levels(
+        qtmat.contour._AlgebraSum(a, cfg), f, contour, cfg)
 
 
 _ELLIPSE = ContourSpec.custom(
@@ -656,8 +696,7 @@ def test_dense_and_algebra_sums_agree(case):
     f = {"log": np.log, "1j*z": lambda z: 1j * z}.get(case, np.sqrt)
     contour = _ELLIPSE if case == "ellipse" else _CIRCLE
     got, info = funm_contour(a, f, contour, _CFG, with_info=True)
-    want, want_info = qtmat.contour._sum_levels(
-        qtmat.contour._AlgebraSum(a, _CFG), f, contour, _CFG)
+    want, want_info = _algebra_levels(a, f, contour, _CFG)
     assert (info["level_sum"], want_info["level_sum"]) == ("dense", "algebra")
     assert info["levels"] == want_info["levels"]
     assert info["resolvents"] == want_info["resolvents"]
@@ -676,8 +715,7 @@ def test_dense_split_keeps_no_more_than_the_algebra_sum():
     a = _laplacian_power(190).add(FiniteQtMatrix.identity(190))
     cfg = DEFAULT_CONFIG.updated(tol_stop=1e-8)
     got, info = funm_contour(a, np.log, _CIRCLE, cfg, with_info=True)
-    want, _ = qtmat.contour._sum_levels(
-        qtmat.contour._AlgebraSum(a, cfg), np.log, _CIRCLE, cfg)
+    want, _ = _algebra_levels(a, np.log, _CIRCLE, cfg)
     assert info["level_sum"] == "dense"
     for corner in ("corr_tl", "corr_br"):
         assert getattr(got, corner).rank <= getattr(want, corner).rank
@@ -849,8 +887,13 @@ def test_i_plus_h10_converges_at_the_default_tolerance(f):
 
 
 def _every_column(monkeypatch):
-    """Let no band mirror, so the dense sum solves every column."""
+    """Let no band mirror, so the dense sum solves every column.
+
+    The slot is emptied too: its key is the matrix, which the patch leaves
+    as it is, so it would hand the half blocks of an earlier run on.
+    """
     monkeypatch.setattr(BandMatrix, "mirrored", False)
+    _empty_slot()
 
 
 @pytest.mark.parametrize("m", [1, 2, 121, 122])

@@ -686,8 +686,8 @@ def test_corr_compress_refactors_after_the_trim(p, q, complex_):
 @pytest.mark.parametrize("trimmed", [False, True])
 @pytest.mark.parametrize("p, q, r", [(5, 9, 14), (11, 6, 17), (3, 30, 8),
                                      (30, 3, 8)])
-def test_corr_compress_runs_one_qr_on_the_long_side(monkeypatch, p, q, r,
-                                                     trimmed):
+def test_corr_compress_runs_one_svd_of_the_block_on_the_short_side(
+        monkeypatch, p, q, r, trimmed):
     calls = {"qr": [], "svd": []}
     for name in calls:
         def recording(a, *args, _name=name, _orig=getattr(np.linalg, name),
@@ -704,7 +704,6 @@ def test_corr_compress_runs_one_qr_on_the_long_side(monkeypatch, p, q, r,
     assert u.shape[1] > min(p, q)
     c = corr_compress(Correction(u, v), tol)
     _assert_compressed(u, v, c, tol)
-    # One QR, of the long side's refactored factor (never of the identity),
-    # one SVD of its min(p, q) square triangle, and no second pass.
-    assert calls["qr"] == [(max(p, q), min(p, q))]
-    assert calls["svd"] == [(min(p, q), min(p, q))]
+    # No QR, one SVD of the p x q block itself, and no second pass.
+    assert calls["qr"] == []
+    assert calls["svd"] == [(p, q)]
