@@ -440,11 +440,13 @@ def _sum_levels(total, f, contour, cfg):
         ks = range(2) if n == 1 else range(1, count, 2)
         nodes = nodes_weights(contour, n).nodes
         zs = {k: contour.gamma(nodes[k]) for k in ks}
-        cs = {k: h * contour.dgamma(nodes[k]) * f(z) / _TWO_PI_I
-              for k, z in zs.items()}
+        fs = {k: f(z) for k, z in zs.items()}
         for k in ks:
-            if not np.isfinite(cs[k]):
+            # Checked before the product, which would warn on inf or NaN.
+            if not np.isfinite(fs[k]):
                 raise EnclosureError(f"f is not finite at the node z={zs[k]}")
+        cs = {k: h * contour.dgamma(nodes[k]) * fs[k] / _TWO_PI_I
+              for k in ks}
         paired = _conjugate_nodes(zs, cs, count) if real else ()
         total.next_level()
         for k in ks:

@@ -15,7 +15,10 @@ exceeds min(p, q); the compression then takes the SVD of the p x q block
 u v^T itself and runs no QR.  Its results never have rank above
 min(p, q): one the trim leaves above it is stored on its short side,
 (I_p, v u^T) when p <= q and (u v^T, I_q) otherwise.  An identity factor
-is a valid stored form like any other.
+is a valid stored form like any other.  ``dense_product`` forms the same
+product correction with the left factor's correction as a dense block and
+returns it dense, trimmed but not factored: the series engine's powers of
+a finite matrix, whose corrections m bounds.
 
 Certificate: every SVD truncation here (``corr_compress`` and
 ``Correction.from_dense``, through ``_truncated_rank``) keeps
@@ -501,3 +504,34 @@ def corr_product(a, e, b, f, cap=None):
                     corr_times_corr(e, f).u)
     eb = toeplitz_times_factor(sym_reverse(b), e.v, row_cap=cap)
     return _stacked([(-h.u, h.v), (af, f.v), (e.u, eb)])
+
+
+def dense_product(b, d, a, e, tol, cap=None):
+    """Correction of (T(b) + D)(T(a) + E) - T(ba) as one dense block.
+
+    D is a dense block, E a factored correction.  The rule of
+    ``corr_product`` from the other side, summed by ``padded_sum``:
+    -H(b^-) H(a^+) + (T(b) U_E + D U_E) V_E^T + D T(a), where
+    D T(a) = (T(a~) D^T)^T with a~ the reversed symbol.  Trailing rows are
+    dropped within half of ``tol`` times the block's entry mass, and
+    trailing columns within the other half.  ``cap`` clips the Hankel and
+    Toeplitz terms to the leading cap x cap block, as in ``corr_product``.
+    The block is real when every operand is.
+    """
+    b_minus, _, _ = sym_split(b)
+    _, _, a_plus = sym_split(a)
+    h = hankel_product(b_minus, a_plus, cap)
+    out = -(h.u @ h.v.T)
+    if not e.is_zero:
+        left = toeplitz_times_factor(b, e.u, row_cap=cap)
+        inner = min(d.shape[1], e.p)
+        if inner:
+            left = padded_sum(left, d[:, :inner] @ e.u[:inner])
+        out = padded_sum(out, left @ e.v.T)
+    if d.size:
+        out = padded_sum(
+            out, toeplitz_times_factor(sym_reverse(a), d.T, row_cap=cap).T)
+    mags = np.abs(out)
+    budget = 0.5 * tol * float(mags.sum())
+    return out[:_kept_length(mags.sum(axis=1), budget),
+               :_kept_length(mags.sum(axis=0), budget)]

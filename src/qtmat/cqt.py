@@ -26,6 +26,7 @@ from .correction import (
     corr_add,
     corr_compress,
     corr_product,
+    dense_product,
     hankel_product,
     padded_sum,
     toeplitz_times_factor,
@@ -50,8 +51,10 @@ class QtMatrix:
     A subclass stores ``symbol`` and provides ``corrections`` (the stored
     corrections, in constructor order), ``with_parts`` (a matrix of its
     class and size from a symbol and corrections, missing ones zero) and
-    ``add``, ``mul`` and ``inv``; everything here is computed from those.
-    The function-engine modules rely only on this protocol.
+    ``add``, ``mul``, ``mul_dense`` (a product whose left factor is a
+    symbol and dense correction blocks, given and returned as such) and
+    ``inv``; everything here is computed from those.  The function-engine
+    modules rely only on this protocol.
     """
 
     @classmethod
@@ -132,6 +135,16 @@ class CqtMatrix(QtMatrix):
     def mul(self, other, cfg=DEFAULT_CONFIG):
         return cqt_mul(self, other, cfg)
 
+    def mul_dense(self, symbol, blocks, cfg=DEFAULT_CONFIG):
+        """(T(symbol) + D) times this matrix, D = blocks[0] dense.
+
+        Returns the product's symbol and its correction as a one-block
+        list, by ``correction.dense_product``.
+        """
+        return (sym_truncate(sym_mul(symbol, self.symbol), cfg.tol_trunc),
+                [dense_product(symbol, blocks[0], self.symbol, self.corr,
+                               cfg.tol_trunc)])
+
     def inv(self, cfg=DEFAULT_CONFIG, with_info=False):
         return cqt_inv(self, cfg, with_info)
 
@@ -147,8 +160,10 @@ class ExactSum:
     ``corr_product`` uses too) and the summed term masses: a term
     c (T(a) + E) weighs |c| ||a||_W plus the entry mass of c E.
     ``result`` truncates the symbol and factors each block once, budgeted
-    against that mass.  The series sums f_k A^k with it, the contour engine
-    c_k (z_k I - A)^{-1}.
+    against that mass.  A term comes as a matrix (``add``), or as a symbol
+    and dense correction blocks (``add_dense``), added unfactored.  The
+    series sums f_k A^k with it, the powers of a finite matrix as dense
+    blocks, and the contour engine c_k (z_k I - A)^{-1}.
     """
 
     def __init__(self, like):
@@ -159,15 +174,23 @@ class ExactSum:
 
     def add(self, term, coef, real=False):
         """Add coef times term; with ``real`` only its real part."""
-        sym = sym_scale(term.symbol, coef)
+        self._add(term.symbol, coef,
+                  [(c.u * coef) @ c.v.T for c in term.corrections], real)
+
+    def add_dense(self, symbol, blocks, coef):
+        """Add coef times T(symbol) plus the dense correction ``blocks``."""
+        self._add(symbol, coef, [coef * b for b in blocks], False)
+
+    def _add(self, symbol, coef, blocks, real):
+        """Add coef T(symbol) and the blocks, each scaled by coef already."""
+        sym = sym_scale(symbol, coef)
         if real:
             sym = LaurentSymbol(sym.coeffs.real, sym.min_deg)
         self.sym = sym_add(self.sym, sym)
-        self.mass += abs(coef) * norm_w(term.symbol)
-        for i, c in enumerate(term.corrections):
-            if c.is_zero:
+        self.mass += abs(coef) * norm_w(symbol)
+        for i, block in enumerate(blocks):
+            if not block.size:
                 continue
-            block = (c.u * coef) @ c.v.T
             self.mass += float(np.abs(block).sum())
             self.blocks[i] = padded_sum(self.blocks[i],
                                         block.real if real else block)

@@ -6,7 +6,9 @@ coordinates (as the top-left correction of J A J, with J the anti-identity)
 so both corners share the same factored representation and compression; the
 flip is applied only when materializing.  The protocol members, the add
 rule and the shortcuts of the product and the inverse are those of the
-semi-infinite class (``cqt.QtMatrix``).
+semi-infinite class (``cqt.QtMatrix``).  A product is ``fqt_mul``, or
+``fqt_mul_dense`` by the same rule on a left factor whose corners are
+dense blocks, as the series engines form powers.
 
 A large matrix is inverted by two semi-infinite inverses (``cqt_inv``), one per
 corner, by Widom's formula; a small one, or one the formula does not certify,
@@ -34,6 +36,8 @@ from .correction import (
     corr_compress,
     corr_product,
     corr_times_corr,
+    dense_product,
+    padded_sum,
     toeplitz_times_factor,
 )
 from .cqt import (
@@ -105,6 +109,9 @@ class FiniteQtMatrix(QtMatrix):
 
     def mul(self, other, cfg=DEFAULT_CONFIG):
         return fqt_mul(self, other, cfg)
+
+    def mul_dense(self, symbol, blocks, cfg=DEFAULT_CONFIG):
+        return fqt_mul_dense(symbol, blocks, self, cfg)
 
     def inv(self, cfg=DEFAULT_CONFIG, with_info=False):
         return fqt_inv(self, cfg, with_info)
@@ -219,13 +226,49 @@ def fqt_mul(a, b, cfg=DEFAULT_CONFIG):
     tl = corr_product(a.symbol, a.corr_tl, b.symbol, b.corr_tl, m)
     br = corr_product(sym_reverse(a.symbol), a.corr_br,
                       sym_reverse(b.symbol), b.corr_br, m)
-    if a.corr_tl.q + b.corr_br.p > m:
-        tl = corr_add(tl, corr_times_corr(a.corr_tl, _unflipped(b.corr_br, m)))
-    if a.corr_br.q + b.corr_tl.p > m:
-        tl = corr_add(tl, corr_times_corr(_unflipped(a.corr_br, m), b.corr_tl))
+    for cross in _cross_corners(a.corrections, b.corrections, m):
+        tl = corr_add(tl, cross)
     return FiniteQtMatrix(
         a.m, sym_truncate(c, cfg.tol_trunc),
         corr_compress(tl, cfg.tol_trunc), corr_compress(br, cfg.tol_trunc))
+
+
+def fqt_mul_dense(symbol, blocks, b, cfg=DEFAULT_CONFIG):
+    """(T_m(symbol) + corners) times b, the corners two dense blocks.
+
+    ``blocks`` holds the top-left corner and the flipped bottom-right one.
+    Returns the product's symbol and its two corners as dense blocks, by
+    the rule of ``fqt_mul``: each corner is ``correction.dense_product``
+    of its own pair clipped to m, and where corners of the two factors
+    meet across the matrix their product joins the top-left block.
+    """
+    m, tol = b.m, cfg.tol_trunc
+    d_tl, d_br = blocks
+    tl = dense_product(symbol, d_tl, b.symbol, b.corr_tl, tol, m)
+    br = dense_product(sym_reverse(symbol), d_br, sym_reverse(b.symbol),
+                       b.corr_br, tol, m)
+    if d_tl.shape[1] + b.corr_br.p > m or d_br.shape[1] + b.corr_tl.p > m:
+        # Each block D as the factor pair (D, I) of ``_cross_corners``.
+        pairs = [Correction._owned(d, np.eye(d.shape[1], dtype=d.dtype))
+                 for d in blocks]
+        for cross in _cross_corners(pairs, b.corrections, m):
+            tl = padded_sum(tl, cross.materialize())
+    return (sym_truncate(sym_clip(sym_mul(symbol, b.symbol), m - 1), tol),
+            [tl, br])
+
+
+def _cross_corners(a, b, m):
+    """The corner products of a @ b that cross an m x m matrix.
+
+    a and b are two factors' (top-left, flipped bottom-right) corners.
+    Where the top-left corner of one meets the bottom-right one of the
+    other, their product is a top-left correction spanning m.
+    """
+    (a_tl, a_br), (b_tl, b_br) = a, b
+    if a_tl.q + b_br.p > m:
+        yield corr_times_corr(a_tl, _unflipped(b_br, m))
+    if a_br.q + b_tl.p > m:
+        yield corr_times_corr(_unflipped(a_br, m), b_tl)
 
 
 def _unflipped(corr, m):

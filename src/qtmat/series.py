@@ -5,12 +5,22 @@ coefficients and the norm alone (``_series_side``: the positive side on
 ||A||, the negative one on ||A^{-1}||), so a series that does not converge
 within the term cap fails before any product is formed.  Then one term
 loop (``_sum_series``) forms the powers A^i (and A^{-i} for a Laurent
-series) by the algebra's compressed products, adds each f_i A^i exactly
-into the contour engine's running sum (``cqt.ExactSum``), factored once,
-and finally, when the spec gives the scalar function, refreshes the
-Toeplitz part by evaluating it on the symbol at unit roots and
-interpolating.  The same code drives
+series), adds each f_i A^i exactly into the contour engine's running sum
+(``cqt.ExactSum``), factored once, and finally, when the spec gives the
+scalar function, refreshes the Toeplitz part by evaluating it on the
+symbol at unit roots and interpolating.  The same code drives
 semi-infinite and finite matrices through the shared algebra protocol.
+
+The powers take one of two forms, by the matrix's class.  A semi-infinite
+matrix forms them by the algebra's compressed product (``cqt_mul``): its
+corrections grow with the term count, and factors keep them small.  A
+finite matrix keeps each power's corrections as dense blocks, bounded by
+m, by the paper's recurrence for the correction of a power,
+D_k = -H(b^-) H(a^+) + T(b) E + D_{k-1} (T(a) + E) for
+A^{k-1} = T(b) + D_{k-1} and A = T(a) + E (``mul_dense``, on
+``correction.dense_product``): no product is compressed, and the sum
+adds the blocks as they are.  ``power_corrections`` is the same
+recurrence.
 
 A mirrored finite matrix (J A J = A, J the anti-identity), such as a
 polynomial in the discrete Laplacian, has two corners that are one
@@ -30,14 +40,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import DEFAULT_CONFIG
-from .correction import Correction, corr_compress, corr_product
-from .cqt import ExactSum
+from .correction import Correction
+from .cqt import CqtMatrix, ExactSum
 from .errors import NoConvergenceError, RadiusViolationError
+from .finite import FiniteQtMatrix
 from .symbol import (
     LaurentSymbol,
     eval_at_unit_roots,
     range_samples,
-    sym_mul,
     sym_truncate,
     wiener_norms,
 )
@@ -155,26 +165,26 @@ def power_corrections(a, e, k, cfg=DEFAULT_CONFIG):
     """Corrections of the powers of T(a) + E, E = 0 when ``e`` is None.
 
     (T(a) + E)^i = T(a^i) + D_i with D_0 = 0 (the zeroth power is the
-    identity) and D_i = ``corr_product(a, E, a^{i-1}, D_{i-1})``, the
-    correction of (T(a) + E)(T(a^{i-1}) + D_{i-1}); that is
-    D_i = (T(a) + E) D_{i-1} - H(a^-) H((a^{i-1})^+) + E T(a^{i-1}),
-    so D_1 = E.
+    identity) and D_i the correction of (T(a^{i-1}) + D_{i-1})(T(a) + E),
+    that is D_i = -H((a^{i-1})^-) H(a^+) + (T(a^{i-1}) + D_{i-1}) E
+    + D_{i-1} T(a), so D_1 = E.  It is the series engine's own power
+    recurrence (``CqtMatrix.mul_dense``): each D_i is formed as a dense
+    block from the last one, and only the returned copy is factored, by
+    ``Correction.from_dense`` at ``cfg.tol_trunc``.
 
     Returns [D_0, ..., D_k] for a nonzero E.  For a zero one it returns
     [D_1, ..., D_k], the corrections E_i of T(a)^i = T(a^i) + E_i, with
     E_1 = 0.
-
-    Every step is compressed with the configured tolerance.
     """
     if k < 1:
         raise ValueError("power index must be at least 1")
     e = Correction.zero() if e is None else e
+    base = CqtMatrix(a, e)
+    power = (LaurentSymbol.one(), [np.zeros((0, 0))])  # the zeroth power
     out = [Correction.zero()]
-    apow = LaurentSymbol.one()  # a^{i-1} at i = 1
     for _ in range(k):
-        out.append(corr_compress(corr_product(a, e, apow, out[-1]),
-                                 cfg.tol_trunc))
-        apow = sym_truncate(sym_mul(apow, a), cfg.tol_trunc)
+        power = base.mul_dense(*power, cfg)
+        out.append(Correction.from_dense(power[1][0], cfg.tol_trunc))
     return out[1:] if e.is_zero else out
 
 
@@ -186,35 +196,41 @@ class _TailFit:
     so far, a running max of |f_i| rho^i, and ``past(coeffs)`` returns the
     smallest resulting geometric tail past the last coefficient.  Each
     coefficient enters the running max once, when a tail past it is first
-    asked for, so a side of K terms costs O(K) in all.
+    asked for, so a side of K terms costs O(K) in all.  The few radii are
+    plain floats: on them an array costs more in dispatch than in
+    arithmetic.
     """
 
     def __init__(self, nrm, radius):
         base = max(nrm, 1e-300)
         if math.isinf(radius):
-            rho = base * np.array(_RADIUS_FACTORS)
+            rho = [base * c for c in _RADIUS_FACTORS]
         else:
-            rho = base + (radius - base) * np.array((0.25, 0.5, 0.75, 0.9))
-            rho = rho[rho > base]
+            rho = [base + (radius - base) * c for c in (0.25, 0.5, 0.75, 0.9)]
+            rho = [r for r in rho if r > base]
         self._rho = rho
-        self._lam = nrm / rho
-        self._gamma = np.zeros(rho.size)
+        self._lam = [nrm / r for r in rho]
+        self._gamma = [0.0] * len(rho)
         self._seen = 0
 
     def past(self, coeffs):
         """The fitted tail past coeffs[-1], with coeffs[i] holding f_i."""
         k = len(coeffs) - 1
-        mags = np.abs(np.asarray(coeffs[self._seen:]))
-        # One row per candidate radius; a NaN or inf gamma fits no tail.
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = mags * self._rho[:, None] ** np.arange(self._seen, k + 1)
-            self._gamma = np.maximum(self._gamma, np.max(scaled, axis=1))
+        for i in range(self._seen, k + 1):
+            mag = abs(coeffs[i])
+            for j, r in enumerate(self._rho):
+                try:
+                    scaled = mag * r ** i
+                except OverflowError:  # r ** i is past the float range
+                    scaled = mag * math.inf
+                # A NaN gamma stays NaN, and like inf fits no tail.
+                if scaled > self._gamma[j] or scaled != scaled:
+                    self._gamma[j] = scaled
         self._seen = k + 1
-        fit = np.isfinite(self._gamma) & (self._lam < 1.0)
-        if not fit.any():
-            return math.inf
-        lam = self._lam[fit]
-        return float(np.min(self._gamma[fit] * lam ** (k + 1) / (1.0 - lam)))
+        tails = [g * lam ** (k + 1) / (1.0 - lam)
+                 for g, lam in zip(self._gamma, self._lam)
+                 if math.isfinite(g) and lam < 1.0]
+        return min(tails, default=math.inf)
 
 
 def _series_side(f, sign, degree, nrm, radius, cfg):
@@ -264,8 +280,10 @@ def funm_taylor(matrix, f, cfg=DEFAULT_CONFIG, with_info=False):
     the largest quantity the stopping rule compared with ``cfg.tol_stop``
     on its last three terms (the term bound |f_k| max(1, ||A||)^k, or the
     fitted geometric tail where that bound was not below the tolerance), so
-    below the tolerance; 0 for a polynomial; and ``ranks``, the
-    (p, q, rank) of each stored correction of the result, in the order of
+    below the tolerance; 0 for a polynomial; ``powers``, the form the
+    powers took, "dense" for a finite matrix and "factored" for a
+    semi-infinite one (``_sum_series``); and ``ranks``, the (p, q, rank)
+    of each stored correction of the result, in the order of
     ``corrections``.
 
     Raises
@@ -298,8 +316,8 @@ def funm_laurent(matrix, f, cfg=DEFAULT_CONFIG, with_info=False):
 
     With ``with_info`` the result comes with ``terms``, the longer side's
     last index; ``tail_estimate``, the fitted geometric tails past each
-    side's last term summed, 0 for a side of known degree; and ``ranks`` as
-    in ``funm_taylor``.
+    side's last term summed, 0 for a side of known degree; and ``powers``
+    and ``ranks`` as in ``funm_taylor``.
     """
     if f.annulus is None:
         raise ValueError("power series require funm_taylor")
@@ -340,14 +358,20 @@ def _sum_series(matrix, inv, pos, neg, tail, scalar, cfg, with_info):
     when ``inv`` (A^{-1}) is not given.  Term k adds f_k A^k, then
     f_{-k} A^{-k}, each skipped when zero; a side past its last index
     counts as zero and forms no more powers.  The terms add exactly into a
-    ``cqt.ExactSum``, factored once after the last term, so only products
+    ``cqt.ExactSum``, factored once after the last term.  A finite matrix
+    forms its powers as a symbol and dense blocks (``mul_dense``), which
+    the sum adds unfactored, so nothing is compressed before that one
+    factoring; a semi-infinite one by ``mul``, so only its products
     compress.  Without ``inv``, a matrix whose ``semi_infinite_half``
     stands for it sums the terms on that half, whose correction then
     serves as every corner.  With ``scalar`` the symbol is then refreshed
     to interp(f(a(w))) (``_refresh_symbol``); without it the summed symbol
     stays, clipped by ``with_symbol``, since refreshing would only
-    re-evaluate the same truncated polynomial on a grid.  With
-    ``with_info`` the record of ``funm_taylor`` comes along.
+    re-evaluate the same truncated polynomial on a grid.  A finite sum
+    keeps its summed symbol too when f(a) is not its symbol: when a
+    power's symbol outgrew the band of m - 1 diagonals, or with an
+    inverse, whose symbol is its own band's, not 1/a.  With ``with_info``
+    the record of ``funm_taylor`` comes along.
 
     Real in, real out: when A is stored real and every f_k is real, f maps
     reals to reals, so the coefficients are summed as floats (the powers
@@ -360,12 +384,20 @@ def _sum_series(matrix, inv, pos, neg, tail, scalar, cfg, with_info):
     terms = max(len(pos), len(neg)) - 1
     half = None if inv is not None else matrix.semi_infinite_half(terms)
     arg = matrix if half is None else half
+    dense = isinstance(matrix, FiniteQtMatrix)
     acc = ExactSum(arg)
     acc.add(arg.identity_like(), pos[0])
-    powers = [arg, inv]
+    powers = [None, None]
     for k in range(1, terms + 1):
         for i, (base, coeffs) in enumerate(((arg, pos), (inv, neg))):
-            if k < len(coeffs):
+            if k >= len(coeffs):
+                continue
+            if dense:
+                powers[i] = base.mul_dense(*powers[i], cfg) if k > 1 else (
+                    base.symbol, [c.materialize() for c in base.corrections])
+                if coeffs[k] != 0:
+                    acc.add_dense(*powers[i], coeffs[k])
+            else:
                 powers[i] = powers[i].mul(base, cfg) if k > 1 else base
                 if coeffs[k] != 0:
                     acc.add(powers[i], coeffs[k])
@@ -374,6 +406,12 @@ def _sum_series(matrix, inv, pos, neg, tail, scalar, cfg, with_info):
         # The half's one correction is every corner of the matrix.
         total = matrix.with_parts(
             total.symbol, total.corrections * len(matrix.corrections))
+    sym = matrix.symbol
+    if dense and (inv is not None or terms * max(sym.n_minus, sym.n_plus)
+                  >= matrix.m):
+        # f(a)'s coefficients are then not the finite sum's: a power's
+        # symbol was clipped to the band, or the inverse's is not 1/a.
+        scalar = None
     if scalar is None:
         total = total.with_symbol(total.symbol)
     else:
@@ -381,6 +419,7 @@ def _sum_series(matrix, inv, pos, neg, tail, scalar, cfg, with_info):
     if not with_info:
         return total
     return total, {"terms": terms, "tail_estimate": tail,
+                   "powers": "dense" if dense else "factored",
                    "ranks": [(c.p, c.q, c.rank) for c in total.corrections]}
 
 

@@ -262,6 +262,19 @@ def test_a_pole_of_f_on_a_node_is_an_enclosure_error():
     assert len(calls) == 2
 
 
+def test_a_non_finite_f_value_is_refused_before_it_is_weighted():
+    # NumPy's 1 / 0j is inf+nanj; multiplying it by the node weight would
+    # warn, which the suite turns into an error, before the check ran.
+    a = CqtMatrix(LaurentSymbol([0.1, 1.5, 0.1], -1), _SEMI_CORR)
+
+    def pole(z):
+        with np.errstate(all="ignore"):
+            return 1.0 / (np.complex128(z) - 2.5)
+
+    with pytest.raises(EnclosureError, match=r"node z=\(2\.5\+0j\)"):
+        funm_contour(a, pole, ContourSpec.circle(1.5, 1.0))
+
+
 def _recording(monkeypatch):
     points = []
 
@@ -355,7 +368,7 @@ def test_a_repeat_semi_infinite_run_factors_only_its_result(monkeypatch):
         factored.append(args[0].shape)
         return from_dense(cls, *args, **kwargs)
 
-    for mod in (qtmat.correction, qtmat.cqt, qtmat.finite, qtmat.series):
+    for mod in (qtmat.correction, qtmat.cqt, qtmat.finite):
         monkeypatch.setattr(mod, "corr_compress", counting_compress)
     monkeypatch.setattr(Correction, "from_dense",
                         classmethod(counting_from_dense))

@@ -31,6 +31,7 @@ from qtmat.correction import (
     _kept_rank,
     corr_product,
     corr_times_corr,
+    dense_product,
     toeplitz_times_factor,
 )
 from qtmat.symbol import sym_reverse
@@ -298,18 +299,33 @@ def test_corr_product_vs_dense_sections(kinds, real):
     b, f = _product_factors(rng, kinds[1], real)
     # As in an m x m matrix, the symbols fit in its band and E and F in its
     # corner; the Toeplitz terms T(a) F and E T(b) reach past the cap.
+    # dense_product forms the same correction with E as a dense block.
     n, m = 24, 9
     for ee in (Correction.zero(), e):
         for ff in (Correction.zero(), f):
+            want = _product_oracle(a, ee, b, ff, n)
             got = corr_product(a, ee, b, ff)
             assert got.p <= n and got.q <= n
-            assert np.abs(dense_correction_oracle(got, n, n)
-                          - _product_oracle(a, ee, b, ff, n)).max() < 1e-12
+            assert np.abs(dense_correction_oracle(got, n, n) - want
+                          ).max() < 1e-12
+            block = dense_product(a, ee.materialize(), b, ff, 0.0)
+            assert _within(block, n, want)
+            want = _finite_product_oracle(a, ee, b, ff, m)
             got = corr_product(a, ee, b, ff, m)
             assert got.p <= m and got.q <= m
-            assert np.abs(dense_correction_oracle(got, m, m)
-                          - _finite_product_oracle(a, ee, b, ff, m)
+            assert np.abs(dense_correction_oracle(got, m, m) - want
                           ).max() < 1e-12
+            block = dense_product(a, ee.materialize(), b, ff, 0.0, m)
+            assert block.dtype == got.u.dtype and _within(block, m, want)
+
+
+def _within(block, n, want):
+    """Whether the block fits in n x n and matches want there to 1e-12."""
+    if max(block.shape) > n:
+        return False
+    padded = np.zeros((n, n), dtype=complex)
+    padded[:block.shape[0], :block.shape[1]] = block
+    return np.abs(padded - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("cap", [None, 9], ids=["semi", "capped"])

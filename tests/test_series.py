@@ -302,7 +302,7 @@ def test_power_series_and_laurent_share_the_term_loop():
         a, SeriesSpec.laurent_polynomial(dict(enumerate(c))), with_info=True)
     # Both sum the polynomial exactly, so neither has a tail to estimate.
     assert got_info == want_info == {
-        "terms": 4, "tail_estimate": 0.0,
+        "terms": 4, "tail_estimate": 0.0, "powers": "factored",
         "ranks": [(got.corr.p, got.corr.q, got.corr.rank)]}
     assert not got.corr.is_zero
     for x, y in ((got.corr.u, want.corr.u), (got.corr.v, want.corr.v)):
@@ -577,16 +577,61 @@ def _unmirrored_inputs():
 
 @pytest.mark.parametrize("case", range(3), ids=[
     "different-corners", "lopsided-symbol", "past-the-fit-rule"])
-def test_other_inputs_keep_the_finite_run(case, monkeypatch):
+def test_other_inputs_keep_the_finite_run(case):
     a = list(_unmirrored_inputs())[case]
-    _, info = funm_taylor(a, SeriesSpec.exp(), with_info=True)
+    got, info = funm_taylor(a, SeriesSpec.exp(), with_info=True)
     assert a.semi_infinite_half(info["terms"]) is None
-    calls = _counted_fqt_mul(monkeypatch)
-    got = funm_taylor(a, SeriesSpec.exp())
-    assert calls and got.corr_tl is not got.corr_br
+    assert got.corr_tl is not got.corr_br
     want = scipy.linalg.expm(fqt_to_dense(a))
     assert np.abs(fqt_to_dense(got) - want).max() <= 1e-12 * max(
         1.0, np.abs(want).max())
+
+
+def _meeting_corners(real):
+    """A 12 x 12 matrix with 4 x 4 corners, real or complex.
+
+    Its powers' corners soon reach across it, and the powers' symbols
+    outgrow its band.
+    """
+    rng = np.random.default_rng(31)
+    tl, br = (Correction(0.1 * rng.standard_normal((4, 2)),
+                         rng.standard_normal((4, 2))) for _ in range(2))
+    if not real:
+        tl = Correction(tl.u * (1 + 0.5j), tl.v)
+    return FiniteQtMatrix(12, LaurentSymbol([0.1, -0.4, 1.0, 0.3], -2),
+                          tl, br)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_exp_of_a_finite_matrix_whose_corners_meet_matches_expm(real):
+    a = _meeting_corners(real)
+    got, info = funm_taylor(a, SeriesSpec.exp(), with_info=True)
+    assert info["powers"] == "dense"
+    assert _stored_dtypes(got) == {np.dtype(np.float64 if real
+                                            else np.complex128)}
+    want = scipy.linalg.expm(fqt_to_dense(a))
+    assert np.abs(fqt_to_dense(got) - want).max() <= 1e-13 * np.abs(
+        want).max()
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_a_finite_laurent_series_matches_dense_inverse_powers(real):
+    # f(z) = sum_k 0.1^|k| z^k on the annulus 0.1 < |z| < 10.
+    a = _meeting_corners(real)
+
+    def scalar(x):
+        return 1 / (1 - x / 10) + 1 / (1 - 1 / (10 * x)) - 1
+
+    f = SeriesSpec.laurent(lambda i: 0.1 ** abs(i), 0.1, 10.0, scalar=scalar)
+    got, info = funm_laurent(a, f, with_info=True)
+    assert info["powers"] == "dense"
+    assert _stored_dtypes(got) == {np.dtype(np.float64 if real
+                                            else np.complex128)}
+    dense, eye = fqt_to_dense(a), np.eye(a.m)
+    want = (np.linalg.inv(eye - dense / 10)
+            + np.linalg.inv(eye - np.linalg.inv(dense) / 10) - eye)
+    assert np.abs(fqt_to_dense(got) - want).max() <= 1e-13 * np.abs(
+        want).max()
 
 
 def test_the_fit_rule_admits_twice_the_reach():
@@ -672,13 +717,18 @@ def test_the_series_adds_exactly_and_compresses_only_in_products(
     got = (funm_taylor if engine == "taylor" else funm_laurent)(a, f)
     names = {name for name, _ in calls}
     assert "cqt_add" not in names and "fqt_add" not in names
-    compressions = [inside for name, inside in calls
-                    if name == "corr_compress"]
-    assert compressions and all(compressions)
+    if case == 0:
+        compressions = [inside for name, inside in calls
+                        if name == "corr_compress"]
+        assert compressions and all(compressions)
+    else:
+        # A finite matrix's powers are dense blocks: no product is formed
+        # in the algebra and nothing is compressed before the sum's one
+        # factoring.
+        assert not names & {"corr_compress", "cqt_mul", "fqt_mul"}
     if case == 1:
-        assert got.corr_tl is got.corr_br and "fqt_mul" not in names
+        assert got.corr_tl is got.corr_br
     if case == 2:
-        assert "fqt_mul" in names
         dense = fqt_to_dense(a)
         if engine == "taylor":
             want = scipy.linalg.expm(dense)
